@@ -125,7 +125,7 @@ Result<MultiQueryOptimizer::SharedPlan> MultiQueryOptimizer::Reoptimize(
 RoutingSink::RoutingSink(const MultiQueryOptimizer::SharedPlan& shared,
                          const std::vector<StreamQuery>& queries,
                          std::vector<ResultSink*> sinks)
-    : sinks_(std::move(sinks)) {
+    : routes_(shared.plan.num_operators()), sinks_(std::move(sinks)) {
   FW_CHECK_EQ(sinks_.size(), queries.size());
   for (ResultSink* sink : sinks_) FW_CHECK(sink != nullptr);
   for (const MultiQueryOptimizer::Subscription& sub :
@@ -142,14 +142,14 @@ RoutingSink::RoutingSink(const MultiQueryOptimizer::SharedPlan& shared,
       }
     }
     FW_CHECK_GE(local, 0);
-    routes_[sub.plan_operator].push_back(Route{sub.query_index, local});
+    const size_t op = static_cast<size_t>(sub.plan_operator);
+    FW_CHECK_LT(op, routes_.size());
+    routes_[op].push_back(Route{sub.query_index, local});
   }
 }
 
 void RoutingSink::OnResult(const WindowResult& result) {
-  auto it = routes_.find(result.operator_id);
-  if (it == routes_.end()) return;
-  for (const Route& route : it->second) {
+  for (const Route& route : routes_[static_cast<size_t>(result.operator_id)]) {
     WindowResult rewritten = result;
     rewritten.operator_id = route.local_operator;
     sinks_[static_cast<size_t>(route.query_index)]->OnResult(rewritten);

@@ -1,7 +1,6 @@
 #ifndef FW_MULTI_MULTI_QUERY_H_
 #define FW_MULTI_MULTI_QUERY_H_
 
-#include <map>
 #include <vector>
 
 #include "exec/sink.h"
@@ -117,7 +116,8 @@ class RoutingSink : public ResultSink {
     int query_index;
     int local_operator;  // Index within the query's own window set.
   };
-  std::map<int, std::vector<Route>> routes_;  // Shared op -> subscribers.
+  /// Subscribers of each shared-plan operator, indexed by operator id.
+  std::vector<std::vector<Route>> routes_;
   std::vector<ResultSink*> sinks_;
 };
 

@@ -20,12 +20,30 @@ namespace {
 /// The stamp is 0 when telemetry is compiled out. Columnar end to end:
 /// the producer appends routed events straight into the columns and the
 /// worker folds them through PlanExecutor::PushColumns, so per-event and
-/// columnar ingestion share one engine-side hot path.
+/// columnar ingestion share one engine-side hot path. `end_of_epoch` is
+/// the drain-point marker: after folding the batch (possibly empty) the
+/// worker sorts its result buffer, off the session thread.
 struct EventBatch {
   EventColumns columns;
   uint64_t enqueued_ns = 0;
+  bool end_of_epoch = false;
 };
+
+/// The merge order: a total order over one executor's results (one
+/// result per operator, window instance and key), so every sorted chunk
+/// is fully determined by its content.
+bool MergeOrder(const WindowResult& a, const WindowResult& b) {
+  return std::tie(a.end, a.start, a.operator_id, a.key) <
+         std::tie(b.end, b.start, b.operator_id, b.key);
+}
 }  // namespace
+
+void ShardedExecutor::BufferSink::SortRun() {
+  const auto unsorted = results_.begin() + static_cast<ptrdiff_t>(sorted_);
+  std::sort(unsorted, results_.end(), MergeOrder);
+  std::inplace_merge(results_.begin(), unsorted, results_.end(), MergeOrder);
+  sorted_ = results_.size();
+}
 
 /// One worker shard. The members split into three ownership classes,
 /// annotated for the thread-safety analysis (DESIGN.md §12):
@@ -134,14 +152,19 @@ void ShardedExecutor::BuildTopology() {
       s->worker_role.AssertHeld();
       EventBatch batch;
       while (s->queue.Pop(&batch)) {
-        s->executor->PushColumns(batch.columns);
-        if (telemetry::kEnabled) {
-          // One sample per batch: time from producer flush to fully
-          // folded. kEnabled is constexpr, so OFF builds drop the whole
-          // block — no clock read on the worker either.
-          s->handoff_hist->Record(
-              s->index, telemetry::NowNanosIfEnabled() - batch.enqueued_ns);
+        if (!batch.columns.empty()) {
+          s->executor->PushColumns(batch.columns);
+          if (telemetry::kEnabled) {
+            // One sample per data batch: time from producer flush to
+            // fully folded. kEnabled is constexpr, so OFF builds drop the
+            // whole block — no clock read on the worker either.
+            s->handoff_hist->Record(
+                s->index,
+                telemetry::NowNanosIfEnabled() - batch.enqueued_ns);
+          }
         }
+        // Sorted before the release below, which publishes the run.
+        if (batch.end_of_epoch) s->buffer.SortRun();
         s->consumed.fetch_add(1, std::memory_order_release);
       }
     });
@@ -168,14 +191,26 @@ void ShardedExecutor::StopWorkers() {
   stopped_ = true;
 }
 
-void ShardedExecutor::FlushPending(Shard* shard) {
+void ShardedExecutor::FlushPending(Shard* shard, bool end_of_epoch) {
   // FW_REQUIRES(session_role_) callers: the shard's producer side is the
   // same capability, reached through the shard's back-pointer.
   shard->session_role->AssertHeld();
-  if (shard->pending.empty()) return;
+  if (shard->pending.empty() &&
+      (!end_of_epoch ||
+       shard->consumed.load(std::memory_order_relaxed) == shard->enqueued)) {
+    // Nothing to hand off. An idle worker gets no empty marker either:
+    // waking it from its backoff sleep would put a fixed cost on every
+    // drain, and its remaining unsorted results (rare — a drain point
+    // usually finds a partial batch pending) are sorted by
+    // DeliverBuffered instead.
+    return;
+  }
   EventBatch batch;
-  batch.columns.Reserve(options_.batch_size);
-  batch.columns.Swap(&shard->pending);  // Leaves a fresh reserved buffer.
+  batch.end_of_epoch = end_of_epoch;
+  if (!shard->pending.empty()) {
+    batch.columns.Reserve(options_.batch_size);
+    batch.columns.Swap(&shard->pending);  // Leaves a fresh reserved buffer.
+  }
   batch.enqueued_ns = telemetry::NowNanosIfEnabled();
   shard->queue.Push(std::move(batch));
   ++shard->enqueued;
@@ -321,8 +356,8 @@ void ShardedExecutor::ReleaseEligible() {
   }
 }
 
-void ShardedExecutor::Quiesce() {
-  for (auto& shard : shards_) FlushPending(shard.get());
+void ShardedExecutor::Quiesce(bool end_of_epoch) {
+  for (auto& shard : shards_) FlushPending(shard.get(), end_of_epoch);
   for (auto& shard : shards_) {
     shard->session_role->AssertHeld();  // `enqueued` is producer-side.
     SpinBackoff backoff;
@@ -334,28 +369,47 @@ void ShardedExecutor::Quiesce() {
 }
 
 void ShardedExecutor::DeliverBuffered() {
-  std::vector<WindowResult> merged;
+  // One cursor per non-empty run; the heap keeps the run with the
+  // smallest head on top. Keys never span shards, so heads never tie.
+  struct Run {
+    const WindowResult* next;
+    const WindowResult* end;
+  };
+  std::vector<Run> heap;
+  heap.reserve(shards_.size());
   for (auto& shard : shards_) {
     // Callers quiesced (or joined) this shard's worker first: the
     // consumed/enqueued acquire-release pair published the buffer and the
     // worker is parked on an empty ring, so the session thread owns it.
     shard->worker_role.AssertHeld();
-    std::vector<WindowResult>& buffered = shard->buffer.results();
-    merged.insert(merged.end(), buffered.begin(), buffered.end());
-    buffered.clear();
+    shard->buffer.SortRun();  // Only a CloseThrough/Finish tail is left.
+    const std::vector<WindowResult>& run = shard->buffer.results();
+    if (!run.empty()) heap.push_back({run.data(), run.data() + run.size()});
   }
-  std::sort(merged.begin(), merged.end(),
-            [](const WindowResult& a, const WindowResult& b) {
-              return std::tie(a.end, a.start, a.operator_id, a.key) <
-                     std::tie(b.end, b.start, b.operator_id, b.key);
-            });
-  for (const WindowResult& result : merged) sink_->OnResult(result);
+  const auto later = [](const Run& a, const Run& b) {
+    return MergeOrder(*b.next, *a.next);
+  };
+  std::make_heap(heap.begin(), heap.end(), later);
+  while (!heap.empty()) {
+    std::pop_heap(heap.begin(), heap.end(), later);
+    Run& top = heap.back();
+    sink_->OnResult(*top.next);
+    if (++top.next == top.end) {
+      heap.pop_back();
+    } else {
+      std::push_heap(heap.begin(), heap.end(), later);
+    }
+  }
+  for (auto& shard : shards_) {
+    shard->worker_role.AssertHeld();  // Still owned (see above).
+    shard->buffer.Clear();
+  }
 }
 
 void ShardedExecutor::Drain() {
   session_role_.AssertHeld();  // Public entry: session thread only.
   if (inline_executor_) return;
-  Quiesce();
+  Quiesce(/*end_of_epoch=*/true);
   DeliverBuffered();
   events_since_drain_ = 0;
 }
@@ -375,6 +429,9 @@ void ShardedExecutor::Finish() {
     inline_executor_->Finish();
     return;
   }
+  // Busy workers sort what they hold before exiting; DeliverBuffered
+  // sorts the rest, including the final flush's results below.
+  for (auto& shard : shards_) FlushPending(shard.get(), /*end_of_epoch=*/true);
   StopWorkers();
   for (auto& shard : shards_) {
     // Workers are joined: the join published everything they wrote, so
@@ -423,10 +480,11 @@ Result<ExecutorCheckpoint> ShardedExecutor::Checkpoint() {
     }
     return checkpoint;
   }
-  Quiesce();
+  Quiesce(/*end_of_epoch=*/true);
   if (delivered_any_) {
     // Workers are quiesced, so the session thread may drive the engines;
-    // close results land in the shard buffers and ship with the drain.
+    // close results land after the shards' sorted runs, and
+    // DeliverBuffered sorts them in.
     for (auto& shard : shards_) {
       shard->worker_role.AssertHeld();  // Quiesced (see above).
       shard->executor->CloseThrough(close_frontier);
@@ -621,10 +679,13 @@ double ShardedExecutor::RingOccupancy() const {
   double worst = 0.0;
   for (const auto& shard : shards_) {
     shard->session_role->AssertHeld();  // `enqueued` is producer-side.
+    // In flight = the ring's contents plus the batch the worker popped
+    // and is still folding, so at most capacity + 1.
     const uint64_t in_flight =
         shard->enqueued - shard->consumed.load(std::memory_order_acquire);
-    worst = std::max(worst, static_cast<double>(in_flight) /
-                                static_cast<double>(shard->queue.capacity()));
+    worst = std::max(
+        worst, static_cast<double>(in_flight) /
+                   static_cast<double>(shard->queue.capacity() + 1));
   }
   return worst;
 }
@@ -652,7 +713,7 @@ void ShardedExecutor::Reset() {
   for (auto& shard : shards_) {
     shard->worker_role.AssertHeld();  // Quiesced (see above).
     shard->executor->Reset();
-    shard->buffer.results().clear();
+    shard->buffer.Clear();
   }
   events_since_drain_ = 0;
 }

@@ -54,11 +54,29 @@ class EventConsumer;  // exec/reorder.h; side output for late events.
 ///    a bare PlanExecutor. This keeps the default StreamSession path
 ///    byte-identical to the pre-sharding engine.
 ///  * With N > 1 shards, results are buffered per shard and delivered in
-///    sorted batches at *drain points*: every Options::drain_interval
-///    pushed events, and on Drain/Finish/Checkpoint. Drain points depend
-///    only on the pushed sequence and the API calls made, so delivery
-///    order is deterministic run-to-run. An executor destroyed without
-///    Finish discards still-buffered results.
+///    chunks at *drain points*: every Options::drain_interval pushed
+///    events, and on Drain/Finish/Checkpoint (Resize checkpoints, so it
+///    is one too). Each chunk is the union of the shards' results since
+///    the previous drain point, sorted by (window end, start, operator,
+///    key) — a total order over one executor's results, so a chunk is
+///    fully determined by its content. Drain points depend only on the
+///    pushed sequence and the API calls made, so delivery order is
+///    deterministic run-to-run. An executor destroyed without Finish
+///    discards still-buffered results.
+///  * Who sorts: at a drain point the session thread hands every shard an
+///    end-of-epoch marker, riding its last pending batch (or an empty
+///    batch when none is pending but the worker is still busy); the
+///    worker sorts its own result buffer before it reports the marker
+///    consumed. Whatever is left unsorted after that — results appended
+///    by Checkpoint's CloseThrough or Finish's final flush, or held by
+///    an idle worker that got no marker — is sorted into the shard's run
+///    on the session thread. The session thread then delivers a linear
+///    N-way merge of the sorted per-shard runs, never one sort over
+///    their union.
+///  * Latency: a result waits at most about one drain interval of pushed
+///    events (4096 by default) plus the time the workers need to fold
+///    them. Across chunks delivery is not globally sorted — see
+///    DESIGN.md §8.
 ///
 /// ## Bounded-lateness ingestion (Options::max_delay > 0)
 ///
@@ -106,8 +124,8 @@ class ShardedExecutor {
     /// shard falls this far behind (backpressure).
     size_t queue_capacity = 64;
     /// Deliver buffered results at least every this many pushed events;
-    /// bounds result latency and buffer memory.
-    uint64_t drain_interval = 65536;
+    /// bounds result latency and buffer memory (see the class comment).
+    uint64_t drain_interval = 4096;
     /// Bounded event-time disorder (see the class comment): events may
     /// arrive up to this many time units behind the stream's maximum
     /// timestamp. 0 (default) requires strictly ordered input — the
@@ -272,10 +290,10 @@ class ShardedExecutor {
   }
 
   /// Instantaneous hand-off backlog: the worst shard's in-flight batch
-  /// count as a fraction of its ring capacity, in [0, 1]. 0 in inline
-  /// mode (no rings). A cheap load signal for auto-resize policies —
-  /// sampled without quiescing, so it is a snapshot, not a high-water
-  /// mark.
+  /// count — the full ring plus the one batch its worker is folding — as
+  /// a fraction of capacity + 1, in [0, 1]. 0 in inline mode (no rings).
+  /// A cheap load signal for auto-resize policies — sampled without
+  /// quiescing, so it is a snapshot, not a high-water mark.
   double RingOccupancy() const;
 
  private:
@@ -289,10 +307,20 @@ class ShardedExecutor {
     void OnResult(const WindowResult& result) override {
       results_.push_back(result);
     }
-    std::vector<WindowResult>& results() { return results_; }
+    /// Sorts the results appended since the last call into merge order
+    /// and merges them into the sorted run before them, so the whole
+    /// buffer becomes one sorted run.
+    void SortRun();
+    const std::vector<WindowResult>& results() const { return results_; }
+    void Clear() {
+      results_.clear();
+      sorted_ = 0;
+    }
 
    private:
     std::vector<WindowResult> results_;
+    /// Length of the sorted prefix of results_.
+    size_t sorted_ = 0;
   };
 
   struct Shard;
@@ -315,8 +343,13 @@ class ShardedExecutor {
   /// The reorder stage's clock and counters, for checkpointing.
   ReorderCheckpoint ReorderMeta() const FW_REQUIRES(session_role_);
 
-  /// Hands the shard's pending partial batch to its queue.
-  void FlushPending(Shard* shard) FW_REQUIRES(session_role_);
+  /// Hands the shard's pending partial batch to its queue. With
+  /// `end_of_epoch` the batch carries the end-of-epoch marker, so the
+  /// worker sorts its result buffer after folding it; with nothing
+  /// pending the marker rides an empty batch, but only while the worker
+  /// is still busy (an idle one is not woken).
+  void FlushPending(Shard* shard, bool end_of_epoch = false)
+      FW_REQUIRES(session_role_);
   /// Live (current-topology) per-operator closed-instance / finalized-
   /// result sums; callers add the retired tallies. Requires quiesced (or
   /// inline/joined) workers.
@@ -325,9 +358,12 @@ class ShardedExecutor {
   std::vector<uint64_t> LivePerOperatorFinalizes() const
       FW_REQUIRES(session_role_);
   /// Flushes all pending batches and waits until every worker has consumed
-  /// its queue. Afterwards the session thread may read shard state.
-  void Quiesce() FW_REQUIRES(session_role_);
-  /// Merges and sorts all buffered results into the sink.
+  /// its queue. Afterwards the session thread may read shard state. With
+  /// `end_of_epoch` every shard gets the marker (see FlushPending), so
+  /// each busy shard's result buffer is one sorted run on return.
+  void Quiesce(bool end_of_epoch = false) FW_REQUIRES(session_role_);
+  /// Sorts any tail appended since the workers' markers into each shard's
+  /// run, then delivers the N-way merge of the runs into the sink.
   void DeliverBuffered() FW_REQUIRES(session_role_);
   void StopWorkers() FW_REQUIRES(session_role_);
 

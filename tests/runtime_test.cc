@@ -2,13 +2,17 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <atomic>
 #include <cstdint>
 #include <map>
+#include <memory>
 #include <set>
 #include <thread>
 #include <tuple>
 #include <vector>
 
+#include "agg/aggregate.h"
 #include "exec/engine.h"
 #include "exec/reorder.h"
 #include "multi/multi_query.h"
@@ -411,6 +415,51 @@ QueryPlan SharedTestPlan() {
   return shared->plan;
 }
 
+// One delivery, flattened for exact comparison: (events pushed when it
+// was delivered, late side-output?, operator, start, end, key, value). A
+// late event logs its timestamp as the start.
+using Delivery = std::tuple<uint64_t, bool, int, TimeT, TimeT, uint32_t, double>;
+
+Delivery Flatten(uint64_t position, const WindowResult& r) {
+  return {position, false, r.operator_id, r.start, r.end, r.key, r.value};
+}
+
+// Records every result and late event with its delivery position; the
+// test advances `pushed` before each Push, so a drain point triggered by
+// the n-th event logs position n.
+class DeliveryLog : public ResultSink, public EventConsumer {
+ public:
+  void OnResult(const WindowResult& result) override {
+    log.push_back(Flatten(pushed, result));
+    results.OnResult(result);
+  }
+  void Consume(const Event& event) override {
+    log.push_back({pushed, true, 0, event.timestamp, 0, event.key,
+                   event.value});
+  }
+
+  uint64_t pushed = 0;
+  std::vector<Delivery> log;
+  CollectingSink results;  // The results alone, for multiset checks.
+};
+
+// Every chunk — the results delivered at one position — must be strictly
+// increasing in the merge order (window end, start, operator, key).
+void ExpectChunksSorted(const std::vector<Delivery>& log) {
+  const auto merge_key = [](const Delivery& d) {
+    return std::make_tuple(std::get<4>(d), std::get<3>(d), std::get<2>(d),
+                           std::get<5>(d));
+  };
+  for (size_t i = 1; i < log.size(); ++i) {
+    if (std::get<0>(log[i - 1]) != std::get<0>(log[i]) ||
+        std::get<1>(log[i - 1]) || std::get<1>(log[i])) {
+      continue;
+    }
+    EXPECT_LT(merge_key(log[i - 1]), merge_key(log[i]))
+        << "chunk at position " << std::get<0>(log[i]) << ", entry " << i;
+  }
+}
+
 TEST(ShardedExecutor, MatchesSingleThreadedExecutorExactly) {
   constexpr uint32_t kKeys = 16;
   std::vector<Event> events = GenerateSyntheticStream(20000, kKeys, 21);
@@ -446,6 +495,8 @@ TEST(ShardedExecutor, MergeOrderIsDeterministicAndSortedPerDrain) {
     options.num_keys = kKeys;
     options.num_shards = 4;
     options.batch_size = 32;
+    // Longer than the stream: the only drain point is Finish.
+    options.drain_interval = events.size() + 1;
     CollectingSink sink;
     ShardedExecutor executor(plan, options, &sink);
     for (const Event& event : events) executor.Push(event);
@@ -472,6 +523,219 @@ TEST(ShardedExecutor, MergeOrderIsDeterministicAndSortedPerDrain) {
               std::tie(first[i].end, first[i].start, first[i].operator_id,
                        first[i].key));
   }
+}
+
+TEST(ShardedExecutor, EveryDrainChunkIsTheSortedUnionOfItsEpoch) {
+  constexpr uint32_t kKeys = 8;
+  constexpr uint32_t kShards = 2;
+  constexpr uint64_t kDrainInterval = 500;
+  // Not a multiple of the interval, so Finish delivers its own chunk.
+  std::vector<Event> events = GenerateSyntheticStream(6100, kKeys, 25);
+  QueryPlan plan = SharedTestPlan();
+
+  ShardedExecutor::Options options;
+  options.num_keys = kKeys;
+  options.num_shards = kShards;
+  options.batch_size = 16;
+  options.drain_interval = kDrainInterval;
+  DeliveryLog delivered;
+  ShardedExecutor executor(plan, options, &delivered);
+  for (const Event& event : events) {
+    ++delivered.pushed;
+    executor.Push(event);
+  }
+  executor.Finish();
+  ExpectChunksSorted(delivered.log);
+
+  // Reference: one bare engine per shard over the same key slice. Each
+  // epoch's chunk is the sorted union of what they emitted during it.
+  std::vector<CollectingSink> shard_sinks(kShards);
+  std::vector<std::unique_ptr<PlanExecutor>> engines;
+  PlanExecutor::Options exec_options;
+  exec_options.num_keys = kKeys;
+  for (CollectingSink& sink : shard_sinks) {
+    engines.push_back(std::make_unique<PlanExecutor>(plan, exec_options, &sink));
+  }
+  std::vector<Delivery> expected;
+  std::vector<size_t> taken(kShards, 0);
+  auto close_epoch = [&](uint64_t position) {
+    std::vector<WindowResult> chunk;
+    for (uint32_t s = 0; s < kShards; ++s) {
+      const std::vector<WindowResult>& results = shard_sinks[s].results();
+      chunk.insert(chunk.end(), results.begin() + taken[s], results.end());
+      taken[s] = results.size();
+    }
+    std::sort(chunk.begin(), chunk.end(),
+              [](const WindowResult& a, const WindowResult& b) {
+                return std::tie(a.end, a.start, a.operator_id, a.key) <
+                       std::tie(b.end, b.start, b.operator_id, b.key);
+              });
+    for (const WindowResult& r : chunk) expected.push_back(Flatten(position, r));
+  };
+  for (size_t i = 0; i < events.size(); ++i) {
+    engines[ShardForKey(events[i].key, kShards)]->Push(events[i]);
+    if ((i + 1) % kDrainInterval == 0) close_epoch(i + 1);
+  }
+  for (auto& engine : engines) engine->Finish();
+  close_epoch(events.size());
+  ASSERT_GT(expected.size(), 0u);
+  EXPECT_EQ(delivered.log, expected);
+}
+
+TEST(ShardedExecutor, CheckpointAndResizeWithCloseThroughTailStayExact) {
+  constexpr uint32_t kKeys = 8;
+  constexpr TimeT kQuietFrom = 1000;
+  constexpr TimeT kCut = 1400;
+  constexpr TimeT kEnd = 3000;
+  QueryPlan plan = SharedTestPlan();
+  // From kQuietFrom to the cut only shard 0's keys (of 2) see events — for
+  // longer than the largest window — so shard 1 holds open instances that
+  // only Checkpoint's CloseThrough closes: a tail after its sorted run.
+  std::vector<uint32_t> shard0_keys;
+  for (uint32_t key = 0; key < kKeys; ++key) {
+    if (ShardForKey(key, 2) == 0) shard0_keys.push_back(key);
+  }
+  ASSERT_FALSE(shard0_keys.empty());
+  std::vector<Event> events;
+  for (TimeT t = 0; t < kEnd; ++t) {
+    const bool quiet = t >= kQuietFrom && t < kCut;
+    events.push_back(
+        {.timestamp = t,
+         .key = quiet ? shard0_keys[static_cast<size_t>(t) % shard0_keys.size()]
+                      : static_cast<uint32_t>(t % kKeys),
+         .value = static_cast<double>((t * 37) % 101)});
+  }
+  CollectingSink reference;
+  ExecutePlan(plan, events, kKeys, &reference, nullptr, nullptr);
+
+  ShardedExecutor::Options options;
+  options.num_keys = kKeys;
+  options.num_shards = 2;
+  options.batch_size = 16;
+  // The cut's delivery must contain both a shard-1 tail result and the
+  // sorted runs; shard 1's last event precedes kQuietFrom.
+  auto expect_tail_chunk = [&](const DeliveryLog& delivered) {
+    ExpectChunksSorted(delivered.log);
+    bool tail = false;
+    for (const Delivery& d : delivered.log) {
+      tail |= std::get<0>(d) == static_cast<uint64_t>(kCut) &&
+              ShardForKey(std::get<5>(d), 2) == 1 &&
+              std::get<4>(d) > kQuietFrom;
+    }
+    EXPECT_TRUE(tail) << "no CloseThrough tail at the cut";
+  };
+
+  DeliveryLog first_half;
+  ShardedExecutor source(plan, options, &first_half);
+  for (TimeT t = 0; t < kCut; ++t) {
+    ++first_half.pushed;
+    source.Push(events[static_cast<size_t>(t)]);
+  }
+  Result<ExecutorCheckpoint> checkpoint = source.Checkpoint();
+  ASSERT_TRUE(checkpoint.ok()) << checkpoint.status().ToString();
+  expect_tail_chunk(first_half);
+  for (uint32_t shards : {1u, 2u, 4u}) {
+    ShardedExecutor::Options target_options = options;
+    target_options.num_shards = shards;
+    CollectingSink second_half;
+    ShardedExecutor target(plan, target_options, &second_half);
+    ASSERT_TRUE(target.Restore(*checkpoint).ok());
+    for (size_t i = kCut; i < events.size(); ++i) target.Push(events[i]);
+    target.Finish();
+    std::map<CollectingSink::ResultKey, double> combined =
+        first_half.results.ToMap();
+    for (const auto& [key, value] : second_half.ToMap()) {
+      ASSERT_EQ(combined.count(key), 0u);  // No double emissions.
+      combined[key] = value;
+    }
+    EXPECT_EQ(combined, reference.ToMap()) << shards << " shards";
+  }
+
+  for (uint32_t shards : {1u, 4u}) {
+    DeliveryLog delivered;
+    ShardedExecutor executor(plan, options, &delivered);
+    for (const Event& event : events) {
+      ++delivered.pushed;
+      executor.Push(event);
+      if (delivered.pushed == static_cast<uint64_t>(kCut)) {
+        ASSERT_TRUE(executor.Resize(shards).ok());
+        expect_tail_chunk(delivered);
+      }
+    }
+    executor.Finish();
+    EXPECT_EQ(delivered.results.results().size(), reference.results().size())
+        << "resize to " << shards;
+    EXPECT_EQ(delivered.results.ToMap(), reference.ToMap())
+        << "resize to " << shards;
+  }
+}
+
+// A registered UDAF whose accumulate parks its worker while the flag is
+// up — a deterministic way to back a shard's ring up.
+std::atomic<bool> hold_accumulate{false};
+
+void HeldSumAccumulate(AggState* state, double value) {
+  while (hold_accumulate.load(std::memory_order_acquire)) {
+    std::this_thread::yield();
+  }
+  state->v1 += value;
+  ++state->n;
+}
+void HeldSumMerge(AggState* state, const AggState& other) {
+  state->v1 += other.v1;
+  state->n += other.n;
+}
+double HeldSumFinalize(const AggState& state) { return state.v1; }
+
+AggFn RegisterHeldSumOnce() {
+  static AggFn fn = [] {
+    AggregateFunction held;
+    held.name = "HELD_SUM";
+    held.description = "sum whose accumulate can be held (test aggregate)";
+    held.agg_class = AggClass::kAlgebraic;
+    held.accumulate = HeldSumAccumulate;
+    held.merge = HeldSumMerge;
+    held.finalize = HeldSumFinalize;
+    Result<AggFn> registered = AggregateRegistry::Global().Register(held);
+    EXPECT_TRUE(registered.ok()) << registered.status().ToString();
+    return *registered;
+  }();
+  return fn;
+}
+
+TEST(ShardedExecutor, RingOccupancyStaysWithinUnitRangeWhenSaturated) {
+  WindowSet windows;
+  ASSERT_TRUE(windows.Add(Window::Tumbling(10)).ok());
+  QueryPlan plan = QueryPlan::Original(windows, RegisterHeldSumOnce());
+  ShardedExecutor::Options options;
+  options.num_keys = 4;
+  options.num_shards = 2;
+  options.batch_size = 1;  // One hand-off batch per event.
+  options.queue_capacity = 4;
+  const size_t capacity = SpscQueue<int>(options.queue_capacity).capacity();
+  CollectingSink sink;
+  ShardedExecutor executor(plan, options, &sink);
+
+  // Key 0 lives on shard 0. Its worker pops the first batch and parks in
+  // accumulate; the next `capacity` batches fill the ring behind it, so
+  // capacity + 1 batches are in flight — the most a shard can hold.
+  hold_accumulate.store(true, std::memory_order_release);
+  double total = 0.0;
+  for (size_t i = 0; i <= capacity; ++i) {
+    executor.Push({.timestamp = static_cast<TimeT>(i),
+                   .key = 0,
+                   .value = static_cast<double>(i)});
+    total += static_cast<double>(i);
+  }
+  const double occupancy = executor.RingOccupancy();
+  hold_accumulate.store(false, std::memory_order_release);
+  EXPECT_LE(occupancy, 1.0);
+  EXPECT_DOUBLE_EQ(occupancy, 1.0);
+
+  executor.Finish();
+  EXPECT_EQ(executor.RingOccupancy(), 0.0);
+  ASSERT_EQ(sink.results().size(), 1u);
+  EXPECT_EQ(sink.results()[0].value, total);
 }
 
 TEST(ShardedExecutor, CheckpointRestoresAcrossShardCounts) {
@@ -595,6 +859,40 @@ TEST(ShardedExecutorDisorder, LatePolicyIsIdenticalAcrossShardCounts) {
       EXPECT_EQ(late.events[i].value, baseline_late[i].value);
     }
   }
+}
+
+TEST(ShardedExecutorDisorder, DeliverySequenceIsIdenticalAcrossRunsAndBatches) {
+  constexpr uint32_t kKeys = 8;
+  // Disorder deeper than the tolerance, so late side-output interleaves
+  // with the result chunks.
+  std::vector<Event> sorted = GenerateSyntheticStream(12000, kKeys, 45);
+  std::vector<Event> shuffled = ApplyBoundedDisorder(sorted, 96, 9);
+  QueryPlan plan = SharedTestPlan();
+
+  auto run = [&](size_t batch_size) {
+    ShardedExecutor::Options options;
+    options.num_keys = kKeys;
+    options.num_shards = 4;
+    options.batch_size = batch_size;
+    options.drain_interval = 700;
+    options.max_delay = 16;
+    DeliveryLog delivered;
+    options.late_sink = &delivered;
+    ShardedExecutor executor(plan, options, &delivered);
+    for (const Event& event : shuffled) {
+      ++delivered.pushed;
+      executor.Push(event);
+    }
+    executor.Finish();
+    EXPECT_GT(executor.late_events(), 0u);
+    return delivered.log;
+  };
+
+  const std::vector<Delivery> first = run(16);
+  ASSERT_FALSE(first.empty());
+  ExpectChunksSorted(first);
+  EXPECT_EQ(run(16), first) << "second run";
+  EXPECT_EQ(run(256), first) << "batch_size 256";
 }
 
 TEST(ShardedExecutorDisorder, CheckpointCarriesBuffersAcrossShardCounts) {
