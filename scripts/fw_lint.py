@@ -37,9 +37,17 @@ Rules (all in src/ unless noted):
   locale-dependent      setlocale, std::locale, atof/strtod/strtof,
                         sscanf/scanf: numeric parsing that honors the
                         global locale reads "3.14" as 3 under LC_ALL=de.
-                        The checkpoint codec must parse identically
-                        everywhere (strtoull base-10 and IEEE-754 bit
-                        patterns are locale-free and stay legal).
+                        Persisted bytes carry doubles as IEEE-754 bit
+                        patterns through the binary codec
+                        (common/codec.h), which never formats or parses
+                        text; strtoull base-10 stays legal elsewhere.
+  text-codec            <sstream> / std::[io]stringstream in
+                        persisted-format code (exec/checkpoint*,
+                        agg/aggregate.cc, durability/,
+                        runtime/shard_checkpoint*). Every persisted byte
+                        goes through the one bounds-checked binary codec
+                        (common/codec.h); a second, text codec would need
+                        its own versioning, bounds checks and fuzzing.
   raw-mutex             std::mutex / std::lock_guard / std::scoped_lock /
                         std::unique_lock outside common/mutex.h. Raw
                         mutexes are invisible to Thread Safety Analysis;
@@ -96,6 +104,15 @@ ORDER_SENSITIVE = (
     "agg/aggregate",
 )
 
+# Files that define a persisted byte format (checkpoints, AggState
+# records, the durability files). The text-codec rule is scoped to these.
+PERSISTED_FORMAT = (
+    "exec/checkpoint",
+    "agg/aggregate.cc",
+    "durability/",
+    "runtime/shard_checkpoint",
+)
+
 SUPPRESS_RE = re.compile(r"//\s*fw-lint:\s*allow\(([a-z-]+(?:\s*,\s*[a-z-]+)*)\)")
 
 # Each rule: (name, regex over comment/string-stripped code, message,
@@ -112,6 +129,10 @@ def _outside(allowed):
 
 def _outside_dir(allowed_prefix):
     return lambda path: not path.startswith(allowed_prefix)
+
+
+def _inside(prefixes):
+    return lambda path: path.startswith(prefixes)
 
 
 RULES = [
@@ -164,7 +185,7 @@ RULES = [
         "locale-dependent parsing/formatting: the global locale changes "
         "what '3.14' means, so checkpoints would not round-trip across "
         "hosts; parse integers with strtoull base 10 and doubles as "
-        "IEEE-754 bit patterns (agg/aggregate.h)",
+        "IEEE-754 bit patterns (common/codec.h)",
         lambda path: True,
     ),
     (
@@ -191,6 +212,15 @@ RULES = [
         "torn-tail detection, so recovery can neither validate nor "
         "replay it",
         _outside_dir("durability/"),
+    ),
+    (
+        "text-codec",
+        re.compile(r"(?:#\s*include\s*<sstream>|\bstd::(?:i|o)?stringstream\b)"),
+        "iostream text codec in persisted-format code: every persisted "
+        "byte goes through the one bounds-checked binary codec "
+        "(common/codec.h ByteWriter/ByteReader); a second, text format "
+        "would need its own versioning, bounds checks and fuzzing",
+        _inside(PERSISTED_FORMAT),
     ),
 ]
 

@@ -41,53 +41,4 @@ bool PlansStructurallyEqual(const QueryPlan& a, const QueryPlan& b) {
   return true;
 }
 
-Result<AdaptiveOptimizer> AdaptiveOptimizer::Make(const WindowSet& windows,
-                                                  AggFn agg,
-                                                  const Options& options) {
-  if (windows.empty()) {
-    return Status::InvalidArgument("empty window set");
-  }
-  if (options.reoptimize_ratio <= 1.0) {
-    return Status::InvalidArgument("reoptimize_ratio must exceed 1");
-  }
-  Result<CoverageSemantics> semantics = SemanticsFor(agg);
-  if (!semantics.ok()) return semantics.status();
-  return AdaptiveOptimizer(windows, agg, *semantics, options);
-}
-
-AdaptiveOptimizer::AdaptiveOptimizer(const WindowSet& windows, AggFn agg,
-                                     CoverageSemantics semantics,
-                                     const Options& options)
-    : windows_(windows),
-      agg_(agg),
-      semantics_(semantics),
-      options_(options),
-      estimator_(options.rate_alpha),
-      plan_(QueryPlan::Original(windows, agg)) {
-  // Initial compile at the paper's default rate η = 1.
-  Recompile(1.0);
-  reoptimize_count_ = 0;  // The initial compile is not a re-optimization.
-}
-
-void AdaptiveOptimizer::Recompile(double eta) {
-  OptimizerOptions opts = options_.optimizer;
-  opts.eta = eta;
-  MinCostWcg wcg = OptimizeWithFactorWindows(windows_, semantics_, opts);
-  plan_ = QueryPlan::FromMinCostWcg(wcg, agg_);
-  plan_cost_ = wcg.total_cost;
-  planned_eta_ = eta;
-  ++reoptimize_count_;
-}
-
-bool AdaptiveOptimizer::MaybeReoptimize() {
-  if (!estimator_.has_observations()) return false;
-  double eta = estimator_.rate();
-  if (eta <= 0.0) return false;
-  double ratio = eta > planned_eta_ ? eta / planned_eta_ : planned_eta_ / eta;
-  if (ratio < options_.reoptimize_ratio) return false;
-  QueryPlan previous = plan_;
-  Recompile(eta);
-  return !PlansStructurallyEqual(previous, plan_);
-}
-
 }  // namespace fw

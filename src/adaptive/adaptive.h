@@ -1,13 +1,9 @@
 #ifndef FW_ADAPTIVE_ADAPTIVE_H_
 #define FW_ADAPTIVE_ADAPTIVE_H_
 
-#include <optional>
+#include <cstdint>
 
-#include "agg/aggregate.h"
-#include "common/status.h"
-#include "factor/optimizer.h"
 #include "plan/plan.h"
-#include "window/window_set.h"
 
 namespace fw {
 
@@ -33,75 +29,6 @@ class RateEstimator {
   double rate_ = 1.0;
   bool has_observations_ = false;
   uint64_t pending_events_ = 0;  // From zero-duration batches.
-};
-
-/// Rate-adaptive re-optimization — the paper's §VI "dynamic cost
-/// estimates" future work. Holds a compiled plan for one query, monitors
-/// the observed event rate, and re-runs the cost-based optimizer with the
-/// new η when the rate drifts beyond a threshold. The plan can change
-/// structurally: lower rates make raw reads cheap and can evict factor
-/// windows; higher rates do the opposite.
-class AdaptiveOptimizer {
- public:
-  struct Options {
-    /// Re-optimize when the rate estimate differs from the η used for the
-    /// current plan by at least this factor (in either direction).
-    double reoptimize_ratio = 1.5;
-    /// EWMA weight for the rate estimator.
-    double rate_alpha = 0.3;
-    /// Base optimizer knobs; `eta` is overwritten by the estimate.
-    OptimizerOptions optimizer;
-  };
-
-  /// Validated construction; compiles the initial plan at η = 1.
-  static Result<AdaptiveOptimizer> Make(const WindowSet& windows,
-                                        AggFn agg,
-                                        const Options& options);
-  static Result<AdaptiveOptimizer> Make(const WindowSet& windows,
-                                        AggFn agg) {
-    return Make(windows, agg, Options());
-  }
-
-  /// The currently installed plan.
-  const QueryPlan& plan() const { return plan_; }
-
-  /// Model cost of the installed plan at its η.
-  double plan_cost() const { return plan_cost_; }
-
-  /// η the installed plan was optimized for.
-  double planned_eta() const { return planned_eta_; }
-
-  /// Current rate estimate.
-  double estimated_eta() const { return estimator_.rate(); }
-
-  /// Number of re-optimizations performed so far.
-  int reoptimize_count() const { return reoptimize_count_; }
-
-  /// Feeds a batch observation to the rate estimator.
-  void ObserveBatch(uint64_t events, TimeT duration) {
-    estimator_.ObserveBatch(events, duration);
-  }
-
-  /// Re-optimizes when the rate drifted beyond the threshold. Returns
-  /// true when the installed plan changed *structurally* (different
-  /// operators or providers), false when it was kept or only re-costed.
-  bool MaybeReoptimize();
-
- private:
-  AdaptiveOptimizer(const WindowSet& windows, AggFn agg,
-                    CoverageSemantics semantics, const Options& options);
-
-  void Recompile(double eta);
-
-  WindowSet windows_;
-  AggFn agg_;
-  CoverageSemantics semantics_;
-  Options options_;
-  RateEstimator estimator_;
-  QueryPlan plan_;
-  double plan_cost_ = 0.0;
-  double planned_eta_ = 1.0;
-  int reoptimize_count_ = 0;
 };
 
 /// Structural plan equality: same windows, providers, and exposure, in

@@ -1,12 +1,11 @@
 #include "agg/aggregate.h"
 
 #include <algorithm>
-#include <bit>
 #include <cctype>
 #include <cmath>
-#include <sstream>
 
 #include "agg/sketch.h"
+#include "common/codec.h"
 #include "common/logging.h"
 
 namespace fw {
@@ -455,67 +454,45 @@ Result<CoverageSemantics> AggregateFunction::SharingSemantics() const {
                             : CoverageSemantics::kPartitionedBy;
 }
 
-void SerializeAggState(const AggState& state, std::ostream& os) {
+void EncodeAggState(const AggState& state, ByteWriter* w) {
   // Canonical form: empty states drop any recycled extension allocation.
   const uint32_t ext_size = state.empty() ? 0 : state.ext_size();
-  os << std::bit_cast<uint64_t>(state.v1) << " "
-     << std::bit_cast<uint64_t>(state.v2) << " " << state.n << " "
-     << ext_size;
-  if (ext_size > 0) {
-    os << " ";
-    static const char* kHex = "0123456789abcdef";
-    const uint8_t* bytes = state.ext();
-    for (uint32_t i = 0; i < ext_size; ++i) {
-      os << kHex[bytes[i] >> 4] << kHex[bytes[i] & 0xf];
-    }
-  }
+  w->F64(state.v1);
+  w->F64(state.v2);
+  w->U64(state.n);
+  w->U32(ext_size);
+  if (ext_size > 0) w->Bytes(state.ext(), ext_size);
 }
 
-Status DeserializeAggState(std::istream& is, AggState* state) {
-  uint64_t v1 = 0;
-  uint64_t v2 = 0;
+Status DecodeAggState(ByteReader* r, AggState* state) {
   uint32_t ext_size = 0;
-  if (!(is >> v1 >> v2 >> state->n >> ext_size)) {
-    return Status::InvalidArgument("bad aggregate-state record");
+  std::string_view payload;
+  if (!r->F64(&state->v1) || !r->F64(&state->v2) || !r->U64(&state->n) ||
+      !r->U32(&ext_size) || !r->Bytes(ext_size, &payload)) {
+    return Status::InvalidArgument("truncated aggregate-state record");
   }
-  state->v1 = std::bit_cast<double>(v1);
-  state->v2 = std::bit_cast<double>(v2);
-  if (ext_size == 0) {
-    state->EnsureExt(0);
-    return Status::OK();
+  if (state->empty() && ext_size > 0) {
+    return Status::InvalidArgument("empty aggregate state carries a payload");
   }
-  std::string hex;
-  if (!(is >> hex) || hex.size() != 2 * static_cast<size_t>(ext_size)) {
-    return Status::InvalidArgument("bad aggregate-state payload");
-  }
-  uint8_t* bytes = state->EnsureExt(ext_size);
-  const auto nibble = [](char c) -> int {
-    if (c >= '0' && c <= '9') return c - '0';
-    if (c >= 'a' && c <= 'f') return c - 'a' + 10;
-    return -1;
-  };
-  for (uint32_t i = 0; i < ext_size; ++i) {
-    const int hi = nibble(hex[2 * i]);
-    const int lo = nibble(hex[2 * i + 1]);
-    if (hi < 0 || lo < 0) {
-      return Status::InvalidArgument("bad aggregate-state payload");
-    }
-    bytes[i] = static_cast<uint8_t>((hi << 4) | lo);
-  }
+  uint8_t* ext = state->EnsureExt(ext_size);
+  if (ext_size > 0) std::memcpy(ext, payload.data(), ext_size);
   return Status::OK();
 }
 
 std::string AggregateFunction::SerializeState(const AggState& state) const {
-  std::ostringstream os;
-  SerializeAggState(state, os);
-  return os.str();
+  ByteWriter w;
+  EncodeAggState(state, &w);
+  return w.Take();
 }
 
 Result<AggState> AggregateFunction::DeserializeState(
-    const std::string& text) const {
-  std::istringstream is(text);
+    const std::string& bytes) const {
+  ByteReader r(bytes);
   AggState state;
-  FW_RETURN_IF_ERROR(DeserializeAggState(is, &state));
+  FW_RETURN_IF_ERROR(DecodeAggState(&r, &state));
+  if (!r.AtEnd()) {
+    return Status::InvalidArgument("trailing bytes after aggregate state");
+  }
   const uint32_t expected = state.n == 0 ? 0 : state_bytes;
   if (state.ext_size() != expected) {
     return Status::InvalidArgument(

@@ -4,7 +4,6 @@
 #include <cstddef>
 #include <cstdint>
 #include <cstring>
-#include <iosfwd>
 #include <memory>
 #include <string>
 #include <string_view>
@@ -15,6 +14,9 @@
 #include "window/coverage.h"
 
 namespace fw {
+
+class ByteReader;  // common/codec.h
+class ByteWriter;
 
 /// Gray et al.'s aggregate taxonomy (§III-A). The paper's sharing theorems
 /// hang off this classification: distributive and algebraic functions have
@@ -206,12 +208,13 @@ struct AggregateFunction {
   /// holistic functions, which fall back to the unshared original plan.
   Result<CoverageSemantics> SharingSemantics() const;
 
-  /// State persistence (the checkpoint text format for one state): inline
-  /// fields as IEEE-754 bit patterns plus the raw extension bytes.
-  /// DeserializeState validates the extension size against `state_bytes`,
-  /// so restoring a sketch state into the wrong function fails cleanly.
+  /// State persistence (EncodeAggState, the checkpoint record for one
+  /// state): inline fields as IEEE-754 bit patterns plus the raw
+  /// extension bytes. DeserializeState validates the extension size
+  /// against `state_bytes`, so restoring a sketch state into the wrong
+  /// function fails cleanly.
   std::string SerializeState(const AggState& state) const;
-  Result<AggState> DeserializeState(const std::string& text) const;
+  Result<AggState> DeserializeState(const std::string& bytes) const;
 };
 
 /// How the rest of the system refers to an aggregate function: a pointer
@@ -300,14 +303,16 @@ double HolisticFinalize(AggFn fn, HolisticState* state);
 /// input is an error.
 Result<double> AggReference(AggFn fn, const std::vector<double>& values);
 
-/// The checkpoint text encoding of one state — "v1-bits v2-bits n
-/// ext_size [hex-payload]" — shared by ExecutorCheckpoint's version-3
-/// format and AggregateFunction::SerializeState/DeserializeState so the
-/// wire format cannot drift between them. Empty states always encode with
-/// ext_size 0 (a pooled buffer may carry a zeroed recycled allocation;
-/// the canonical form drops it, so every record round-trips).
-void SerializeAggState(const AggState& state, std::ostream& os);
-Status DeserializeAggState(std::istream& is, AggState* state);
+/// The binary encoding of one state (common/codec.h) — F64 v1, F64 v2,
+/// U64 n, U32 ext_size, then ext_size raw payload bytes — shared by the
+/// ExecutorCheckpoint layout and AggregateFunction::SerializeState/
+/// DeserializeState so the wire format cannot drift between them. Empty
+/// states always encode with ext_size 0 (a pooled buffer may carry a
+/// zeroed recycled allocation; the canonical form drops it, so every
+/// record round-trips), and the decoder rejects an empty state that
+/// carries a payload.
+void EncodeAggState(const AggState& state, ByteWriter* w);
+Status DecodeAggState(ByteReader* r, AggState* state);
 
 }  // namespace fw
 

@@ -1,10 +1,11 @@
-#ifndef FW_DURABILITY_CODEC_H_
-#define FW_DURABILITY_CODEC_H_
+#ifndef FW_COMMON_CODEC_H_
+#define FW_COMMON_CODEC_H_
 
-// Little-endian binary payload codec for the durability file formats
-// (DESIGN.md §16). Deliberately tiny: fixed-width integers, IEEE-754
-// doubles as bit patterns, and length-prefixed strings — nothing
-// locale- or host-order dependent, so payloads verify and decode
+// Little-endian binary payload codec for every persisted byte: the
+// durability file formats (DESIGN.md §16) and the ExecutorCheckpoint
+// layout (exec/checkpoint.h). Deliberately tiny: fixed-width integers,
+// IEEE-754 doubles as bit patterns, and length-prefixed byte strings —
+// nothing locale- or host-order dependent, so payloads verify and decode
 // identically on every machine.
 
 #include <bit>
@@ -13,20 +14,15 @@
 #include <string_view>
 
 namespace fw {
-namespace durability {
 
 /// Appends fields to an owned byte buffer.
 class ByteWriter {
  public:
   void U8(uint8_t v) { buf_.push_back(static_cast<char>(v)); }
 
-  void U32(uint32_t v) {
-    for (int i = 0; i < 4; ++i) U8(static_cast<uint8_t>(v >> (8 * i)));
-  }
+  void U32(uint32_t v) { Fixed<4>(v); }
 
-  void U64(uint64_t v) {
-    for (int i = 0; i < 8; ++i) U8(static_cast<uint8_t>(v >> (8 * i)));
-  }
+  void U64(uint64_t v) { Fixed<8>(v); }
 
   void I64(int64_t v) { U64(static_cast<uint64_t>(v)); }
 
@@ -34,15 +30,27 @@ class ByteWriter {
   /// formatting involved.
   void F64(double v) { U64(std::bit_cast<uint64_t>(v)); }
 
+  /// Raw bytes, no length prefix (the caller writes the size it needs).
+  void Bytes(const void* data, size_t size) {
+    buf_.append(static_cast<const char*>(data), size);
+  }
+
   void Str(std::string_view s) {
     U32(static_cast<uint32_t>(s.size()));
-    buf_.append(s.data(), s.size());
+    Bytes(s.data(), s.size());
   }
 
   const std::string& bytes() const { return buf_; }
   std::string Take() { return std::move(buf_); }
 
  private:
+  template <int N>
+  void Fixed(uint64_t v) {
+    char out[N];
+    for (int i = 0; i < N; ++i) out[i] = static_cast<char>(v >> (8 * i));
+    buf_.append(out, N);
+  }
+
   std::string buf_;
 };
 
@@ -60,26 +68,13 @@ class ByteReader {
   }
 
   bool U32(uint32_t* v) {
-    if (!Need(4)) return false;
-    uint32_t out = 0;
-    for (int i = 0; i < 4; ++i) {
-      out |= static_cast<uint32_t>(static_cast<uint8_t>(data_[pos_++]))
-             << (8 * i);
-    }
-    *v = out;
+    uint64_t out = 0;
+    if (!Fixed(4, &out)) return false;
+    *v = static_cast<uint32_t>(out);
     return true;
   }
 
-  bool U64(uint64_t* v) {
-    if (!Need(8)) return false;
-    uint64_t out = 0;
-    for (int i = 0; i < 8; ++i) {
-      out |= static_cast<uint64_t>(static_cast<uint8_t>(data_[pos_++]))
-             << (8 * i);
-    }
-    *v = out;
-    return true;
-  }
+  bool U64(uint64_t* v) { return Fixed(8, v); }
 
   bool I64(int64_t* v) {
     uint64_t bits = 0;
@@ -95,11 +90,20 @@ class ByteReader {
     return true;
   }
 
+  /// A view of the next `size` raw bytes; fails before touching memory
+  /// when fewer remain, so a forged size never drives an allocation.
+  bool Bytes(size_t size, std::string_view* out) {
+    if (!Need(size)) return false;
+    *out = data_.substr(pos_, size);
+    pos_ += size;
+    return true;
+  }
+
   bool Str(std::string* s) {
     uint32_t len = 0;
-    if (!U32(&len) || !Need(len)) return false;
-    s->assign(data_.data() + pos_, len);
-    pos_ += len;
+    std::string_view bytes;
+    if (!U32(&len) || !Bytes(len, &bytes)) return false;
+    s->assign(bytes);
     return true;
   }
 
@@ -116,12 +120,22 @@ class ByteReader {
     return true;
   }
 
+  bool Fixed(int n, uint64_t* v) {
+    if (!Need(static_cast<size_t>(n))) return false;
+    uint64_t out = 0;
+    for (int i = 0; i < n; ++i) {
+      out |= static_cast<uint64_t>(static_cast<uint8_t>(data_[pos_++]))
+             << (8 * i);
+    }
+    *v = out;
+    return true;
+  }
+
   std::string_view data_;
   size_t pos_ = 0;
   bool ok_ = true;
 };
 
-}  // namespace durability
 }  // namespace fw
 
-#endif  // FW_DURABILITY_CODEC_H_
+#endif  // FW_COMMON_CODEC_H_

@@ -10,7 +10,7 @@
 #include <cstdio>
 #include <cstring>
 
-#include "durability/codec.h"
+#include "common/codec.h"
 #include "durability/crc32c.h"
 
 namespace fw {

@@ -2,7 +2,7 @@
 
 #include <algorithm>
 
-#include "durability/codec.h"
+#include "common/codec.h"
 #include "durability/framed_io.h"
 #include "durability/wal.h"
 

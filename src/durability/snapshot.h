@@ -3,7 +3,7 @@
 
 // The snapshot store (DESIGN.md §16): a full canonical session image —
 // session counters, the live query set, and the merged CloseThrough-
-// canonicalized executor checkpoint (serialization v3) — written
+// canonicalized executor checkpoint (its binary layout) — written
 // atomically (temp file + rename + directory fsync) as CRC32C-framed
 // `snap-<covered_seq>.fws`. A snapshot covering changelog sequence S
 // makes every record with seq < S redundant, which is the truncation
@@ -80,7 +80,7 @@ struct SnapshotContents {
   SnapshotMeta meta;
   /// Live queries in plan (insertion) order.
   std::vector<SnapshotQuery> queries;
-  /// Serialized ExecutorCheckpoint (checkpoint v3 text); meaningful only
+  /// ExecutorCheckpoint::Serialize bytes (binary layout); meaningful only
   /// when has_checkpoint — an idle session has no executor state.
   std::string checkpoint;
   bool has_checkpoint = false;

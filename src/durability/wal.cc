@@ -3,7 +3,7 @@
 #include <algorithm>
 #include <cstdlib>
 
-#include "durability/codec.h"
+#include "common/codec.h"
 
 namespace fw {
 namespace durability {

@@ -46,7 +46,7 @@ bool ParseSegmentFileName(std::string_view name, uint64_t* base_seq);
 std::string SnapshotFileName(uint64_t covered_seq);
 bool ParseSnapshotFileName(std::string_view name, uint64_t* covered_seq);
 
-// Payload codecs (durability/codec.h wire format).
+// Payload codecs (common/codec.h wire format).
 std::string EncodeEventsPayload(const EventColumns& columns);
 Status DecodeEventsPayload(std::string_view payload, EventColumns* out);
 std::string EncodeQueryPayload(uint64_t id, const StreamQuery& query);

@@ -1,177 +1,126 @@
 #include "exec/checkpoint.h"
 
-#include <bit>
-#include <sstream>
+#include <string_view>
+
+#include "common/codec.h"
 
 namespace fw {
 
 namespace {
 
-// Doubles are persisted as their IEEE-754 bit patterns so checkpoints
-// round-trip exactly (istream extraction cannot parse hexfloat).
-uint64_t DoubleBits(double d) { return std::bit_cast<uint64_t>(d); }
-double BitsDouble(uint64_t b) { return std::bit_cast<double>(b); }
+// Leads every checkpoint; any other prefix (the retired text format's
+// included) is rejected before a single count is trusted.
+constexpr std::string_view kMagic = "FWCB";
+
+Status Malformed(const std::string& what) {
+  return Status::InvalidArgument("malformed binary ExecutorCheckpoint: " +
+                                 what);
+}
 
 }  // namespace
 
 std::string ExecutorCheckpoint::Serialize() const {
-  // Version 1 is the original format; an active reorder section writes
-  // version 2 and any out-of-line (sketch) aggregate state writes version
-  // 3, so readers that predate either feature reject the checkpoint
-  // loudly instead of silently dropping state. Versions 1/2 keep their
-  // exact historical byte layouts.
-  bool any_ext = false;
+  ByteWriter w;
+  w.Bytes(kMagic.data(), kMagic.size());
+  w.U32(static_cast<uint32_t>(operators.size()));
   for (const OperatorCheckpoint& op : operators) {
+    w.U32(static_cast<uint32_t>(op.operator_id));
+    w.I64(op.next_m);
+    w.I64(op.next_open_start);
+    w.U64(op.accumulate_ops);
+    w.U32(static_cast<uint32_t>(op.open_instances.size()));
     for (const InstanceCheckpoint& inst : op.open_instances) {
-      for (const AggState& s : inst.states) {
-        // Empty states encode canonically without their (possibly
-        // recycled) buffer, so only live payloads force version 3.
-        any_ext = any_ext || (!s.empty() && s.ext_size() > 0);
-      }
+      w.I64(inst.m);
+      w.U32(static_cast<uint32_t>(inst.states.size()));
+      for (const AggState& s : inst.states) EncodeAggState(s, &w);
     }
   }
-  const int version = any_ext ? 3 : (reorder.Inactive() ? 1 : 2);
-
-  std::ostringstream os;
-  os << "FWCKPT " << version << " " << operators.size();
-  if (version == 3) {
-    // Version 3 flags its reorder section explicitly (versions 1/2 encode
-    // presence in the version number itself).
-    os << " " << (reorder.Inactive() ? 0 : 1);
-  }
-  os << "\n";
-  for (const OperatorCheckpoint& op : operators) {
-    os << "op " << op.operator_id << " " << op.next_m << " "
-       << op.next_open_start << " " << op.accumulate_ops << " "
-       << op.open_instances.size() << "\n";
-    for (const InstanceCheckpoint& inst : op.open_instances) {
-      os << "inst " << inst.m << " " << inst.states.size();
-      for (const AggState& s : inst.states) {
-        os << " ";
-        if (version == 3) {
-          SerializeAggState(s, os);  // Shared record format (agg/).
-        } else {
-          os << DoubleBits(s.v1) << " " << DoubleBits(s.v2) << " " << s.n;
-        }
-      }
-      os << "\n";
-    }
-  }
+  w.U8(reorder.Inactive() ? 0 : 1);
   if (!reorder.Inactive()) {
-    os << "reorder " << (reorder.any_seen ? 1 : 0) << " " << reorder.max_seen
-       << " " << reorder.max_delay << " " << reorder.next_seq << " "
-       << reorder.late_events << " " << reorder.buffer_peak << " "
-       << reorder.events.size() << "\n";
+    w.U8(reorder.any_seen ? 1 : 0);
+    w.I64(reorder.max_seen);
+    w.I64(reorder.max_delay);
+    w.U64(reorder.next_seq);
+    w.U64(reorder.late_events);
+    w.U64(reorder.buffer_peak);
+    w.U32(static_cast<uint32_t>(reorder.events.size()));
     for (const BufferedEvent& buffered : reorder.events) {
-      os << "buf " << buffered.seq << " " << buffered.event.timestamp << " "
-         << buffered.event.key << " " << DoubleBits(buffered.event.value)
-         << "\n";
+      w.U64(buffered.seq);
+      w.I64(buffered.event.timestamp);
+      w.U32(buffered.event.key);
+      w.F64(buffered.event.value);
     }
   }
-  return os.str();
+  return w.Take();
 }
 
 Result<ExecutorCheckpoint> ExecutorCheckpoint::Deserialize(
-    const std::string& text) {
-  std::istringstream is(text);
-  std::string magic;
-  int version = 0;
-  size_t num_operators = 0;
-  if (!(is >> magic >> version >> num_operators) || magic != "FWCKPT") {
-    return Status::InvalidArgument("bad checkpoint header");
-  }
-  if (version != 1 && version != 2 && version != 3) {
-    return Status::InvalidArgument("unsupported checkpoint version " +
-                                   std::to_string(version));
-  }
-  int v3_reorder_flag = 0;
-  if (version == 3 && !(is >> v3_reorder_flag)) {
-    return Status::InvalidArgument("bad checkpoint header");
+    const std::string& bytes) {
+  ByteReader r(bytes);
+  std::string_view magic;
+  if (!r.Bytes(kMagic.size(), &magic) || magic != kMagic) {
+    return Status::InvalidArgument(
+        "not a binary ExecutorCheckpoint (bad magic)");
   }
   ExecutorCheckpoint checkpoint;
-  // No reserve from unvalidated counts anywhere below: a corrupt header
-  // or record length must fail at the first missing record, not ask the
-  // allocator for the forged size (and throw out of the Result API).
-  for (size_t i = 0; i < num_operators; ++i) {
-    std::string tag;
+  // No reserve from unvalidated counts anywhere below: a forged count
+  // must fail at the first missing record, not ask the allocator for the
+  // forged size (and throw out of the Result API).
+  uint32_t num_operators = 0;
+  if (!r.U32(&num_operators)) return Malformed("truncated header");
+  for (uint32_t i = 0; i < num_operators; ++i) {
     OperatorCheckpoint op;
-    size_t num_instances = 0;
-    if (!(is >> tag >> op.operator_id >> op.next_m >> op.next_open_start >>
-          op.accumulate_ops >> num_instances) ||
-        tag != "op") {
-      return Status::InvalidArgument("bad operator record " +
-                                     std::to_string(i));
+    uint32_t operator_id = 0;
+    uint32_t num_instances = 0;
+    if (!r.U32(&operator_id) || !r.I64(&op.next_m) ||
+        !r.I64(&op.next_open_start) || !r.U64(&op.accumulate_ops) ||
+        !r.U32(&num_instances)) {
+      return Malformed("truncated operator record " + std::to_string(i));
     }
-    for (size_t j = 0; j < num_instances; ++j) {
+    op.operator_id = static_cast<int>(operator_id);
+    for (uint32_t j = 0; j < num_instances; ++j) {
       InstanceCheckpoint inst;
-      size_t num_keys = 0;
-      if (!(is >> tag >> inst.m >> num_keys) || tag != "inst") {
-        return Status::InvalidArgument("bad instance record");
+      uint32_t num_keys = 0;
+      if (!r.I64(&inst.m) || !r.U32(&num_keys)) {
+        return Malformed("truncated instance record");
       }
-      for (size_t k = 0; k < num_keys; ++k) {
+      for (uint32_t k = 0; k < num_keys; ++k) {
         AggState s;
-        if (version == 3) {
-          FW_RETURN_IF_ERROR(DeserializeAggState(is, &s));
-        } else {
-          uint64_t v1 = 0;
-          uint64_t v2 = 0;
-          if (!(is >> v1 >> v2 >> s.n)) {
-            return Status::InvalidArgument("bad state record");
-          }
-          s.v1 = BitsDouble(v1);
-          s.v2 = BitsDouble(v2);
-        }
+        FW_RETURN_IF_ERROR(DecodeAggState(&r, &s));
         inst.states.push_back(std::move(s));
       }
       op.open_instances.push_back(std::move(inst));
     }
     checkpoint.operators.push_back(std::move(op));
   }
-  std::string tag;
-  bool has_reorder = false;
-  if (is >> tag) {  // Optional trailing reorder section.
-    if (tag != "reorder") {
-      return Status::InvalidArgument("unexpected trailing record '" + tag +
-                                     "'");
+  uint8_t has_reorder = 0;
+  if (!r.U8(&has_reorder) || has_reorder > 1) {
+    return Malformed("missing reorder-section flag");
+  }
+  if (has_reorder == 1) {
+    ReorderCheckpoint& reorder = checkpoint.reorder;
+    uint8_t any_seen = 0;
+    uint32_t num_buffered = 0;
+    if (!r.U8(&any_seen) || any_seen > 1 || !r.I64(&reorder.max_seen) ||
+        !r.I64(&reorder.max_delay) || !r.U64(&reorder.next_seq) ||
+        !r.U64(&reorder.late_events) || !r.U64(&reorder.buffer_peak) ||
+        !r.U32(&num_buffered)) {
+      return Malformed("truncated reorder record");
     }
-    has_reorder = true;
-    int any_seen = 0;
-    size_t num_buffered = 0;
-    if (!(is >> any_seen >> checkpoint.reorder.max_seen >>
-          checkpoint.reorder.max_delay >> checkpoint.reorder.next_seq >>
-          checkpoint.reorder.late_events >> checkpoint.reorder.buffer_peak >>
-          num_buffered)) {
-      return Status::InvalidArgument("bad reorder record");
-    }
-    checkpoint.reorder.any_seen = any_seen != 0;
-    // No reserve from the unvalidated count: a corrupt length must fail
-    // record-by-record below, not throw out of the Result API.
-    for (size_t i = 0; i < num_buffered; ++i) {
+    reorder.any_seen = any_seen == 1;
+    for (uint32_t i = 0; i < num_buffered; ++i) {
       BufferedEvent buffered;
-      uint64_t value = 0;
-      if (!(is >> tag >> buffered.seq >> buffered.event.timestamp >>
-            buffered.event.key >> value) ||
-          tag != "buf") {
-        return Status::InvalidArgument("bad buffered-event record");
+      if (!r.U64(&buffered.seq) || !r.I64(&buffered.event.timestamp) ||
+          !r.U32(&buffered.event.key) || !r.F64(&buffered.event.value)) {
+        return Malformed("truncated buffered-event record");
       }
-      buffered.event.value = BitsDouble(value);
-      checkpoint.reorder.events.push_back(buffered);
+      reorder.events.push_back(buffered);
     }
-    if (is >> tag) {
-      return Status::InvalidArgument("unexpected trailing record '" + tag +
-                                     "'");
-    }
+    // Serialize omits an inactive section, so a flagged-but-inactive one
+    // is not a canonical checkpoint.
+    if (reorder.Inactive()) return Malformed("empty reorder section");
   }
-  // Reorder-section presence is encoded in the version (v1: absent, v2:
-  // present — it exists *because* of the section) or the v3 header flag,
-  // so a truncated checkpoint cannot silently parse as a strict one.
-  const bool expect_reorder =
-      version == 2 || (version == 3 && v3_reorder_flag != 0);
-  if (has_reorder != expect_reorder) {
-    return Status::InvalidArgument(
-        has_reorder ? "checkpoint carries an undeclared reorder section"
-                    : "checkpoint lost its reorder section (truncated?)");
-  }
+  if (!r.AtEnd()) return Malformed("trailing bytes after the last section");
   return checkpoint;
 }
 

@@ -37,10 +37,8 @@ struct BufferedEvent {
 /// Snapshot of a reorder stage (runtime/ShardedExecutor with
 /// Options::max_delay > 0): the event-time clock, late/buffer accounting,
 /// and every buffered event. Inactive — all defaults, no events — for
-/// strict-order executors, in which case serialization omits it and keeps
-/// the version-1 byte layout; an active section serializes as version 2,
-/// which pre-reorder readers reject instead of silently dropping the
-/// in-flight events.
+/// strict-order executors, in which case serialization writes only a
+/// cleared reorder-section flag.
 struct ReorderCheckpoint {
   bool any_seen = false;
   TimeT max_seen = 0;
@@ -74,10 +72,15 @@ struct ExecutorCheckpoint {
   /// ShardedExecutor owns the reorder stage and this section with it.
   ReorderCheckpoint reorder;
 
-  /// Simple line-oriented text serialization (versioned), so checkpoints
-  /// can be persisted and restored across processes.
+  /// One binary layout on common/codec.h, so checkpoints can be persisted
+  /// and restored across processes: the magic "FWCB"; a U32 operator
+  /// count and per operator its id, next_m, next_open_start,
+  /// accumulate_ops and open instances (m, then one EncodeAggState record
+  /// per key); a U8 reorder-section flag and, when set, the section.
+  /// Deserialize rejects any other magic (the retired text format
+  /// included), truncation, and trailing bytes with a Status.
   std::string Serialize() const;
-  static Result<ExecutorCheckpoint> Deserialize(const std::string& text);
+  static Result<ExecutorCheckpoint> Deserialize(const std::string& bytes);
 };
 
 }  // namespace fw

@@ -6,7 +6,6 @@
 #include <utility>
 
 #include "common/logging.h"
-#include "exec/reorder.h"
 #include "runtime/partition.h"
 #include "runtime/shard_checkpoint.h"
 #include "runtime/spsc_queue.h"

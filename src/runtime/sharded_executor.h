@@ -19,8 +19,6 @@
 
 namespace fw {
 
-class EventConsumer;  // exec/reorder.h; side output for late events.
-
 /// Key-partitioned parallel execution of one QueryPlan (the shared-nothing
 /// scaling path sketched in DESIGN.md §8): events are hash-partitioned by
 /// grouping key across N shards, each shard runs a private single-threaded

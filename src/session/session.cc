@@ -8,7 +8,6 @@
 #include "durability/manager.h"
 #include "exec/checkpoint.h"
 #include "exec/migrate.h"
-#include "exec/reorder.h"
 #include "plan/printer.h"
 #include "query/parser.h"
 #include "runtime/partition.h"

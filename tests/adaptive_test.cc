@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include "factor/optimizer.h"
+
 namespace fw {
 namespace {
 
@@ -46,82 +48,40 @@ TEST(RateEstimatorDeathTest, AlphaValidation) {
   EXPECT_DEATH(RateEstimator(1.5), "alpha");
 }
 
-TEST(AdaptiveOptimizer, InitialPlanAtUnitRate) {
-  Result<AdaptiveOptimizer> adaptive =
-      AdaptiveOptimizer::Make(Example7Set(), Agg("SUM"));
-  ASSERT_TRUE(adaptive.ok());
-  EXPECT_DOUBLE_EQ(adaptive->planned_eta(), 1.0);
-  EXPECT_DOUBLE_EQ(adaptive->plan_cost(), 150.0);  // Example 7 w/ T(10).
-  EXPECT_EQ(CountFactorOps(adaptive->plan()), 1);
-  EXPECT_EQ(adaptive->reoptimize_count(), 0);
+// The optimizer half of the paper's §VI "dynamic cost estimates" loop
+// (the session drift detector replans at the observed η; see
+// elasticity_test.cc, AdaptiveSession). Example 7's factor window T(10)
+// pays off only while η > 0.2: its raw scan costs η·R while it saves
+// Σ n_j (η·r_j - M_j) downstream.
+MinCostWcg Example7AtRate(double eta) {
+  return OptimizeWithFactorWindows(Example7Set(),
+                                   CoverageSemantics::kPartitionedBy,
+                                   {.eta = eta});
 }
 
-TEST(AdaptiveOptimizer, NoReoptimizationWithinThreshold) {
-  Result<AdaptiveOptimizer> adaptive =
-      AdaptiveOptimizer::Make(Example7Set(), Agg("SUM"));
-  ASSERT_TRUE(adaptive.ok());
-  adaptive->ObserveBatch(130, 100);  // 1.3 < 1.5 threshold.
-  EXPECT_FALSE(adaptive->MaybeReoptimize());
-  EXPECT_EQ(adaptive->reoptimize_count(), 0);
+int FactorOpsAtRate(double eta) {
+  return CountFactorOps(QueryPlan::FromMinCostWcg(Example7AtRate(eta),
+                                                  Agg("SUM")));
 }
 
-TEST(AdaptiveOptimizer, RateDropEvictsFactorWindow) {
-  // Example 7's factor window T(10) pays off only while η > 0.2: its raw
-  // scan costs η·R while it saves Σ n_j (η·r_j - M_j) downstream. At
-  // η = 0.05 raw reads are so cheap that sharing stops paying.
-  Result<AdaptiveOptimizer> adaptive =
-      AdaptiveOptimizer::Make(Example7Set(), Agg("SUM"));
-  ASSERT_TRUE(adaptive.ok());
-  EXPECT_EQ(CountFactorOps(adaptive->plan()), 1);
-  adaptive->ObserveBatch(50, 1000);  // η ≈ 0.05.
-  bool changed = adaptive->MaybeReoptimize();
-  EXPECT_TRUE(changed);
-  EXPECT_EQ(adaptive->reoptimize_count(), 1);
-  EXPECT_EQ(CountFactorOps(adaptive->plan()), 0);
-  EXPECT_NEAR(adaptive->planned_eta(), 0.05, 1e-9);
+TEST(RateAwareOptimizer, LowRateEvictsFactorWindow) {
+  // At η ≈ 0.05 raw reads are so cheap that sharing stops paying.
+  EXPECT_EQ(FactorOpsAtRate(0.05), 0);
 }
 
-TEST(AdaptiveOptimizer, RateRecoveryReinstatesFactorWindow) {
-  Result<AdaptiveOptimizer> adaptive =
-      AdaptiveOptimizer::Make(Example7Set(), Agg("SUM"));
-  ASSERT_TRUE(adaptive.ok());
-  adaptive->ObserveBatch(50, 1000);  // η ≈ 0.05: factor evicted.
-  ASSERT_TRUE(adaptive->MaybeReoptimize());
-  ASSERT_EQ(CountFactorOps(adaptive->plan()), 0);
-  // Rate climbs back: EWMA with alpha 0.3 needs a few batches.
-  for (int i = 0; i < 20; ++i) adaptive->ObserveBatch(2000, 1000);
-  EXPECT_GT(adaptive->estimated_eta(), 1.0);
-  EXPECT_TRUE(adaptive->MaybeReoptimize());
-  EXPECT_EQ(CountFactorOps(adaptive->plan()), 1);
+TEST(RateAwareOptimizer, UnitRateKeepsFactorWindowAtExample7Cost) {
+  EXPECT_EQ(FactorOpsAtRate(1.0), 1);
+  EXPECT_DOUBLE_EQ(Example7AtRate(1.0).total_cost, 150.0);
 }
 
-TEST(AdaptiveOptimizer, RateRiseKeepsPlanButRecosts) {
-  // Above η = 1 the Example-7 plan shape is stable; re-optimization
-  // happens but reports no structural change.
-  Result<AdaptiveOptimizer> adaptive =
-      AdaptiveOptimizer::Make(Example7Set(), Agg("SUM"));
-  ASSERT_TRUE(adaptive.ok());
-  adaptive->ObserveBatch(4000, 1000);  // η = 4.
-  EXPECT_FALSE(adaptive->MaybeReoptimize());  // Same structure.
-  EXPECT_EQ(adaptive->reoptimize_count(), 1);
-  EXPECT_DOUBLE_EQ(adaptive->planned_eta(), 4.0);
-  EXPECT_GT(adaptive->plan_cost(), 150.0);  // Raw scans cost 4x more.
-}
-
-TEST(AdaptiveOptimizer, HolisticRejected) {
-  Result<AdaptiveOptimizer> adaptive =
-      AdaptiveOptimizer::Make(Example7Set(), Agg("MEDIAN"));
-  EXPECT_FALSE(adaptive.ok());
-  EXPECT_EQ(adaptive.status().code(), StatusCode::kUnimplemented);
-}
-
-TEST(AdaptiveOptimizer, Validation) {
-  WindowSet empty;
-  EXPECT_FALSE(AdaptiveOptimizer::Make(empty, Agg("MIN")).ok());
-  AdaptiveOptimizer::Options options;
-  options.reoptimize_ratio = 1.0;
-  EXPECT_FALSE(
-      AdaptiveOptimizer::Make(Example7Set(), Agg("MIN"), options).ok());
+TEST(RateAwareOptimizer, HighRateKeepsStructureButCostsMore) {
+  // Above η = 1 the Example-7 plan shape is stable; only the cost moves.
+  const QueryPlan unit =
+      QueryPlan::FromMinCostWcg(Example7AtRate(1.0), Agg("SUM"));
+  const QueryPlan fast =
+      QueryPlan::FromMinCostWcg(Example7AtRate(4.0), Agg("SUM"));
+  EXPECT_TRUE(PlansStructurallyEqual(unit, fast));
+  EXPECT_GT(Example7AtRate(4.0).total_cost, 150.0);  // Raw scans cost 4x.
 }
 
 TEST(PlansStructurallyEqual, DetectsDifferences) {

@@ -3,7 +3,10 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <string>
+#include <string_view>
 
+#include "common/codec.h"
 #include "exec/engine.h"
 #include "factor/optimizer.h"
 #include "workload/datagen.h"
@@ -52,44 +55,98 @@ TEST(Checkpoint, SerializeDeserializeRoundTrip) {
   EXPECT_EQ(r.open_instances[0].states[0].n, 42u);
 }
 
+// Forged-input builders, written field by field the way Serialize lays
+// them out (exec/checkpoint.h).
+ByteWriter Header(uint32_t num_operators) {
+  ByteWriter w;
+  w.Bytes("FWCB", 4);
+  w.U32(num_operators);
+  return w;
+}
+
+void WriteReorderHeader(ByteWriter* w, uint32_t num_buffered) {
+  w->U8(1);  // Section flag.
+  w->U8(1);  // any_seen.
+  w->I64(5);
+  w->I64(2);
+  w->U64(2);
+  w->U64(0);
+  w->U64(1);
+  w->U32(num_buffered);
+}
+
+bool Parses(ByteWriter w) {
+  return ExecutorCheckpoint::Deserialize(w.Take()).ok();
+}
+
 TEST(Checkpoint, DeserializeRejectsGarbage) {
   EXPECT_FALSE(ExecutorCheckpoint::Deserialize("").ok());
   EXPECT_FALSE(ExecutorCheckpoint::Deserialize("BOGUS 1 0").ok());
-  EXPECT_FALSE(ExecutorCheckpoint::Deserialize("FWCKPT 3 0").ok());
-  EXPECT_FALSE(
-      ExecutorCheckpoint::Deserialize("FWCKPT 1 1\nop 0 0").ok());
-  // Trailing junk after the operators, and truncated reorder sections.
-  EXPECT_FALSE(ExecutorCheckpoint::Deserialize("FWCKPT 1 0\nextra").ok());
-  EXPECT_FALSE(
-      ExecutorCheckpoint::Deserialize("FWCKPT 1 0\nreorder 1 5").ok());
-  EXPECT_FALSE(ExecutorCheckpoint::Deserialize(
-                   "FWCKPT 2 0\nreorder 1 5 2 2 0 1 1\nbuf 0 3")
-                   .ok());
-  // Junk after a complete reorder section, and an absurd buffered-event
-  // count, fail with a Status instead of being dropped or throwing.
-  EXPECT_FALSE(ExecutorCheckpoint::Deserialize(
-                   "FWCKPT 2 0\nreorder 1 5 2 2 0 1 0\nextra")
-                   .ok());
-  EXPECT_FALSE(ExecutorCheckpoint::Deserialize(
-                   "FWCKPT 2 0\nreorder 1 0 0 0 0 0 18446744073709551615")
-                   .ok());
+  {
+    ByteWriter w = Header(0);
+    w.U8(0);
+    EXPECT_TRUE(Parses(std::move(w)));  // The smallest valid checkpoint.
+  }
+  EXPECT_FALSE(Parses(Header(0)));  // No reorder-section flag.
+  {
+    ByteWriter w = Header(0);
+    w.U8(2);  // A flag is 0 or 1.
+    EXPECT_FALSE(Parses(std::move(w)));
+  }
+  {
+    ByteWriter w = Header(1);  // One operator, cut off mid-record.
+    w.U32(0);
+    w.I64(0);
+    EXPECT_FALSE(Parses(std::move(w)));
+  }
+  {
+    ByteWriter w = Header(0);
+    w.U8(1);  // Flag set, section missing.
+    EXPECT_FALSE(Parses(std::move(w)));
+  }
+  {
+    ByteWriter w = Header(0);
+    WriteReorderHeader(&w, 1);  // One buffered event, cut off.
+    w.U64(0);
+    w.I64(3);
+    EXPECT_FALSE(Parses(std::move(w)));
+  }
+  {
+    ByteWriter w = Header(0);
+    WriteReorderHeader(&w, 0);
+    w.U8(0x7f);  // Junk after a complete reorder section.
+    EXPECT_FALSE(Parses(std::move(w)));
+  }
+  {
+    ByteWriter w = Header(0);
+    w.U8(1);  // A flagged section that is inactive is not canonical.
+    w.U8(0);
+    for (int i = 0; i < 5; ++i) w.U64(0);
+    w.U32(0);
+    EXPECT_FALSE(Parses(std::move(w)));
+  }
 }
 
-TEST(Checkpoint, ReorderSectionRoundTripsAndStrictFormatIsUnchanged) {
+TEST(Checkpoint, LegacyTextCheckpointIsRejectedByFormatName) {
+  Result<ExecutorCheckpoint> legacy =
+      ExecutorCheckpoint::Deserialize("FWCKPT 1 0\n");
+  ASSERT_FALSE(legacy.ok());
+  EXPECT_EQ(legacy.status().code(), StatusCode::kInvalidArgument);
+  EXPECT_NE(legacy.status().message().find("binary ExecutorCheckpoint"),
+            std::string::npos)
+      << legacy.status().ToString();
+}
+
+TEST(Checkpoint, ReorderSectionRoundTripsAndInactiveSectionIsOneByte) {
   ExecutorCheckpoint checkpoint;
   OperatorCheckpoint op;
   op.operator_id = 0;
   checkpoint.operators.push_back(op);
-  // A strict-order checkpoint (inactive reorder stage) serializes without
-  // any reorder record — the pre-reorder version-1 byte layout.
-  EXPECT_EQ(checkpoint.Serialize().find("reorder"), std::string::npos);
-  EXPECT_EQ(checkpoint.Serialize().rfind("FWCKPT 1 ", 0), 0u);
-  // Version and section presence must agree, so a v2 checkpoint truncated
-  // before its reorder section — or a v1 one carrying it — is rejected.
-  EXPECT_FALSE(ExecutorCheckpoint::Deserialize("FWCKPT 2 0\n").ok());
-  EXPECT_FALSE(ExecutorCheckpoint::Deserialize(
-                   "FWCKPT 1 0\nreorder 1 5 2 2 0 1 0")
-                   .ok());
+  // A strict-order checkpoint (inactive reorder stage) ends with a
+  // cleared section flag and nothing after it.
+  const std::string strict = checkpoint.Serialize();
+  EXPECT_EQ(strict.back(), '\0');
+  EXPECT_TRUE(ExecutorCheckpoint::Deserialize(strict).ok());
 
   checkpoint.reorder.any_seen = true;
   checkpoint.reorder.max_seen = 90;
@@ -102,11 +159,14 @@ TEST(Checkpoint, ReorderSectionRoundTripsAndStrictFormatIsUnchanged) {
   checkpoint.reorder.events.push_back(
       {11, Event{.timestamp = 86, .key = 1, .value = 2.5}});
 
-  // An active section bumps the header to version 2, so pre-reorder
-  // readers reject it instead of silently dropping the buffered events.
-  EXPECT_EQ(checkpoint.Serialize().rfind("FWCKPT 2 ", 0), 0u);
+  // The active section follows the operators, behind a set flag.
+  const std::string active = checkpoint.Serialize();
+  EXPECT_EQ(active.compare(0, strict.size() - 1, strict, 0,
+                           strict.size() - 1),
+            0);
+  EXPECT_EQ(active[strict.size() - 1], '\1');
   Result<ExecutorCheckpoint> restored =
-      ExecutorCheckpoint::Deserialize(checkpoint.Serialize());
+      ExecutorCheckpoint::Deserialize(active);
   ASSERT_TRUE(restored.ok()) << restored.status().ToString();
   EXPECT_TRUE(restored->reorder.any_seen);
   EXPECT_EQ(restored->reorder.max_seen, 90);
@@ -121,13 +181,12 @@ TEST(Checkpoint, ReorderSectionRoundTripsAndStrictFormatIsUnchanged) {
   EXPECT_TRUE(std::signbit(restored->reorder.events[0].event.value));
   EXPECT_EQ(restored->reorder.events[1].event.value, 2.5);
   // Byte-stable: serializing the restored snapshot is the identity.
-  EXPECT_EQ(restored->Serialize(), checkpoint.Serialize());
+  EXPECT_EQ(restored->Serialize(), active);
 }
 
-TEST(Checkpoint, SketchStatesSerializeAsVersion3AndRoundTrip) {
-  // A checkpoint holding out-of-line (sketch) aggregate state writes
-  // version 3 with the extension payload inline; built-in-only checkpoints
-  // keep the historical version-1/2 layouts byte for byte.
+TEST(Checkpoint, SketchStatesRoundTripBitwise) {
+  // Out-of-line (sketch) aggregate state travels as its raw extension
+  // bytes inside the state record.
   ExecutorCheckpoint checkpoint;
   OperatorCheckpoint op;
   op.operator_id = 0;
@@ -138,29 +197,130 @@ TEST(Checkpoint, SketchStatesSerializeAsVersion3AndRoundTrip) {
   for (int i = 1; i <= 500; ++i) {
     Agg("P99")->accumulate(&sketchy, static_cast<double>(i));
   }
-  inst.states = {sketchy, AggState{}};
+  // A cleared pooled state keeps its (zeroed) allocation; the canonical
+  // form drops it.
+  AggState recycled = sketchy;
+  recycled.Clear();
+  inst.states = {sketchy, recycled};
   op.open_instances.push_back(std::move(inst));
   checkpoint.operators.push_back(std::move(op));
 
   const std::string bytes = checkpoint.Serialize();
-  EXPECT_EQ(bytes.rfind("FWCKPT 3 1 0", 0), 0u);  // v3, 1 op, no reorder.
   Result<ExecutorCheckpoint> restored =
       ExecutorCheckpoint::Deserialize(bytes);
   ASSERT_TRUE(restored.ok()) << restored.status().ToString();
   const AggState& state = restored->operators[0].open_instances[0].states[0];
   EXPECT_EQ(state.n, 500u);
   ASSERT_EQ(state.ext_size(), Agg("P99")->state_bytes);
+  EXPECT_EQ(restored->operators[0].open_instances[0].states[1].ext_size(),
+            0u);
   // Bitwise: finalize agrees exactly and re-serialization is the identity.
   EXPECT_EQ(Agg("P99")->finalize(state), Agg("P99")->finalize(sketchy));
   EXPECT_EQ(restored->Serialize(), bytes);
 
-  // Version 3 validation: missing reorder flag, truncated payloads, and a
-  // declared-but-missing reorder section all fail loudly.
-  EXPECT_FALSE(ExecutorCheckpoint::Deserialize("FWCKPT 3 0").ok());
-  EXPECT_FALSE(ExecutorCheckpoint::Deserialize("FWCKPT 3 0 1\n").ok());
-  EXPECT_FALSE(ExecutorCheckpoint::Deserialize(
-                   "FWCKPT 3 1 0\nop 0 0 0 0 1\ninst 0 1 0 0 1 8 ffff")
-                   .ok());
+  // A truncated payload, and an empty state that carries one, fail.
+  EXPECT_FALSE(
+      ExecutorCheckpoint::Deserialize(bytes.substr(0, bytes.size() / 2))
+          .ok());
+  ByteWriter w = Header(1);
+  w.U32(0);
+  w.I64(0);
+  w.I64(0);
+  w.U64(0);
+  w.U32(1);  // One instance ...
+  w.I64(0);
+  w.U32(1);  // ... with one key ...
+  w.F64(0);
+  w.F64(0);
+  w.U64(0);  // ... whose state is empty ...
+  w.U32(2);  // ... yet has a payload.
+  w.U8(0xff);
+  w.U8(0xff);
+  w.U8(0);
+  EXPECT_FALSE(Parses(std::move(w)));
+}
+
+std::string Unhex(std::string_view hex) {
+  std::string bytes;
+  for (size_t i = 0; i + 1 < hex.size(); i += 2) {
+    bytes.push_back(static_cast<char>(
+        std::stoi(std::string(hex.substr(i, 2)), nullptr, 16)));
+  }
+  return bytes;
+}
+
+TEST(Checkpoint, GoldenBytes) {
+  // Pins the layout byte for byte, so any change to it is deliberate:
+  // one operator with a built-in state and a P99 state, plus an active
+  // reorder section.
+  ExecutorCheckpoint checkpoint;
+  OperatorCheckpoint op;
+  op.operator_id = 2;
+  op.next_m = 3;
+  op.next_open_start = 30;
+  op.accumulate_ops = 5;
+  InstanceCheckpoint inst;
+  inst.m = 2;
+  AggState builtin;
+  builtin.v1 = 1.5;
+  builtin.n = 2;
+  AggState p99;
+  Agg("P99")->accumulate(&p99, 1.0);
+  inst.states = {builtin, p99};
+  op.open_instances.push_back(std::move(inst));
+  checkpoint.operators.push_back(std::move(op));
+  checkpoint.reorder = {.any_seen = true,
+                        .max_seen = 40,
+                        .max_delay = 8,
+                        .next_seq = 6,
+                        .late_events = 1,
+                        .buffer_peak = 2,
+                        .events = {{5, Event{.timestamp = 36,
+                                             .key = 1,
+                                             .value = 0.5}}}};
+
+  const std::string expected =
+      Unhex("46574342"                   // Magic "FWCB".
+            "01000000"                   // 1 operator:
+            "02000000"                   //   id 2,
+            "0300000000000000"           //   next_m 3,
+            "1e00000000000000"           //   next_open_start 30,
+            "0500000000000000"           //   accumulate_ops 5,
+            "01000000"                   //   1 instance:
+            "0200000000000000"           //     m 2,
+            "02000000"                   //     2 states:
+            "000000000000f83f"           //       v1 1.5,
+            "0000000000000000"           //       v2 0,
+            "0200000000000000"           //       n 2,
+            "00000000"                   //       no payload;
+            "0000000000000000"           //       v1 0,
+            "0000000000000000"           //       v2 0,
+            "0100000000000000"           //       n 1,
+            "18100000"                   //       4120-byte QuantileSketch:
+            "000000000000f03f"           //         min 1.0,
+            "000000000000f03f"           //         max 1.0,
+            "0000000000000000") +        //         zero 0,
+      std::string(256 * 8, '\0') +       //         neg[],
+      std::string(128 * 8, '\0') +       //         pos[] up to 1.0's bin,
+      Unhex("0100000000000000") +        //         pos[128] 1,
+      std::string(127 * 8, '\0') +       //         the rest of pos[].
+      Unhex("01"                         // Reorder section:
+            "01"                         //   any_seen,
+            "2800000000000000"           //   max_seen 40,
+            "0800000000000000"           //   max_delay 8,
+            "0600000000000000"           //   next_seq 6,
+            "0100000000000000"           //   late_events 1,
+            "0200000000000000"           //   buffer_peak 2,
+            "01000000"                   //   1 buffered event:
+            "0500000000000000"           //     seq 5,
+            "2400000000000000"           //     timestamp 36,
+            "01000000"                   //     key 1,
+            "000000000000e03f");         //     value 0.5.
+  EXPECT_EQ(checkpoint.Serialize(), expected);
+  Result<ExecutorCheckpoint> decoded =
+      ExecutorCheckpoint::Deserialize(expected);
+  ASSERT_TRUE(decoded.ok()) << decoded.status().ToString();
+  EXPECT_EQ(decoded->Serialize(), expected);
 }
 
 TEST(Checkpoint, SketchResumeProducesIdenticalResults) {

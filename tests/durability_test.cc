@@ -8,9 +8,9 @@
 // segment S, record R" error wording).
 //
 // Also home of two format-hardening properties: serialize → deserialize →
-// serialize of a checkpoint-v3 payload is byte-identical, and no
-// single-byte corruption of any durability file or checkpoint text can
-// crash a reader (run under the ASan/UBSan CI leg via the tier-1 label).
+// serialize of a binary ExecutorCheckpoint is byte-identical, and no
+// single-byte corruption of any durability file or checkpoint can crash a
+// reader (run under the ASan/UBSan CI leg via the tier-1 label).
 
 #include <gtest/gtest.h>
 
@@ -24,8 +24,8 @@
 #include <tuple>
 #include <vector>
 
+#include "common/codec.h"
 #include "common/rng.h"
-#include "durability/codec.h"
 #include "durability/crc32c.h"
 #include "durability/framed_io.h"
 #include "durability/manager.h"
@@ -222,7 +222,7 @@ TEST(FramedIo, DetectsTornAndFlippedTails) {
 TEST(FramedIo, CorruptLengthNeverDrivesHugeAllocation) {
   // A length field past kMaxFrameLength must read as torn, not as a
   // gigabyte allocation request.
-  durability::ByteWriter w;
+  ByteWriter w;
   w.U32(0x7FFFFFFFu);  // length
   w.U32(0);            // crc
   w.U8(1);             // type
@@ -301,7 +301,7 @@ TEST(WalCodec, QueryPayloadRoundTrip) {
 TEST(WalCodec, UnknownAggregateFailsWithGuidance) {
   // A changelog from a session using an unregistered UDAF must say so —
   // the recovery caller has to register it first.
-  durability::ByteWriter w;
+  ByteWriter w;
   w.U64(7);
   w.Str("sensors");
   w.Str("NO_SUCH_AGG");
@@ -515,7 +515,7 @@ durability::SnapshotContents MakeSnapshot(uint64_t covered_seq) {
   contents.meta.planned_eta = 0.75;
   contents.queries.push_back({1, MakeQuery("SUM", 20, 10)});
   contents.queries.push_back({2, MakeQuery("SUM", 60, 60)});
-  contents.checkpoint = "FWCKPT 1 0\n";
+  contents.checkpoint = ExecutorCheckpoint().Serialize();
   contents.has_checkpoint = true;
   return contents;
 }
@@ -543,7 +543,7 @@ TEST(SnapshotStore, WriteLoadRoundTrip) {
   EXPECT_EQ(loaded->contents.queries[1].query.ToSql(),
             MakeQuery("SUM", 60, 60).ToSql());
   EXPECT_TRUE(loaded->contents.has_checkpoint);
-  EXPECT_EQ(loaded->contents.checkpoint, "FWCKPT 1 0\n");
+  EXPECT_EQ(loaded->contents.checkpoint, ExecutorCheckpoint().Serialize());
 }
 
 TEST(SnapshotStore, EmptyDirFindsNothing) {
@@ -610,7 +610,7 @@ TEST(SnapshotStore, RejectsCoveredSeqFilenameMismatch) {
   EXPECT_EQ(loaded->skipped, 1);
 }
 
-// --- Checkpoint v3: round-trip property and corruption hardening -----------
+// --- Checkpoint format: round-trip property and corruption hardening -------
 
 ExecutorCheckpoint RandomCheckpoint(uint64_t seed) {
   Rng rng(seed);
@@ -636,7 +636,7 @@ ExecutorCheckpoint RandomCheckpoint(uint64_t seed) {
         state.v2 = rng.UniformReal(0, 1e3);
         state.n = rng.Uniform(0, 100);
         if (rng.Uniform(0, 1) == 1) {
-          // Out-of-line (sketch) payload: random bytes, forces v3.
+          // Out-of-line (sketch) payload: random bytes.
           const uint32_t ext_size =
               static_cast<uint32_t>(rng.Uniform(1, 64));
           uint8_t* ext = state.EnsureExt(ext_size);
@@ -683,16 +683,33 @@ TEST(CheckpointFormat, SerializeDeserializeSerializeIsByteIdentical) {
   }
 }
 
+/// The first RandomCheckpoint from `seed` on that carries both an
+/// out-of-line (sketch) payload and an active reorder section, so the
+/// sweeps below reach every record type.
+std::string FullCheckpointBytes(uint64_t seed) {
+  for (;; ++seed) {
+    const ExecutorCheckpoint checkpoint = RandomCheckpoint(seed);
+    bool any_ext = false;
+    for (const OperatorCheckpoint& op : checkpoint.operators) {
+      for (const InstanceCheckpoint& inst : op.open_instances) {
+        for (const AggState& state : inst.states) {
+          any_ext = any_ext || (!state.empty() && state.ext_size() > 0);
+        }
+      }
+    }
+    if (any_ext && !checkpoint.reorder.events.empty()) {
+      return checkpoint.Serialize();
+    }
+  }
+}
+
 TEST(CheckpointFormat, ByteFlipCorruptionNeverCrashesDeserialize) {
-  // Every single-byte flip of a valid v3 payload must come back as a
+  // Every single-byte flip of a valid checkpoint must come back as a
   // Status or a parseable checkpoint — never a crash, abort, or OOB read
   // (this test is the ASan leg's target).
-  // Pick a seed whose checkpoint carries out-of-line state (version 3).
-  std::string valid;
-  for (uint64_t seed = 12345; valid.rfind("FWCKPT 3", 0) != 0; ++seed) {
-    valid = RandomCheckpoint(seed).Serialize();
-  }
+  const std::string valid = FullCheckpointBytes(12345);
   int parsed = 0;
+  int rejected = 0;
   for (size_t at = 0; at < valid.size(); ++at) {
     for (uint8_t mask : {0x01, 0x20, 0x80}) {
       std::string forged = valid;
@@ -700,36 +717,89 @@ TEST(CheckpointFormat, ByteFlipCorruptionNeverCrashesDeserialize) {
       Result<ExecutorCheckpoint> result =
           ExecutorCheckpoint::Deserialize(forged);
       if (result.ok()) {
-        ++parsed;  // Benign flip (e.g. inside a numeric literal): fine.
+        ++parsed;  // Benign flip (e.g. inside a double): fine.
         (void)result->Serialize();
+      } else {
+        ++rejected;
       }
     }
   }
   // Sanity: the loop genuinely exercised both outcomes.
   EXPECT_GT(parsed, 0);
+  EXPECT_GT(rejected, 0);
 }
 
-TEST(CheckpointFormat, TruncationNeverCrashesDeserialize) {
-  const ExecutorCheckpoint checkpoint = RandomCheckpoint(999);
-  const std::string valid = checkpoint.Serialize();
+TEST(CheckpointFormat, TruncationIsAlwaysRejected) {
+  // The layout ends in a record or the reorder-section flag, so no strict
+  // prefix of a checkpoint is itself a checkpoint.
+  const std::string valid = FullCheckpointBytes(999);
   for (size_t keep = 0; keep < valid.size(); ++keep) {
-    Result<ExecutorCheckpoint> result =
-        ExecutorCheckpoint::Deserialize(valid.substr(0, keep));
-    if (result.ok()) (void)result->Serialize();
+    EXPECT_FALSE(ExecutorCheckpoint::Deserialize(valid.substr(0, keep)).ok())
+        << "prefix of " << keep << " bytes parsed";
   }
 }
 
+TEST(CheckpointFormat, TrailingBytesAreRejected) {
+  const std::string valid = FullCheckpointBytes(7);
+  ASSERT_TRUE(ExecutorCheckpoint::Deserialize(valid).ok());
+  Result<ExecutorCheckpoint> padded =
+      ExecutorCheckpoint::Deserialize(valid + std::string(1, '\0'));
+  ASSERT_FALSE(padded.ok());
+  EXPECT_NE(padded.status().message().find("trailing bytes"),
+            std::string::npos)
+      << padded.status().ToString();
+}
+
+/// Expects the bytes in `w` to fail to deserialize, naming `record`.
+void ExpectRejectedAt(ByteWriter w, const std::string& record) {
+  Result<ExecutorCheckpoint> result = ExecutorCheckpoint::Deserialize(w.Take());
+  ASSERT_FALSE(result.ok());
+  EXPECT_NE(result.status().message().find(record), std::string::npos)
+      << result.status().ToString();
+}
+
 TEST(CheckpointFormat, ForgedCountsFailInsteadOfAllocating) {
-  // A forged operator/instance/key count must fail at the first missing
-  // record — never reserve the forged size.
-  EXPECT_FALSE(
-      ExecutorCheckpoint::Deserialize("FWCKPT 1 1000000000\n").ok());
-  EXPECT_FALSE(ExecutorCheckpoint::Deserialize(
-                   "FWCKPT 1 1\nop 0 1 0 0 4000000000\n")
-                   .ok());
-  EXPECT_FALSE(ExecutorCheckpoint::Deserialize(
-                   "FWCKPT 1 1\nop 0 1 0 0 1\ninst 0 4000000000\n")
-                   .ok());
+  // A forged operator/instance/key/buffered-event count must fail at the
+  // first missing record — never reserve the forged size.
+  constexpr uint32_t kForged = 0xFFFFFFFF;
+  auto header = [](uint32_t num_operators) {
+    ByteWriter w;
+    w.Bytes("FWCB", 4);
+    w.U32(num_operators);
+    return w;
+  };
+  auto operator_record = [](ByteWriter* w, uint32_t num_instances) {
+    w->U32(0);
+    w->I64(1);
+    w->I64(0);
+    w->U64(0);
+    w->U32(num_instances);
+  };
+  ExpectRejectedAt(header(kForged), "operator record 0");
+  {
+    ByteWriter w = header(1);
+    operator_record(&w, kForged);
+    ExpectRejectedAt(std::move(w), "instance record");
+  }
+  {
+    ByteWriter w = header(1);
+    operator_record(&w, 1);
+    w.I64(0);
+    w.U32(kForged);  // Keys.
+    ExpectRejectedAt(std::move(w), "aggregate-state record");
+  }
+  {
+    ByteWriter w = header(0);
+    w.U8(1);
+    w.U8(1);
+    w.I64(10);
+    w.I64(2);
+    w.U64(1);
+    w.U64(0);
+    w.U64(1);
+    w.U32(kForged);  // Buffered events.
+    ExpectRejectedAt(std::move(w), "buffered-event record");
+  }
 }
 
 // --- Durability-file corruption sweep --------------------------------------
@@ -1233,6 +1303,43 @@ TEST(SessionDurability, CorruptSnapshotBehindTruncationFailsLoudly) {
   EXPECT_NE(
       recovered.status().message().find("recovery stopped at segment"),
       std::string::npos)
+      << recovered.status().ToString();
+}
+
+TEST(SessionDurability, RecoverRejectsLegacyTextCheckpoint) {
+  TempDir dir;
+  StreamSession::Options options;
+  options.num_keys = 2;
+  {
+    StreamSession::Options durable = options;
+    durable.durability.enabled = true;
+    durable.durability.dir = dir.path;
+    durable.durability.snapshot_interval_events = 64;
+    durable.durability.fsync_policy = FsyncPolicy::kNone;
+    StreamSession session(durable);
+    ASSERT_TRUE(session.AddQuery(MakeQuery("SUM", 20, 10)).ok());
+    for (const Event& e : GenerateSyntheticStream(100, 2, 22)) {
+      ASSERT_TRUE(session.Push(e).ok());
+    }
+  }
+  // Republish the newest snapshot, intact apart from a checkpoint in the
+  // retired text format. The frames all verify, so only the checkpoint
+  // decoder can refuse it — and recovery must say so, not fall back.
+  Result<durability::LoadedSnapshot> loaded =
+      durability::LoadLatestSnapshot(dir.path);
+  ASSERT_TRUE(loaded.ok() && loaded->found && loaded->contents.has_checkpoint);
+  durability::SnapshotContents legacy = loaded->contents;
+  legacy.checkpoint = "FWCKPT 1 0\n";
+  ASSERT_TRUE(durability::WriteSnapshotFile(dir.path, legacy).ok());
+
+  Result<StreamSession::RecoveryInfo> recovered =
+      StreamSession::Recover(dir.path, options);
+  ASSERT_FALSE(recovered.ok());
+  EXPECT_EQ(recovered.status().message().rfind(
+                "snapshot checkpoint rejected: not a binary "
+                "ExecutorCheckpoint",
+                0),
+            0u)
       << recovered.status().ToString();
 }
 

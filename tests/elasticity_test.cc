@@ -817,11 +817,11 @@ TEST(AutoResize, KeylessClampProposalsAreVetoedNotChurned) {
 // The drift detector closing the paper's §VI loop mid-stream: Example
 // 7's window set {T(20), T(30), T(40)} gains a factor window T(10) at
 // the planning default η = 1, but at η ≈ 0.05 raw reads are so cheap
-// that sharing stops paying (tests/adaptive_test.cc pins the optimizer
-// half). Feeding the session a genuinely sparse stream must trigger an
-// observed-η replan that evicts the factor window — through the
-// dual-pipeline crossover, with output bitwise identical to a
-// static-plan session.
+// that sharing stops paying (the RateAwareOptimizer tests in
+// tests/adaptive_test.cc pin the optimizer half). Feeding the session a
+// genuinely sparse stream must trigger an observed-η replan that evicts
+// the factor window — through the dual-pipeline crossover, with output
+// bitwise identical to a static-plan session.
 TEST(AdaptiveSession, SparseStreamEvictsFactorWindowsBitwise) {
   auto example7 = [] {
     return Query().Sum("v").From("s").Tumbling(20).Tumbling(30).Tumbling(

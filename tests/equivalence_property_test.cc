@@ -6,9 +6,10 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <limits>
 
+#include "exec/reorderer.h"
 #include "factor/optimizer.h"
-#include "exec/reorder.h"
 #include "harness/runner.h"
 #include "workload/datagen.h"
 #include "workload/generator.h"
@@ -130,8 +131,9 @@ INSTANTIATE_TEST_SUITE_P(AllCombos, EquivalenceSweep,
                          ::testing::ValuesIn(AllParams()));
 
 // Disordered ingestion composed with plan rewriting: a bounded-disorder
-// stream fed through the ReorderBuffer into the factor-window plan must
-// match the sorted stream fed into the original plan.
+// stream released through a Reorderer (the serving path's per-shard
+// buffer) at a max_delay watermark into the factor-window plan must match
+// the sorted stream fed into the original plan.
 TEST(DisorderedEquivalence, ReorderedFactorPlanMatchesSortedOriginal) {
   WindowSet set = WindowSet::Parse("{T(20), T(30), T(40)}").value();
   std::vector<Event> ordered = GenerateSyntheticStream(8000, 2, 77);
@@ -152,12 +154,19 @@ TEST(DisorderedEquivalence, ReorderedFactorPlanMatchesSortedOriginal) {
   QueryPlan rewritten = QueryPlan::FromMinCostWcg(wcg, Agg("MIN"));
   CollectingSink actual;
   PlanExecutor executor(rewritten, {.num_keys = 2}, &actual);
-  ConsumerFn feed([&](const Event& e) { executor.Push(e); });
-  ReorderBuffer buffer({.max_delay = 20}, &feed);
-  for (const Event& e : shuffled) ASSERT_TRUE(buffer.Push(e).ok());
-  buffer.Flush();
+  auto feed = [&](const Event& e) { executor.Push(e); };
+  constexpr TimeT kMaxDelay = 20;
+  Reorderer reorderer;
+  TimeT watermark = std::numeric_limits<TimeT>::min();
+  uint64_t seq = 0;
+  for (const Event& e : shuffled) {
+    ASSERT_GE(e.timestamp, watermark) << "late event at seq " << seq;
+    reorderer.Buffer(e, seq++);
+    watermark = std::max(watermark, e.timestamp - kMaxDelay);
+    reorderer.ReleaseThrough(watermark, feed);
+  }
+  reorderer.ReleaseAll(feed);
   executor.Finish();
-  EXPECT_EQ(buffer.late_dropped(), 0u);
   EXPECT_EQ(reference.ToMap(), actual.ToMap());
 }
 

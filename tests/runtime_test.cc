@@ -14,7 +14,6 @@
 
 #include "agg/aggregate.h"
 #include "exec/engine.h"
-#include "exec/reorder.h"
 #include "multi/multi_query.h"
 #include "runtime/partition.h"
 #include "exec/reorderer.h"
