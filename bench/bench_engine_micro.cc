@@ -1,12 +1,14 @@
 // Micro-benchmarks for the execution engine's hot paths (google-benchmark):
 // raw pushes through tumbling/hopping operators, sub-aggregate merging,
-// multi-key grouping, and full small plans. Each scalar benchmark has a
-// "<name>Columns" twin driving the same workload through the columnar
-// batch path (OnEvents / PushColumns, DESIGN.md §14); CI's perf smoke
-// compares the pairs and fails if the columnar geomean speedup drops
-// below its floor.
+// multi-key grouping, and full small plans. Each scalar benchmark except
+// BM_FactorFanout has a "<name>Columns" twin driving the same workload
+// through the columnar batch path (OnEvents / PushColumns, DESIGN.md
+// §14); CI's perf smoke compares the pairs and fails if the columnar
+// geomean speedup drops below its floor.
 
 #include <benchmark/benchmark.h>
+
+#include <memory>
 
 #include "cost/min_cost.h"
 #include "exec/engine.h"
@@ -169,6 +171,48 @@ void BM_SubAggregateChainColumns(benchmark::State& state) {
                           static_cast<int64_t>(events.size()));
 }
 BENCHMARK(BM_SubAggregateChainColumns);
+
+void BM_FactorFanout(benchmark::State& state) {
+  // A T(2) factor root feeding ten tumbling/hopping windows, the plan
+  // shape the optimizer emits for dashboard workloads. Each root instance
+  // holds two events, so it touches two of the keys; the children merge
+  // every closed root instance. Scalar only: it has no Columns twin.
+  const uint32_t keys = static_cast<uint32_t>(state.range(0));
+  std::vector<Event> events = MakeStream(1 << 16, keys);
+  CountingSink sink;
+  WindowAggregateOperator::Config root_config;
+  root_config.window = Window::Tumbling(2);
+  root_config.agg = Agg("MIN");
+  root_config.exposed = false;
+  root_config.num_keys = keys;
+  WindowAggregateOperator root(root_config, nullptr);
+  const Window child_windows[] = {
+      Window::Tumbling(10), Window::Tumbling(20), Window::Tumbling(30),
+      Window(20, 4),        Window(30, 6),        Window(40, 8),
+      Window(60, 10),       Window(60, 20),       Window(90, 18),
+      Window(120, 24)};
+  std::vector<std::unique_ptr<WindowAggregateOperator>> children;
+  for (const Window& window : child_windows) {
+    WindowAggregateOperator::Config config = root_config;
+    config.window = window;
+    config.exposed = true;
+    config.operator_id = static_cast<int>(children.size()) + 1;
+    children.push_back(
+        std::make_unique<WindowAggregateOperator>(config, &sink));
+    root.AddChild(children.back().get());
+  }
+  for (auto _ : state) {
+    root.Reset();
+    for (auto& child : children) child->Reset();
+    for (const Event& e : events) root.OnEvent(e);
+    root.Flush();
+    for (auto& child : children) child->Flush();
+    benchmark::DoNotOptimize(children.back()->accumulate_ops());
+  }
+  state.SetItemsProcessed(static_cast<int64_t>(state.iterations()) *
+                          static_cast<int64_t>(events.size()));
+}
+BENCHMARK(BM_FactorFanout)->Arg(16)->Arg(256);
 
 void BM_KeyedAggregation(benchmark::State& state) {
   const uint32_t keys = static_cast<uint32_t>(state.range(0));

@@ -4,19 +4,28 @@
 //      idle session, state migration included);
 //   2. end-to-end throughput of a streaming session under add/remove
 //      churn at varying rates, vs the same session left alone.
-// Future PRs touching the optimizer or the migration path should watch
-// these numbers.
+// Changes touching the optimizer or the migration path should watch
+// these numbers. Any library error exits 1 with its message, so a smoke
+// run fails loudly instead of printing a throughput.
 
 #include <algorithm>
-#include <chrono>
+#include <cstdio>
+#include <cstdlib>
 
 #include "bench/bench_util.h"
+#include "common/clock.h"
 #include "common/rng.h"
 #include "session/session.h"
 
 namespace {
 
 using namespace fw;
+
+void CheckOk(const Status& status, const char* what) {
+  if (status.ok()) return;
+  std::fprintf(stderr, "%s: %s\n", what, status.ToString().c_str());
+  std::exit(1);
+}
 
 StreamQuery MakeDashboard(Rng* rng) {
   StreamQuery q;
@@ -42,9 +51,9 @@ void BenchReplanLatency() {
   std::vector<Event> warmup = GenerateSyntheticStream(20000, 1, 3);
   for (int target : {1, 2, 5, 10, 20, 40}) {
     while (static_cast<int>(session.num_queries()) < target) {
-      (void)session.AddQuery(MakeDashboard(&rng)).value();
+      CheckOk(session.AddQuery(MakeDashboard(&rng)).status(), "AddQuery");
     }
-    (void)session.PushBatch(warmup);
+    CheckOk(session.PushBatch(warmup), "PushBatch");
     warmup.clear();  // Only push history once.
     StreamSession::SessionStats stats = session.Stats();
     std::printf("%8zu %14.3f %14d %12d\n", session.num_queries(),
@@ -70,13 +79,13 @@ void BenchChurnThroughput(const std::vector<Event>& events) {
     double replan_total_ms = 0.0;
     double replan_max_ms = 0.0;
     int replans = 0;
-    auto start = std::chrono::steady_clock::now();
+    MonotonicTimer timer;
     for (size_t i = 0; i < events.size(); ++i) {
       if (interval != 0 && i > 0 && i % interval == 0) {
         // One churn op: replace a random dashboard with a fresh one.
         size_t victim = static_cast<size_t>(
             rng.Uniform(0, static_cast<int>(live.size()) - 1));
-        (void)session.RemoveQuery(live[victim]);
+        CheckOk(session.RemoveQuery(live[victim]), "RemoveQuery");
         live.erase(live.begin() + static_cast<ptrdiff_t>(victim));
         double ms = session.Stats().last_replan_seconds * 1e3;
         replan_total_ms += ms;
@@ -87,13 +96,10 @@ void BenchChurnThroughput(const std::vector<Event>& events) {
         replan_max_ms = std::max(replan_max_ms, ms);
         replans += 2;
       }
-      (void)session.Push(events[i]);
+      CheckOk(session.Push(events[i]), "Push");
     }
-    (void)session.Finish();
-    double seconds =
-        std::chrono::duration<double>(std::chrono::steady_clock::now() -
-                                      start)
-            .count();
+    CheckOk(session.Finish(), "Finish");
+    const double seconds = timer.ElapsedSeconds();
 
     char label[32];
     if (interval == 0) {

@@ -5,6 +5,7 @@
 #include <string>
 #include <vector>
 
+#include "agg/aggregate.h"
 #include "common/status.h"
 #include "exec/event.h"
 

@@ -3,7 +3,6 @@
 
 #include <cstdint>
 
-#include "agg/aggregate.h"
 #include "window/window.h"
 
 namespace fw {
@@ -15,16 +14,6 @@ struct Event {
   TimeT timestamp = 0;
   uint32_t key = 0;
   double value = 0.0;
-};
-
-/// A sub-aggregate record flowing between window operators in a rewritten
-/// plan: the partial-aggregate state of one window instance [start, end)
-/// for one key. Downstream operators merge these instead of raw events.
-struct SubAggRecord {
-  TimeT start = 0;
-  TimeT end = 0;
-  uint32_t key = 0;
-  AggState state;
 };
 
 /// A finalized window result delivered to the plan's Union/sink.

@@ -1,5 +1,8 @@
 #include "exec/operator.h"
 
+#include <bit>
+#include <string>
+
 #include "common/logging.h"
 #include "common/math_util.h"
 
@@ -24,25 +27,34 @@ WindowAggregateOperator::WindowAggregateOperator(const Config& config,
 
 void WindowAggregateOperator::AddChild(WindowAggregateOperator* child) {
   FW_CHECK(child != nullptr);
+  FW_CHECK_EQ(child->config_.num_keys, config_.num_keys)
+      << "a child merges its parent's per-key states";
   children_.push_back(child);
 }
 
-std::vector<AggState> WindowAggregateOperator::TakeStateBuffer() {
-  if (state_pool_.empty()) {
-    return std::vector<AggState>(config_.num_keys, AggState{});
+WindowAggregateOperator::Instance& WindowAggregateOperator::OpenInstance(
+    int64_t m) {
+  if (instance_pool_.empty()) {
+    Instance& instance = open_.emplace_back();
+    instance.states.resize(config_.num_keys);
+    instance.touched.resize((config_.num_keys + 63) / 64);
+  } else {
+    open_.push_back(std::move(instance_pool_.back()));
+    instance_pool_.pop_back();
   }
-  std::vector<AggState> buffer = std::move(state_pool_.back());
-  state_pool_.pop_back();
-  return buffer;
+  open_.back().m = m;
+  return open_.back();
 }
 
 void WindowAggregateOperator::OnEvent(const Event& event) {
   PrepareRun(event.timestamp);
-  FW_CHECK_LT(event.key, config_.num_keys);
+  const uint32_t key = event.key;
+  const double value = event.value;
+  FW_CHECK_LT(key, config_.num_keys);
   for (Instance& instance : open_) {
-    accumulate_(&instance.states[event.key], event.value);
-    ++accumulate_ops_;
+    accumulate_(instance.StateFor(key), value);
   }
+  accumulate_ops_ += open_.size();
 }
 
 TimeT WindowAggregateOperator::PrepareRun(TimeT t) {
@@ -78,7 +90,7 @@ void WindowAggregateOperator::AccumulateRun(const uint32_t* keys,
   if (count == 1) {
     FW_CHECK_LT(keys[0], config_.num_keys);
     for (Instance& instance : open_) {
-      accumulate_(&instance.states[keys[0]], values[0]);
+      accumulate_(instance.StateFor(keys[0]), values[0]);
     }
     accumulate_ops_ += open_.size();
     return;
@@ -118,7 +130,7 @@ void WindowAggregateOperator::AccumulateRun(const uint32_t* keys,
     const double* segment = grouped;
     for (const uint32_t key : run_keys_) {
       const size_t len = group_counts_[key];
-      AggState* state = &instance.states[key];
+      AggState* state = instance.StateFor(key);
       if (accumulate_batch_ != nullptr) {
         accumulate_batch_(state, segment, len);
       } else {
@@ -144,19 +156,14 @@ void WindowAggregateOperator::OnEvents(const EventColumns& columns) {
   }
 }
 
-void WindowAggregateOperator::OnSubAgg(const SubAggRecord& record) {
-  // Instances with end < record.end cannot contain [start, end); ones with
-  // end == record.end still can.
-  CloseBefore(record.end);
-  // Open exactly the instances whose covering set contains this record:
-  // interval start <= record.start and end >= record.end.
-  OpenThrough(record.start, record.end);
-  if (record.state.n == 0) return;
-  FW_CHECK_LT(record.key, config_.num_keys);
+void WindowAggregateOperator::MergeSubAggregates(
+    const std::vector<AggState>& states, const std::vector<uint32_t>& keys) {
   for (Instance& instance : open_) {
-    merge_(&instance.states[record.key], record.state);
-    ++accumulate_ops_;
+    for (const uint32_t key : keys) {
+      merge_(instance.StateFor(key), states[key]);
+    }
   }
+  accumulate_ops_ += static_cast<uint64_t>(keys.size()) * open_.size();
 }
 
 void WindowAggregateOperator::Flush() { CloseBefore(/*watermark=*/INT64_MAX); }
@@ -165,7 +172,7 @@ void WindowAggregateOperator::Reset() {
   open_.clear();
   next_m_ = 0;
   next_open_start_ = 0;
-  state_pool_.clear();
+  instance_pool_.clear();
   accumulate_ops_ = 0;
   closed_instances_ = 0;
   finalized_results_ = 0;
@@ -201,6 +208,17 @@ Status WindowAggregateOperator::Restore(const OperatorCheckpoint& checkpoint) {
         std::to_string(checkpoint.operator_id) + ", not " +
         std::to_string(config_.operator_id));
   }
+  // The open cursor is next_m's start: OpenThrough advances both together.
+  const TimeT slide = config_.window.slide();
+  if (checkpoint.next_open_start % slide != 0 ||
+      checkpoint.next_open_start / slide != checkpoint.next_m) {
+    return Status::InvalidArgument(
+        "checkpoint next_open_start " +
+        std::to_string(checkpoint.next_open_start) + " is not next_m " +
+        std::to_string(checkpoint.next_m) + " x slide " +
+        std::to_string(slide));
+  }
+  const InstanceCheckpoint* previous = nullptr;
   for (const InstanceCheckpoint& inst : checkpoint.open_instances) {
     if (inst.states.size() != config_.num_keys) {
       return Status::InvalidArgument(
@@ -211,6 +229,16 @@ Status WindowAggregateOperator::Restore(const OperatorCheckpoint& checkpoint) {
     if (inst.m >= checkpoint.next_m) {
       return Status::InvalidArgument("open instance beyond next_m cursor");
     }
+    // CloseBefore retires instances from the front only, so the deque
+    // must be strictly ordered by m: a swapped pair would keep folding
+    // into an instance past its end, and a repeated m would emit twice.
+    if (previous != nullptr && inst.m <= previous->m) {
+      return Status::InvalidArgument(
+          "open instance m " + std::to_string(inst.m) + " follows m " +
+          std::to_string(previous->m) +
+          " (open instances must be strictly increasing)");
+    }
+    previous = &inst;
     for (const AggState& state : inst.states) {
       // Extension payloads are typed by size (state_bytes contract): a
       // sketch state must round-trip into the same function's layout.
@@ -228,10 +256,14 @@ Status WindowAggregateOperator::Restore(const OperatorCheckpoint& checkpoint) {
   next_open_start_ = checkpoint.next_open_start;
   accumulate_ops_ = checkpoint.accumulate_ops;
   for (const InstanceCheckpoint& inst : checkpoint.open_instances) {
-    Instance instance;
-    instance.m = inst.m;
-    instance.states = inst.states;
-    open_.push_back(std::move(instance));
+    // One pass copies the occupied states and marks them touched; empty
+    // ones stay as OpenInstance zeroed them (validated payload-free).
+    Instance& instance = OpenInstance(inst.m);
+    for (uint32_t key = 0; key < config_.num_keys; ++key) {
+      const AggState& state = inst.states[key];
+      if (state.empty()) continue;
+      *instance.StateFor(key) = state;
+    }
   }
   return Status::OK();
 }
@@ -260,10 +292,7 @@ void WindowAggregateOperator::OpenThrough(TimeT start_limit,
   }
   while (next_open_start_ <= start_limit) {
     if (next_open_start_ + r >= end_floor) {
-      Instance instance;
-      instance.m = next_m_;
-      instance.states = TakeStateBuffer();
-      open_.push_back(std::move(instance));
+      OpenInstance(next_m_);
     }
     // Instances with end < end_floor are skipped: the input is ordered, so
     // nothing can arrive for them anymore.
@@ -276,20 +305,44 @@ void WindowAggregateOperator::EmitInstance(Instance* instance) {
   ++closed_instances_;
   const TimeT start = InstanceStart(instance->m);
   const TimeT end = InstanceEnd(instance->m);
-  for (uint32_t key = 0; key < config_.num_keys; ++key) {
-    AggState& state = instance->states[key];
-    if (state.n == 0) continue;
-    if (config_.exposed) {
-      ++finalized_results_;
-      sink_->OnResult(WindowResult{config_.operator_id, start, end, key,
-                                   finalize_(state)});
+  // Walk only the touched keys, in ascending key order, and collect the
+  // non-empty ones for the children.
+  emit_keys_.clear();
+  for (size_t word = 0; word < instance->touched.size(); ++word) {
+    uint64_t bits = instance->touched[word];
+    instance->touched[word] = 0;
+    while (bits != 0) {
+      const uint32_t key =
+          static_cast<uint32_t>(word * 64 + std::countr_zero(bits));
+      bits &= bits - 1;
+      const AggState& state = instance->states[key];
+      if (state.n == 0) continue;
+      if (config_.exposed) {
+        ++finalized_results_;
+        sink_->OnResult(WindowResult{config_.operator_id, start, end, key,
+                                     finalize_(state)});
+      }
+      if (emit_keys_.empty()) {
+        // The instance moves each child's frontier once, right after its
+        // first result: instances with end < this end cannot contain
+        // [start, end) and close; the ones whose span covers it open.
+        for (WindowAggregateOperator* child : children_) {
+          child->CloseBefore(end);
+          child->OpenThrough(start, end);
+        }
+      }
+      emit_keys_.push_back(key);
     }
-    for (WindowAggregateOperator* child : children_) {
-      child->OnSubAgg(SubAggRecord{start, end, key, state});
-    }
-    state.Clear();  // Zero for reuse (keeps any sketch allocation).
   }
-  state_pool_.push_back(std::move(instance->states));
+  if (!emit_keys_.empty()) {
+    for (WindowAggregateOperator* child : children_) {
+      child->MergeSubAggregates(instance->states, emit_keys_);
+    }
+  }
+  for (const uint32_t key : emit_keys_) {
+    instance->states[key].Clear();  // Zero for reuse (keeps sketch memory).
+  }
+  instance_pool_.push_back(std::move(*instance));
 }
 
 HolisticWindowOperator::HolisticWindowOperator(const Config& config,

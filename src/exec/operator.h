@@ -21,15 +21,28 @@ namespace fw {
 ///
 ///  * raw mode — consumes ordered Events; every event is folded into each
 ///    currently open window instance (at most ceil(r/s) of them);
-///  * sub-aggregate mode — consumes ordered SubAggRecords emitted by an
-///    upstream operator whose window covers/partitions this one; each
-///    record is merged into each open instance (M(W, W') of them per
-///    instance lifetime).
+///  * sub-aggregate mode — consumes the closed instances of the parent
+///    operator, whose window covers/partitions this one, in close order;
+///    each of a closed instance's per-key states is merged into each open
+///    instance (M(W, W') closed instances per instance lifetime).
 ///
 /// Instances are opened lazily, keyed by the instance number m (interval
 /// [m*s, m*s + r)), and closed as the input watermark passes their end.
-/// On close, each non-empty per-key state is finalized to the sink (when
-/// exposed) and forwarded as a SubAggRecord to every child operator.
+/// Each instance keeps a bitmap of the keys it has folded (one bit per
+/// key, recycled with its pooled state buffer; Restore rebuilds it from
+/// the non-empty states), so a close visits only those keys, in ascending
+/// key order, never all num_keys states.
+///
+/// A closing instance goes to each child once, not once per key. Delivery
+/// order: the first non-empty key's result goes to the sink; then every
+/// child, in AddChild order, advances its frontier once to the instance
+/// (closing — and recursively delivering — whatever ends before it,
+/// opening whatever covers it); then the remaining keys' results; then
+/// every child merges all the non-empty states into its open instances.
+/// Handing the children one key at a time would deliver the same
+/// sequence: only the first key could close or open anything, merges emit
+/// nothing, and sibling subtrees share no state. An instance with no data
+/// reaches no child at all.
 ///
 /// The operator counts one "accumulate op" per (item × instance) fold —
 /// exactly the unit of the paper's cost model — which the harness uses for
@@ -55,7 +68,8 @@ class WindowAggregateOperator {
   WindowAggregateOperator(const WindowAggregateOperator&) = delete;
   WindowAggregateOperator& operator=(const WindowAggregateOperator&) = delete;
 
-  /// Registers a downstream consumer of this operator's sub-aggregates.
+  /// Registers a downstream consumer of this operator's sub-aggregates;
+  /// the child must have the same key space.
   void AddChild(WindowAggregateOperator* child);
 
   /// Raw-mode input; events must arrive in non-decreasing timestamp order.
@@ -85,10 +99,6 @@ class WindowAggregateOperator {
   /// accumulate op per (event × instance), exactly like OnEvent.
   void AccumulateRun(const uint32_t* keys, const double* values,
                      size_t count);
-
-  /// Sub-aggregate input; records must arrive in non-decreasing `end`
-  /// order (upstream operators emit in close order, which guarantees it).
-  void OnSubAgg(const SubAggRecord& record);
 
   /// Closes every open instance (end of stream). Children are NOT flushed;
   /// the executor flushes in topological order so tail sub-aggregates
@@ -137,6 +147,15 @@ class WindowAggregateOperator {
     int64_t m = 0;
     /// Per-key partial aggregates; state.n == 0 marks "no data".
     std::vector<AggState> states;
+    /// Bit k % 64 of word k / 64 is set by every fold into key k
+    /// (ceil(num_keys / 64) words); zeroed again when the instance closes.
+    std::vector<uint64_t> touched;
+
+    /// The state a fold into `key` updates, with the key marked touched.
+    AggState* StateFor(uint32_t key) {
+      touched[key >> 6] |= uint64_t{1} << (key & 63);
+      return &states[key];
+    }
   };
 
   TimeT InstanceStart(int64_t m) const { return m * config_.window.slide(); }
@@ -154,10 +173,19 @@ class WindowAggregateOperator {
   /// data gap longer than the window range.
   void OpenThrough(TimeT start_limit, TimeT end_floor);
 
+  /// Finalizes a closing instance to the sink and hands it to the
+  /// children (see the class comment for the delivery order).
   void EmitInstance(Instance* instance);
 
-  /// Takes a zeroed per-key state buffer from the pool (or allocates one).
-  std::vector<AggState> TakeStateBuffer();
+  /// Sub-aggregate input: merges states[key] for each of `keys` (the
+  /// parent's closed instance) into every open instance. The parent has
+  /// already advanced this operator's frontier to that instance.
+  void MergeSubAggregates(const std::vector<AggState>& states,
+                          const std::vector<uint32_t>& keys);
+
+  /// Appends instance m to open_, with zeroed states and bitmap taken
+  /// from the pool (or allocated).
+  Instance& OpenInstance(int64_t m);
 
   Config config_;
   ResultSink* sink_;
@@ -175,7 +203,9 @@ class WindowAggregateOperator {
   std::deque<Instance> open_;  // Ordered by m (and thus by end).
   int64_t next_m_ = 0;         // Next instance number not yet opened.
   TimeT next_open_start_ = 0;  // == next_m_ * slide.
-  std::vector<std::vector<AggState>> state_pool_;  // Recycled buffers.
+  std::vector<Instance> instance_pool_;  // Recycled closed instances.
+  /// EmitInstance scratch: the closing instance's non-empty keys.
+  std::vector<uint32_t> emit_keys_;
   /// AccumulateRun scratch (counting-sort grouping). group_counts_ and
   /// group_cursors_ are key-indexed and kept zeroed between runs via
   /// run_keys_, the touched-key list, so a run costs O(count + touched)

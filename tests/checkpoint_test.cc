@@ -3,12 +3,16 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <map>
 #include <string>
 #include <string_view>
+#include <utility>
+#include <vector>
 
 #include "common/codec.h"
 #include "exec/engine.h"
 #include "factor/optimizer.h"
+#include "runtime/sharded_executor.h"
 #include "workload/datagen.h"
 
 namespace fw {
@@ -458,6 +462,183 @@ TEST(Checkpoint, RestoreValidation) {
   Result<ExecutorCheckpoint> with_state = populated.Checkpoint();
   ASSERT_TRUE(with_state.ok());
   EXPECT_FALSE(other.Restore(*with_state).ok());
+}
+
+// A stream whose early keys never come back: every one of kSparseKeys
+// keys occurs before kSparseSplit, and afterwards only keys 0 and 1 do.
+// Instances still open at the split hold the early keys' state, and only
+// a restored operator that knows those keys are occupied emits them.
+constexpr uint32_t kSparseKeys = 130;  // Three bitmap words, one partial.
+constexpr size_t kSparseSplit = 2 * kSparseKeys;
+
+QueryPlan HoppingFactorPlan() {
+  // A T(10) factor root under W(40, 10), W(60, 20) and T(30).
+  WindowSet set =
+      WindowSet::Parse("{W(40, 10), W(60, 20), T(30)}").value();
+  return QueryPlan::FromMinCostWcg(
+      OptimizeWithFactorWindows(set, CoverageSemantics::kPartitionedBy),
+      Agg("SUM"));
+}
+
+std::vector<Event> EarlyKeysOnlyStream() {
+  std::vector<Event> events;
+  for (size_t i = 0; i < kSparseSplit; ++i) {
+    events.push_back({.timestamp = static_cast<TimeT>(i / 8),
+                      .key = static_cast<uint32_t>((i * 7) % kSparseKeys),
+                      .value = 0.25 * static_cast<double>(i % 13) + 0.1});
+  }
+  for (size_t i = kSparseSplit; i < kSparseSplit + 400; ++i) {
+    events.push_back({.timestamp = static_cast<TimeT>(i / 8),
+                      .key = static_cast<uint32_t>(i % 2),
+                      .value = 1.5});
+  }
+  return events;
+}
+
+using ResultMap = std::map<CollectingSink::ResultKey, double>;
+
+ResultMap Combined(const CollectingSink& before, const CollectingSink& after) {
+  ResultMap merged = before.ToMap();
+  for (const auto& [key, value] : after.ToMap()) {
+    EXPECT_TRUE(merged.emplace(key, value).second) << "duplicate result";
+  }
+  return merged;
+}
+
+// Checks that the reference emits early keys from instances open at the
+// split — otherwise the tests below would prove nothing.
+void ExpectEarlyKeysAfterSplit(const CollectingSink& after) {
+  size_t early = 0;
+  for (const WindowResult& r : after.results()) early += r.key >= 2;
+  EXPECT_GE(early, size_t{kSparseKeys});
+}
+
+TEST(Checkpoint, KeysSeenOnlyBeforeTheSplitSurviveRestore) {
+  QueryPlan plan = HoppingFactorPlan();
+  ASSERT_GE(plan.num_operators(), 4u);
+  const std::vector<Event> events = EarlyKeysOnlyStream();
+  CollectingSink reference;
+  uint64_t reference_ops = 0;
+  ExecutePlan(plan, events, kSparseKeys, &reference, nullptr,
+              &reference_ops);
+
+  CollectingSink before;
+  PlanExecutor first(plan, {.num_keys = kSparseKeys}, &before);
+  for (size_t i = 0; i < kSparseSplit; ++i) first.Push(events[i]);
+  Result<ExecutorCheckpoint> snapshot = first.Checkpoint();
+  ASSERT_TRUE(snapshot.ok());
+  Result<ExecutorCheckpoint> reloaded =
+      ExecutorCheckpoint::Deserialize(snapshot->Serialize());
+  ASSERT_TRUE(reloaded.ok()) << reloaded.status().ToString();
+
+  CollectingSink after;
+  PlanExecutor second(plan, {.num_keys = kSparseKeys}, &after);
+  ASSERT_TRUE(second.Restore(*reloaded).ok());
+  for (size_t i = kSparseSplit; i < events.size(); ++i) second.Push(events[i]);
+  second.Finish();
+  ExpectEarlyKeysAfterSplit(after);
+  EXPECT_EQ(Combined(before, after), reference.ToMap());
+  EXPECT_EQ(second.TotalAccumulateOps(), reference_ops);
+}
+
+TEST(Checkpoint, KeysSeenOnlyBeforeTheSplitSurviveShardedRestoreAndResize) {
+  QueryPlan plan = HoppingFactorPlan();
+  const std::vector<Event> events = EarlyKeysOnlyStream();
+  CollectingSink reference;
+  ExecutePlan(plan, events, kSparseKeys, &reference, nullptr, nullptr);
+
+  ShardedExecutor::Options options;
+  options.num_keys = kSparseKeys;
+  options.batch_size = 16;
+  CollectingSink before;
+  Result<ExecutorCheckpoint> snapshot = Status::Internal("unset");
+  {
+    ShardedExecutor source(plan, options, &before);
+    for (size_t i = 0; i < kSparseSplit; ++i) source.Push(events[i]);
+    snapshot = source.Checkpoint();
+  }
+  ASSERT_TRUE(snapshot.ok()) << snapshot.status().ToString();
+  for (uint32_t shards : {1u, 2u, 4u}) {
+    SCOPED_TRACE("shards=" + std::to_string(shards));
+    ShardedExecutor::Options target_options = options;
+    target_options.num_shards = shards;
+    CollectingSink after;
+    ShardedExecutor target(plan, target_options, &after);
+    ASSERT_TRUE(target.Restore(*snapshot).ok());
+    for (size_t i = kSparseSplit; i < events.size(); ++i) {
+      target.Push(events[i]);
+    }
+    target.Finish();
+    ExpectEarlyKeysAfterSplit(after);
+    EXPECT_EQ(Combined(before, after), reference.ToMap());
+  }
+
+  // Resize splits the same global view across the new shards mid-stream.
+  CollectingSink resized;
+  ShardedExecutor elastic(plan, options, &resized);
+  for (size_t i = 0; i < kSparseSplit; ++i) elastic.Push(events[i]);
+  ASSERT_TRUE(elastic.Resize(4).ok());
+  ASSERT_EQ(elastic.num_shards(), 4u);
+  for (size_t i = kSparseSplit; i < events.size(); ++i) elastic.Push(events[i]);
+  elastic.Finish();
+  EXPECT_EQ(resized.ToMap(), reference.ToMap());
+  EXPECT_EQ(resized.results().size(), reference.results().size());
+}
+
+TEST(Checkpoint, RestoreRejectsMisorderedInstancesAndCursors) {
+  // Codec-valid snapshots whose open instances are out of instance order,
+  // repeat an instance, or whose open cursor disagrees with next_m: the
+  // close rule only inspects the oldest instance, so any of them would
+  // fold events past an instance's end or emit an instance twice.
+  QueryPlan plan = HoppingFactorPlan();
+  const std::vector<Event> events = EarlyKeysOnlyStream();
+  CollectingSink reference;
+  ExecutePlan(plan, events, kSparseKeys, &reference, nullptr, nullptr);
+  CollectingSink before;
+  PlanExecutor first(plan, {.num_keys = kSparseKeys}, &before);
+  for (size_t i = 0; i < kSparseSplit; ++i) first.Push(events[i]);
+  Result<ExecutorCheckpoint> valid = first.Checkpoint();
+  ASSERT_TRUE(valid.ok());
+  size_t victim = valid->operators.size();
+  for (size_t i = 0; i < valid->operators.size(); ++i) {
+    if (valid->operators[i].open_instances.size() >= 2) victim = i;
+  }
+  ASSERT_LT(victim, valid->operators.size()) << "no operator with 2 open";
+
+  std::vector<std::pair<std::string, ExecutorCheckpoint>> forged;
+  {
+    ExecutorCheckpoint swapped = *valid;
+    auto& open = swapped.operators[victim].open_instances;
+    std::swap(open[0], open[1]);
+    forged.emplace_back("swapped", std::move(swapped));
+  }
+  {
+    ExecutorCheckpoint duplicate = *valid;
+    auto& open = duplicate.operators[victim].open_instances;
+    open[1] = open[0];
+    forged.emplace_back("duplicate m", std::move(duplicate));
+  }
+  {
+    ExecutorCheckpoint cursor = *valid;
+    cursor.operators[victim].next_open_start += 1;
+    forged.emplace_back("next_open_start", std::move(cursor));
+  }
+
+  CollectingSink after;
+  PlanExecutor second(plan, {.num_keys = kSparseKeys}, &after);
+  for (const auto& [name, checkpoint] : forged) {
+    // The codec carries the fields as-is; Restore is the semantic gate.
+    Result<ExecutorCheckpoint> reloaded =
+        ExecutorCheckpoint::Deserialize(checkpoint.Serialize());
+    ASSERT_TRUE(reloaded.ok()) << name;
+    Status status = second.Restore(*reloaded);
+    EXPECT_EQ(status.code(), StatusCode::kInvalidArgument)
+        << name << ": " << status.ToString();
+  }
+  ASSERT_TRUE(second.Restore(*valid).ok());
+  for (size_t i = kSparseSplit; i < events.size(); ++i) second.Push(events[i]);
+  second.Finish();
+  EXPECT_EQ(Combined(before, after), reference.ToMap());
 }
 
 TEST(Checkpoint, HolisticPlansUnsupported) {

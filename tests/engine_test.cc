@@ -2,9 +2,14 @@
 
 #include <gtest/gtest.h>
 
+#include <cstring>
+#include <iterator>
+#include <string>
+
 #include "common/rng.h"
 #include "cost/min_cost.h"
 #include "factor/optimizer.h"
+#include "workload/datagen.h"
 
 namespace fw {
 namespace {
@@ -140,6 +145,120 @@ TEST(Engine, ExecutePlanHelperReportsThroughputAndOps) {
   ExecutePlan(plan, UnitStream(5000), 1, &sink, &throughput, &ops);
   EXPECT_GT(throughput, 0.0);
   EXPECT_EQ(ops, 10000u);
+}
+
+// Order-sensitive FNV-1a over every result field in delivery order.
+class SequenceHashSink : public ResultSink {
+ public:
+  void OnResult(const WindowResult& r) override {
+    ++count_;
+    Mix(static_cast<uint64_t>(r.operator_id));
+    Mix(static_cast<uint64_t>(r.start));
+    Mix(static_cast<uint64_t>(r.end));
+    Mix(r.key);
+    uint64_t bits = 0;
+    static_assert(sizeof(bits) == sizeof(r.value));
+    std::memcpy(&bits, &r.value, sizeof(bits));
+    Mix(bits);
+  }
+
+  uint64_t count() const { return count_; }
+  uint64_t hash() const { return hash_; }
+
+ private:
+  void Mix(uint64_t v) {
+    for (int i = 0; i < 8; ++i) {
+      hash_ ^= (v >> (i * 8)) & 0xff;
+      hash_ *= 0x100000001b3ull;
+    }
+  }
+
+  uint64_t count_ = 0;
+  uint64_t hash_ = 0xcbf29ce484222325ull;
+};
+
+// A self-contained splitmix64, so the stream (and the pinned constants
+// below) do not depend on the standard library's distributions.
+class SplitMix {
+ public:
+  explicit SplitMix(uint64_t seed) : state_(seed) {}
+  uint64_t Next() {
+    uint64_t z = (state_ += 0x9e3779b97f4a7c15ull);
+    z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9ull;
+    z = (z ^ (z >> 27)) * 0x94d049bb133111ebull;
+    return z ^ (z >> 31);
+  }
+
+ private:
+  uint64_t state_;
+};
+
+// 300 keys span five 64-bit words, the last one partial. Most events use
+// a few hot keys on word edges, so most factor instances touch few keys;
+// the rest spread over the whole key space. Every 500 events the stream
+// jumps past the largest window range, leaving instances with no data.
+std::vector<Event> SparseKeyedStream() {
+  constexpr uint32_t kHot[] = {0, 63, 64, 130, 255, 256, 299};
+  SplitMix rng(2024);
+  std::vector<Event> events;
+  TimeT t = 0;
+  for (int i = 0; i < 6000; ++i) {
+    t += static_cast<TimeT>(rng.Next() % 3);
+    if (i % 500 == 499) t += 150;
+    const uint64_t pick = rng.Next();
+    const uint32_t key = pick % 4 != 0
+                             ? kHot[(pick >> 8) % std::size(kHot)]
+                             : static_cast<uint32_t>((pick >> 8) % 300);
+    // Non-dyadic values make SUM's bits depend on the fold order.
+    const double value =
+        static_cast<double>(rng.Next() >> 11) * 0x1.0p-53 * 100.0 - 50.0;
+    events.push_back(Event{t, key, value});
+  }
+  return events;
+}
+
+TEST(Engine, TwoLevelFactorPlanDeliverySequenceIsPinned) {
+  // Hopping and tumbling windows over a T(6) factor root, with T(36) a
+  // second, unexposed factor under T(18). The constants pin the order in
+  // which results are delivered, every value bit, the op counts and the
+  // closes (DESIGN.md §4 states the delivery-order rule).
+  WindowSet set =
+      WindowSet::Parse("{T(12), T(18), W(36, 18), W(72, 36), W(60, 30)}")
+          .value();
+  MinCostWcg wcg =
+      OptimizeWithFactorWindows(set, CoverageSemantics::kPartitionedBy);
+  QueryPlan plan = QueryPlan::FromMinCostWcg(wcg, Agg("SUM"));
+  std::vector<std::string> shape;
+  for (const PlanOperator& op : plan.operators()) {
+    shape.push_back(op.label + "<-" +
+                    (op.parent < 0 ? "raw" : plan.op(op.parent).label) +
+                    (op.exposed ? "" : " factor"));
+  }
+  ASSERT_EQ(shape, (std::vector<std::string>{
+                       "T(12)<-T(6)", "T(18)<-T(6)", "W(36, 18)<-T(18)",
+                       "W(72, 36)<-T(36)", "W(60, 30)<-T(6)",
+                       "T(36)<-T(18) factor", "T(6)<-raw factor"}));
+
+  const std::vector<Event> events = SparseKeyedStream();
+  const std::vector<uint64_t> expected_closes = {509, 344, 356, 188,
+                                                 225, 176, 1012};
+  for (const bool columnar : {false, true}) {
+    SequenceHashSink sink;
+    PlanExecutor executor(plan, {.num_keys = 300}, &sink);
+    if (columnar) {
+      for (const EventColumns& chunk : SplitIntoColumns(events, 97)) {
+        executor.PushColumns(chunk);
+      }
+      executor.Finish();
+    } else {
+      executor.Run(events);
+    }
+    SCOPED_TRACE(columnar ? "PushColumns" : "Push");
+    EXPECT_EQ(sink.count(), 21094u);
+    EXPECT_EQ(sink.hash(), 4451557757294197549u);
+    EXPECT_EQ(executor.TotalAccumulateOps(), 40847u);
+    EXPECT_EQ(executor.PerOperatorCloses(), expected_closes);
+  }
 }
 
 TEST(Engine, MultiKeyStreams) {
