@@ -44,6 +44,13 @@ namespace fw {
 /// nothing, and sibling subtrees share no state. An instance with no data
 /// reaches no child at all.
 ///
+/// Emission order: from construction, Reset or Restore on, the operator's
+/// results reach the sink in strictly increasing (end, start, key) order
+/// — instances close oldest first (by m, so by end and start alike), and
+/// a close walks its keys in ascending order. The sharded runtime merges
+/// its per-operator result runs without sorting them on the strength of
+/// this contract (runtime/sharded_executor.h).
+///
 /// The operator counts one "accumulate op" per (item × instance) fold —
 /// exactly the unit of the paper's cost model — which the harness uses for
 /// the Figure 19 cost-model validation.
@@ -221,7 +228,10 @@ class WindowAggregateOperator {
 
 /// Raw-only window aggregation for holistic functions (MEDIAN): the state
 /// is the full multiset of values, so sharing is impossible (§III-A) and
-/// the operator never has children.
+/// the operator never has children. Same emission-order contract as
+/// WindowAggregateOperator: results are strictly increasing in (end,
+/// start, key), because instances open and close in m order and a close
+/// walks the keys in ascending order.
 class HolisticWindowOperator {
  public:
   using Config = WindowAggregateOperator::Config;

@@ -19,30 +19,19 @@ namespace {
 /// The stamp is 0 when telemetry is compiled out. Columnar end to end:
 /// the producer appends routed events straight into the columns and the
 /// worker folds them through PlanExecutor::PushColumns, so per-event and
-/// columnar ingestion share one engine-side hot path. `end_of_epoch` is
-/// the drain-point marker: after folding the batch (possibly empty) the
-/// worker sorts its result buffer, off the session thread.
+/// columnar ingestion share one engine-side hot path.
 struct EventBatch {
   EventColumns columns;
   uint64_t enqueued_ns = 0;
-  bool end_of_epoch = false;
 };
 
-/// The merge order: a total order over one executor's results (one
-/// result per operator, window instance and key), so every sorted chunk
-/// is fully determined by its content.
-bool MergeOrder(const WindowResult& a, const WindowResult& b) {
-  return std::tie(a.end, a.start, a.operator_id, a.key) <
-         std::tie(b.end, b.start, b.operator_id, b.key);
+/// Whether two results belong to the same closed instance of the same
+/// operator — one block of a shard's run.
+bool SameInstance(const WindowResult& a, const WindowResult& b) {
+  return a.end == b.end && a.start == b.start &&
+         a.operator_id == b.operator_id;
 }
 }  // namespace
-
-void ShardedExecutor::BufferSink::SortRun() {
-  const auto unsorted = results_.begin() + static_cast<ptrdiff_t>(sorted_);
-  std::sort(unsorted, results_.end(), MergeOrder);
-  std::inplace_merge(results_.begin(), unsorted, results_.end(), MergeOrder);
-  sorted_ = results_.size();
-}
 
 /// One worker shard. The members split into three ownership classes,
 /// annotated for the thread-safety analysis (DESIGN.md §12):
@@ -61,10 +50,11 @@ void ShardedExecutor::BufferSink::SortRun() {
 ///    argument is the memory-order analysis in runtime/spsc_queue.h.
 struct ShardedExecutor::Shard {
   Shard(size_t queue_capacity, const ThreadRole* session, uint32_t shard_index,
-        telemetry::Histogram* handoff)
+        telemetry::Histogram* handoff, size_t num_operators)
       : session_role(session),
         index(shard_index),
         handoff_hist(handoff),
+        buffer(num_operators),
         queue(queue_capacity) {}
 
   /// Capability of this shard's worker thread (see above).
@@ -99,6 +89,9 @@ ShardedExecutor::ShardedExecutor(const QueryPlan& plan,
       metrics_(options.metrics != nullptr ? options.metrics
                                           : telemetry::ScratchRegistry()),
       handoff_hist_(metrics_->GetHistogram("executor.batch_handoff_ns")),
+      drain_wait_hist_(metrics_->GetHistogram("executor.drain_wait_ns")),
+      drain_deliver_hist_(
+          metrics_->GetHistogram("executor.drain_deliver_ns")),
       ring_highwater_(metrics_->GetMaxGauge("executor.ring_highwater_batches")),
       released_counter_(metrics_->GetCounter("reorder.released_events")),
       late_counter_(metrics_->GetCounter("reorder.late_events")) {
@@ -131,7 +124,7 @@ void ShardedExecutor::BuildTopology() {
   for (uint32_t i = 0; i < shards; ++i) {
     auto shard = std::make_unique<Shard>(
         std::max<size_t>(options_.queue_capacity, 2), &session_role_, i,
-        handoff_hist_);
+        handoff_hist_, plan_->num_operators());
     // No worker exists yet: the building thread owns the whole shard,
     // worker-side members included.
     shard->worker_role.AssertHeld();
@@ -151,19 +144,15 @@ void ShardedExecutor::BuildTopology() {
       s->worker_role.AssertHeld();
       EventBatch batch;
       while (s->queue.Pop(&batch)) {
-        if (!batch.columns.empty()) {
-          s->executor->PushColumns(batch.columns);
-          if (telemetry::kEnabled) {
-            // One sample per data batch: time from producer flush to
-            // fully folded. kEnabled is constexpr, so OFF builds drop the
-            // whole block — no clock read on the worker either.
-            s->handoff_hist->Record(
-                s->index,
-                telemetry::NowNanosIfEnabled() - batch.enqueued_ns);
-          }
+        s->executor->PushColumns(batch.columns);
+        if (telemetry::kEnabled) {
+          // One sample per batch: time from producer flush to fully
+          // folded. kEnabled is constexpr, so OFF builds drop the whole
+          // block — no clock read on the worker either.
+          s->handoff_hist->Record(
+              s->index, telemetry::NowNanosIfEnabled() - batch.enqueued_ns);
         }
-        // Sorted before the release below, which publishes the run.
-        if (batch.end_of_epoch) s->buffer.SortRun();
+        // The release publishes the folded state and its results.
         s->consumed.fetch_add(1, std::memory_order_release);
       }
     });
@@ -190,26 +179,14 @@ void ShardedExecutor::StopWorkers() {
   stopped_ = true;
 }
 
-void ShardedExecutor::FlushPending(Shard* shard, bool end_of_epoch) {
+void ShardedExecutor::FlushPending(Shard* shard) {
   // FW_REQUIRES(session_role_) callers: the shard's producer side is the
   // same capability, reached through the shard's back-pointer.
   shard->session_role->AssertHeld();
-  if (shard->pending.empty() &&
-      (!end_of_epoch ||
-       shard->consumed.load(std::memory_order_relaxed) == shard->enqueued)) {
-    // Nothing to hand off. An idle worker gets no empty marker either:
-    // waking it from its backoff sleep would put a fixed cost on every
-    // drain, and its remaining unsorted results (rare — a drain point
-    // usually finds a partial batch pending) are sorted by
-    // DeliverBuffered instead.
-    return;
-  }
+  if (shard->pending.empty()) return;
   EventBatch batch;
-  batch.end_of_epoch = end_of_epoch;
-  if (!shard->pending.empty()) {
-    batch.columns.Reserve(options_.batch_size);
-    batch.columns.Swap(&shard->pending);  // Leaves a fresh reserved buffer.
-  }
+  batch.columns.Reserve(options_.batch_size);
+  batch.columns.Swap(&shard->pending);  // Leaves a fresh reserved buffer.
   batch.enqueued_ns = telemetry::NowNanosIfEnabled();
   shard->queue.Push(std::move(batch));
   ++shard->enqueued;
@@ -355,8 +332,8 @@ void ShardedExecutor::ReleaseEligible() {
   }
 }
 
-void ShardedExecutor::Quiesce(bool end_of_epoch) {
-  for (auto& shard : shards_) FlushPending(shard.get(), end_of_epoch);
+void ShardedExecutor::Quiesce() {
+  for (auto& shard : shards_) FlushPending(shard.get());
   for (auto& shard : shards_) {
     shard->session_role->AssertHeld();  // `enqueued` is producer-side.
     SpinBackoff backoff;
@@ -367,49 +344,88 @@ void ShardedExecutor::Quiesce(bool end_of_epoch) {
   }
 }
 
-void ShardedExecutor::DeliverBuffered() {
-  // One cursor per non-empty run; the heap keeps the run with the
-  // smallest head on top. Keys never span shards, so heads never tie.
-  struct Run {
-    const WindowResult* next;
-    const WindowResult* end;
-  };
-  std::vector<Run> heap;
-  heap.reserve(shards_.size());
+void ShardedExecutor::DeliverBuffered(uint64_t drain_started_ns) {
+  const uint64_t deliver_started_ns = telemetry::NowNanosIfEnabled();
+  drain_wait_hist_->Record(0, deliver_started_ns - drain_started_ns);
+  merge_heap_.clear();
   for (auto& shard : shards_) {
     // Callers quiesced (or joined) this shard's worker first: the
     // consumed/enqueued acquire-release pair published the buffer and the
     // worker is parked on an empty ring, so the session thread owns it.
     shard->worker_role.AssertHeld();
-    shard->buffer.SortRun();  // Only a CloseThrough/Finish tail is left.
-    const std::vector<WindowResult>& run = shard->buffer.results();
-    if (!run.empty()) heap.push_back({run.data(), run.data() + run.size()});
+    for (const std::vector<WindowResult>& run : shard->buffer.runs()) {
+      if (run.empty()) continue;
+      merge_heap_.push_back({run.data(), nullptr, run.data() + run.size()});
+    }
   }
-  const auto later = [](const Run& a, const Run& b) {
-    return MergeOrder(*b.next, *a.next);
+  // Each run is strictly increasing in (end, start, key), so ordering the
+  // runs by their head block's (end, start, operator) delivers instances
+  // in merge order; the min-heap takes one step per run holding the
+  // instance.
+  const auto later = [](const RunCursor& a, const RunCursor& b) {
+    return std::tie(b.next->end, b.next->start, b.next->operator_id) <
+           std::tie(a.next->end, a.next->start, a.next->operator_id);
   };
-  std::make_heap(heap.begin(), heap.end(), later);
-  while (!heap.empty()) {
-    std::pop_heap(heap.begin(), heap.end(), later);
-    Run& top = heap.back();
-    sink_->OnResult(*top.next);
-    if (++top.next == top.end) {
-      heap.pop_back();
+  std::make_heap(merge_heap_.begin(), merge_heap_.end(), later);
+  while (!merge_heap_.empty()) {
+    // Pop every run whose head block is the smallest instance: one per
+    // shard that holds keys of it.
+    merge_blocks_.clear();
+    do {
+      std::pop_heap(merge_heap_.begin(), merge_heap_.end(), later);
+      merge_blocks_.push_back(merge_heap_.back());
+      merge_heap_.pop_back();
+    } while (!merge_heap_.empty() &&
+             SameInstance(*merge_heap_.front().next,
+                          *merge_blocks_.front().next));
+    for (RunCursor& block : merge_blocks_) {
+      block.block_end = block.next + 1;
+      while (block.block_end != block.end &&
+             SameInstance(*block.block_end, *block.next)) {
+        ++block.block_end;
+      }
+    }
+    if (merge_blocks_.size() == 1) {
+      const RunCursor& block = merge_blocks_.front();
+      for (const WindowResult* r = block.next; r != block.block_end; ++r) {
+        sink_->OnResult(*r);
+      }
     } else {
-      std::push_heap(heap.begin(), heap.end(), later);
+      // Several shards closed this instance: merge their blocks by key.
+      // Keys never span shards, so heads never tie.
+      while (true) {
+        RunCursor* smallest = nullptr;
+        for (RunCursor& block : merge_blocks_) {
+          if (block.next != block.block_end &&
+              (smallest == nullptr || block.next->key < smallest->next->key)) {
+            smallest = &block;
+          }
+        }
+        if (smallest == nullptr) break;
+        sink_->OnResult(*smallest->next++);
+      }
+    }
+    for (RunCursor& block : merge_blocks_) {
+      block.next = block.block_end;
+      if (block.next == block.end) continue;
+      merge_heap_.push_back(block);
+      std::push_heap(merge_heap_.begin(), merge_heap_.end(), later);
     }
   }
   for (auto& shard : shards_) {
     shard->worker_role.AssertHeld();  // Still owned (see above).
     shard->buffer.Clear();
   }
+  drain_deliver_hist_->Record(
+      0, telemetry::NowNanosIfEnabled() - deliver_started_ns);
 }
 
 void ShardedExecutor::Drain() {
   session_role_.AssertHeld();  // Public entry: session thread only.
   if (inline_executor_) return;
-  Quiesce(/*end_of_epoch=*/true);
-  DeliverBuffered();
+  const uint64_t drain_started_ns = telemetry::NowNanosIfEnabled();
+  Quiesce();
+  DeliverBuffered(drain_started_ns);
   events_since_drain_ = 0;
 }
 
@@ -428,9 +444,7 @@ void ShardedExecutor::Finish() {
     inline_executor_->Finish();
     return;
   }
-  // Busy workers sort what they hold before exiting; DeliverBuffered
-  // sorts the rest, including the final flush's results below.
-  for (auto& shard : shards_) FlushPending(shard.get(), /*end_of_epoch=*/true);
+  const uint64_t drain_started_ns = telemetry::NowNanosIfEnabled();
   StopWorkers();
   for (auto& shard : shards_) {
     // Workers are joined: the join published everything they wrote, so
@@ -438,7 +452,7 @@ void ShardedExecutor::Finish() {
     shard->worker_role.AssertHeld();
     shard->executor->Finish();
   }
-  DeliverBuffered();
+  DeliverBuffered(drain_started_ns);
 }
 
 ReorderCheckpoint ShardedExecutor::ReorderMeta() const {
@@ -479,17 +493,17 @@ Result<ExecutorCheckpoint> ShardedExecutor::Checkpoint() {
     }
     return checkpoint;
   }
-  Quiesce(/*end_of_epoch=*/true);
+  const uint64_t drain_started_ns = telemetry::NowNanosIfEnabled();
+  Quiesce();
   if (delivered_any_) {
     // Workers are quiesced, so the session thread may drive the engines;
-    // close results land after the shards' sorted runs, and
-    // DeliverBuffered sorts them in.
+    // close results extend the same per-operator runs.
     for (auto& shard : shards_) {
       shard->worker_role.AssertHeld();  // Quiesced (see above).
       shard->executor->CloseThrough(close_frontier);
     }
   }
-  DeliverBuffered();
+  DeliverBuffered(drain_started_ns);
   events_since_drain_ = 0;
   std::vector<ExecutorCheckpoint> parts;
   parts.reserve(shards_.size());
@@ -574,15 +588,18 @@ Status ShardedExecutor::Restore(const ExecutorCheckpoint& checkpoint) {
     // is restored below by the stage that owns it.
     FW_RETURN_IF_ERROR(inline_executor_->Restore(checkpoint));
   } else {
-    Quiesce();
+    // A drain point (see the declaration): the results the shards hold
+    // reach the sink before the restored engines can re-emit instances
+    // they repeat, which also keeps every per-operator run increasing.
+    Drain();
     // The per-shard engines never read the reorder section (it is
     // re-buffered below from the global view), so split a reorder-free
     // copy instead of filtering the buffered events once per shard.
     ExecutorCheckpoint operators_only;
     operators_only.operators = checkpoint.operators;
     for (uint32_t i = 0; i < num_shards(); ++i) {
-      // Quiesced above: the worker only touches its executor while a
-      // batch is in flight, so restoring from the session thread is
+      // Quiesced by the drain: the worker only touches its executor while
+      // a batch is in flight, so restoring from the session thread is
       // race-free; the queue's release/acquire pair on the next batch
       // publishes the new state.
       shards_[i]->worker_role.AssertHeld();

@@ -53,24 +53,23 @@ namespace fw {
 ///    byte-identical to the pre-sharding engine.
 ///  * With N > 1 shards, results are buffered per shard and delivered in
 ///    chunks at *drain points*: every Options::drain_interval pushed
-///    events, and on Drain/Finish/Checkpoint (Resize checkpoints, so it
-///    is one too). Each chunk is the union of the shards' results since
-///    the previous drain point, sorted by (window end, start, operator,
-///    key) — a total order over one executor's results, so a chunk is
-///    fully determined by its content. Drain points depend only on the
-///    pushed sequence and the API calls made, so delivery order is
-///    deterministic run-to-run. An executor destroyed without Finish
-///    discards still-buffered results.
-///  * Who sorts: at a drain point the session thread hands every shard an
-///    end-of-epoch marker, riding its last pending batch (or an empty
-///    batch when none is pending but the worker is still busy); the
-///    worker sorts its own result buffer before it reports the marker
-///    consumed. Whatever is left unsorted after that — results appended
-///    by Checkpoint's CloseThrough or Finish's final flush, or held by
-///    an idle worker that got no marker — is sorted into the shard's run
-///    on the session thread. The session thread then delivers a linear
-///    N-way merge of the sorted per-shard runs, never one sort over
-///    their union.
+///    events, and on Drain/Finish/Checkpoint/Restore (Resize checkpoints
+///    and restores, so it is one too). Each chunk is the union of the
+///    shards' results since the previous drain point, in (window end,
+///    start, operator, key) order — a total order over one executor's
+///    results, so a chunk is fully determined by its content. Drain
+///    points depend only on the pushed sequence and the API calls made,
+///    so delivery order is deterministic run-to-run. An executor
+///    destroyed without Finish discards still-buffered results.
+///  * Nobody sorts. Each shard buffers one result run per plan operator,
+///    and the engine appends to every run in strictly increasing (end,
+///    start, key) order (the emission-order contract on
+///    WindowAggregateOperator). At a drain point the session thread
+///    merges the shards × operators runs one closed instance at a time:
+///    a heap picks the smallest head (end, start, operator), and the at
+///    most N blocks of that instance — one per shard holding its keys —
+///    merge by key. The workers have nothing to do at a drain point
+///    beyond folding what they were handed.
 ///  * Latency: a result waits at most about one drain interval of pushed
 ///    events (4096 by default) plus the time the workers need to fold
 ///    them. Across chunks delivery is not globally sorted — see
@@ -135,10 +134,11 @@ class ShardedExecutor {
     /// executor.
     EventConsumer* late_sink = nullptr;
     /// Metric namespace for this executor's instrumentation (DESIGN.md
-    /// §13): batch hand-off latency, ring high-water marks, reorder
-    /// release/late counts, structural trace events. Null (the default)
-    /// falls back to a process-global scratch registry, so instrumented
-    /// code never branches on wiring. Must outlive the executor.
+    /// §13): batch hand-off latency, drain-point stage timings, ring
+    /// high-water marks, reorder release/late counts, structural trace
+    /// events. Null (the default) falls back to a process-global scratch
+    /// registry, so instrumented code never branches on wiring. Must
+    /// outlive the executor.
     telemetry::MetricsRegistry* metrics = nullptr;
   };
 
@@ -190,7 +190,10 @@ class ShardedExecutor {
   /// Restores a global checkpoint taken from an executor over the same
   /// plan and key space (any shard count), splitting per-key state —
   /// including buffered out-of-order events — across this executor's
-  /// shards. Errors on a lateness-mode mismatch: a checkpoint with
+  /// shards. A drain point: results produced before the call reach the
+  /// sink before it returns, as inline mode already delivered them, so a
+  /// rollback's replayed results never share a chunk with the ones they
+  /// repeat. Errors on a lateness-mode mismatch: a checkpoint with
   /// buffered events cannot restore into a strict-order executor, and a
   /// strict-order mid-stream checkpoint (no event-time clock) cannot
   /// resume under max_delay > 0. Push may resume with the next event.
@@ -295,30 +298,38 @@ class ShardedExecutor {
   double RingOccupancy() const;
 
  private:
-  /// Shard-local result buffer; written only by the shard's worker while a
-  /// batch is in flight, read by the session thread only after a quiesce.
-  /// The guard lives on the owning member (Shard::buffer is
-  /// FW_GUARDED_BY(worker_role)) rather than in here, because the
+  /// Shard-local result buffer: one run per plan operator, indexed by
+  /// operator id. The engine's emission-order contract keeps every run
+  /// strictly increasing in (end, start, key), so a run is a sequence of
+  /// *blocks*, one per closed instance. Written only by the shard's
+  /// worker while a batch is in flight, read by the session thread only
+  /// after a quiesce. The guard lives on the owning member (Shard::buffer
+  /// is FW_GUARDED_BY(worker_role)) rather than in here, because the
   /// capability is per shard, not per sink.
   class BufferSink : public ResultSink {
    public:
+    explicit BufferSink(size_t num_operators) : runs_(num_operators) {}
     void OnResult(const WindowResult& result) override {
-      results_.push_back(result);
+      runs_[static_cast<size_t>(result.operator_id)].push_back(result);
     }
-    /// Sorts the results appended since the last call into merge order
-    /// and merges them into the sorted run before them, so the whole
-    /// buffer becomes one sorted run.
-    void SortRun();
-    const std::vector<WindowResult>& results() const { return results_; }
+    const std::vector<std::vector<WindowResult>>& runs() const {
+      return runs_;
+    }
     void Clear() {
-      results_.clear();
-      sorted_ = 0;
+      for (std::vector<WindowResult>& run : runs_) run.clear();
     }
 
    private:
-    std::vector<WindowResult> results_;
-    /// Length of the sorted prefix of results_.
-    size_t sorted_ = 0;
+    std::vector<std::vector<WindowResult>> runs_;
+  };
+
+  /// DeliverBuffered's cursor over one (shard, operator) run: `next` is
+  /// the head block's first result, `block_end` one past its last (set
+  /// while the block is being delivered), `end` one past the run.
+  struct RunCursor {
+    const WindowResult* next;
+    const WindowResult* block_end;
+    const WindowResult* end;
   };
 
   struct Shard;
@@ -341,13 +352,8 @@ class ShardedExecutor {
   /// The reorder stage's clock and counters, for checkpointing.
   ReorderCheckpoint ReorderMeta() const FW_REQUIRES(session_role_);
 
-  /// Hands the shard's pending partial batch to its queue. With
-  /// `end_of_epoch` the batch carries the end-of-epoch marker, so the
-  /// worker sorts its result buffer after folding it; with nothing
-  /// pending the marker rides an empty batch, but only while the worker
-  /// is still busy (an idle one is not woken).
-  void FlushPending(Shard* shard, bool end_of_epoch = false)
-      FW_REQUIRES(session_role_);
+  /// Hands the shard's pending partial batch, if any, to its queue.
+  void FlushPending(Shard* shard) FW_REQUIRES(session_role_);
   /// Live (current-topology) per-operator closed-instance / finalized-
   /// result sums; callers add the retired tallies. Requires quiesced (or
   /// inline/joined) workers.
@@ -356,13 +362,15 @@ class ShardedExecutor {
   std::vector<uint64_t> LivePerOperatorFinalizes() const
       FW_REQUIRES(session_role_);
   /// Flushes all pending batches and waits until every worker has consumed
-  /// its queue. Afterwards the session thread may read shard state. With
-  /// `end_of_epoch` every shard gets the marker (see FlushPending), so
-  /// each busy shard's result buffer is one sorted run on return.
-  void Quiesce(bool end_of_epoch = false) FW_REQUIRES(session_role_);
-  /// Sorts any tail appended since the workers' markers into each shard's
-  /// run, then delivers the N-way merge of the runs into the sink.
-  void DeliverBuffered() FW_REQUIRES(session_role_);
+  /// its queue. Afterwards the session thread may read shard state.
+  void Quiesce() FW_REQUIRES(session_role_);
+  /// Delivers the merge of every shard's per-operator runs into the sink
+  /// (see the class comment) and clears them. Requires quiesced (or
+  /// joined) workers. The tail of a drain point: records one
+  /// executor.drain_wait_ns sample (from `drain_started_ns`, the clock
+  /// read before the drain flushed, to now) and one
+  /// executor.drain_deliver_ns sample (the merge and the callbacks).
+  void DeliverBuffered(uint64_t drain_started_ns) FW_REQUIRES(session_role_);
   void StopWorkers() FW_REQUIRES(session_role_);
 
   /// Capability of the one thread driving the public API (the class
@@ -393,6 +401,10 @@ class ShardedExecutor {
   /// PushColumns scratch: the batch's per-event shard assignment, computed
   /// in one pass over the key column (grown once, reused per batch).
   std::vector<uint32_t> shard_ids_ FW_GUARDED_BY(session_role_);
+  /// DeliverBuffered scratch, reused across drains: the heap of non-empty
+  /// runs, and the runs whose head block is the instance being delivered.
+  std::vector<RunCursor> merge_heap_ FW_GUARDED_BY(session_role_);
+  std::vector<RunCursor> merge_blocks_ FW_GUARDED_BY(session_role_);
 
   /// Per-shard delivered-event counts for the current topology (session
   /// thread only; sized num_shards()).
@@ -428,6 +440,10 @@ class ShardedExecutor {
   /// Enqueue→folded latency of each hand-off batch, one sample per
   /// batch (cell = shard index); recorded by the workers.
   telemetry::Histogram* const handoff_hist_;
+  /// The two stages of a drain point, one sample each per drain point
+  /// (threaded mode only; see DeliverBuffered).
+  telemetry::Histogram* const drain_wait_hist_;
+  telemetry::Histogram* const drain_deliver_hist_;
   /// Per-shard in-flight-batch high-water marks (cell = shard index).
   telemetry::MaxGauge* const ring_highwater_;
   /// Watermark-released and late event tallies of the reorder stage.

@@ -201,6 +201,111 @@ TEST(ExecutorResize, RollbackRestoreDoesNotInheritCloseFrontier) {
   EXPECT_EQ(again->Serialize(), snapshot->Serialize());
 }
 
+// A sharded Restore is a drain point. Before it returns, the results the
+// shards produced since the last drain reach the sink — inline mode had
+// already delivered them — so after a rollback no chunk holds a result
+// together with its replayed repeat.
+TEST(ExecutorResize, RollbackRestoreDeliversBufferedResultsFirst) {
+  constexpr uint32_t kKeys = 8;
+  constexpr TimeT kSnapshotAt = 400;
+  constexpr TimeT kRunAheadTo = 700;
+  constexpr TimeT kEnd = 1000;
+  QueryPlan plan = SharedTestPlan();
+  // Every timestamp carries every key, so every shard sees every
+  // timestamp and closes each instance at the event-time point inline
+  // mode does: at a timestamp boundary both have emitted the same results.
+  std::vector<Event> events;
+  for (TimeT t = 0; t < kEnd; ++t) {
+    for (uint32_t key = 0; key < kKeys; ++key) {
+      events.push_back(
+          {.timestamp = t,
+           .key = key,
+           .value = static_cast<double>((t * 37 + key * 11) % 101)});
+    }
+  }
+  const auto first_at = [](TimeT t) { return static_cast<size_t>(t) * kKeys; };
+
+  // (end, start, operator, key, value): merge order, then the value.
+  using Flat = std::tuple<TimeT, TimeT, int, uint32_t, double>;
+  // Logs each result with the API call that delivered it (`call` advances
+  // before every call), so a chunk is a run of equal call numbers.
+  struct CallLog : ResultSink {
+    void OnResult(const WindowResult& r) override {
+      log.emplace_back(call, Flat{r.end, r.start, r.operator_id, r.key,
+                                  r.value});
+    }
+    std::vector<Flat> SortedResults() const {
+      std::vector<Flat> results;
+      for (const auto& [c, flat] : log) results.push_back(flat);
+      std::sort(results.begin(), results.end());
+      return results;
+    }
+    uint64_t call = 0;
+    std::vector<std::pair<uint64_t, Flat>> log;
+  };
+  // Push to the snapshot, checkpoint, run ahead, roll back, replay, Finish.
+  // Returns the sorted results the sink held when Restore returned.
+  const auto drive = [&](uint32_t shards, CallLog* sink) {
+    ShardedExecutor::Options options;
+    options.num_keys = kKeys;
+    options.num_shards = shards;
+    options.batch_size = 16;
+    // One periodic drain before the snapshot, none during the run-ahead
+    // (its results are all still buffered at the rollback), one during
+    // the replay.
+    options.drain_interval = 3000;
+    ShardedExecutor executor(plan, options, sink);
+    const auto push = [&](size_t from, size_t to) {
+      for (size_t i = from; i < to; ++i) {
+        ++sink->call;
+        executor.Push(events[i]);
+      }
+    };
+    push(0, first_at(kSnapshotAt));
+    ++sink->call;
+    Result<ExecutorCheckpoint> snapshot = executor.Checkpoint();
+    EXPECT_TRUE(snapshot.ok());
+    push(first_at(kSnapshotAt), first_at(kRunAheadTo));
+    ++sink->call;
+    EXPECT_TRUE(executor.Restore(*snapshot).ok());
+    std::vector<Flat> at_restore = sink->SortedResults();
+    push(first_at(kSnapshotAt), events.size());
+    ++sink->call;
+    executor.Finish();
+    return at_restore;
+  };
+
+  CallLog inline_log;
+  const std::vector<Flat> inline_at_restore = drive(1, &inline_log);
+  ASSERT_FALSE(inline_at_restore.empty());
+  for (uint32_t shards : {2u, 4u}) {
+    SCOPED_TRACE(std::to_string(shards) + " shards");
+    for (uint32_t s = 0; s < shards; ++s) {
+      bool owns_key = false;
+      for (uint32_t key = 0; key < kKeys; ++key) {
+        owns_key |= ShardForKey(key, shards) == s;
+      }
+      ASSERT_TRUE(owns_key) << "shard " << s << " would see no timestamps";
+    }
+    CallLog sharded;
+    const std::vector<Flat> at_restore = drive(shards, &sharded);
+    EXPECT_EQ(at_restore, inline_at_restore);
+    // The replay repeats the run-ahead's results, so the whole delivery
+    // is inline mode's multiset, repeats included.
+    EXPECT_EQ(sharded.SortedResults(), inline_log.SortedResults());
+    for (size_t i = 1; i < sharded.log.size(); ++i) {
+      const auto& [prev_call, prev] = sharded.log[i - 1];
+      const auto& [call, result] = sharded.log[i];
+      if (prev_call != call) continue;
+      EXPECT_LT(std::make_tuple(std::get<0>(prev), std::get<1>(prev),
+                                std::get<2>(prev), std::get<3>(prev)),
+                std::make_tuple(std::get<0>(result), std::get<1>(result),
+                                std::get<2>(result), std::get<3>(result)))
+          << "chunk delivered by call " << call << ", entry " << i;
+    }
+  }
+}
+
 // --- Session-level resize: the acceptance invariant ------------------------
 
 struct ResizeAt {

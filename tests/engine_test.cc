@@ -4,7 +4,10 @@
 
 #include <cstring>
 #include <iterator>
+#include <map>
+#include <memory>
 #include <string>
+#include <tuple>
 
 #include "common/rng.h"
 #include "cost/min_cost.h"
@@ -258,6 +261,81 @@ TEST(Engine, TwoLevelFactorPlanDeliverySequenceIsPinned) {
     EXPECT_EQ(sink.hash(), 4451557757294197549u);
     EXPECT_EQ(executor.TotalAccumulateOps(), 40847u);
     EXPECT_EQ(executor.PerOperatorCloses(), expected_closes);
+  }
+}
+
+// Checks the emission-order contract (DESIGN.md §4) as results arrive:
+// per operator id, strictly increasing (end, start, key).
+class EmissionOrderSink : public ResultSink {
+ public:
+  void OnResult(const WindowResult& r) override {
+    all.OnResult(r);
+    const auto order = std::make_tuple(r.end, r.start, r.key);
+    const auto [last, first] = last_.try_emplace(r.operator_id, order);
+    if (first) return;
+    EXPECT_LT(last->second, order)
+        << "operator " << r.operator_id << ", result " << all.results().size();
+    last->second = order;
+  }
+
+  CollectingSink all;
+
+ private:
+  std::map<int, std::tuple<TimeT, TimeT, uint32_t>> last_;
+};
+
+// The sharded runtime merges per-operator result runs without sorting
+// them, relying on each operator emitting in (end, start, key) order. Hold
+// that across every way an executor is driven: Push, PushColumns, a
+// mid-stream CloseThrough, a Checkpoint restored into a fresh executor,
+// and Finish.
+TEST(Engine, EveryOperatorEmitsInEndStartKeyOrder) {
+  const WindowSet set =
+      WindowSet::Parse("{T(12), T(18), W(36, 18), W(72, 36), W(60, 30)}")
+          .value();
+  const MinCostWcg wcg =
+      OptimizeWithFactorWindows(set, CoverageSemantics::kPartitionedBy);
+  // Over 300 keys the touched-key bitmaps span five words.
+  const QueryPlan factor_plan = QueryPlan::FromMinCostWcg(wcg, Agg("SUM"));
+  const QueryPlan holistic_plan = QueryPlan::Original(set, Agg("MEDIAN"));
+  ASSERT_GT(factor_plan.num_operators(), set.size());  // Factor windows.
+  const std::vector<Event> events = SparseKeyedStream();
+  const size_t third = events.size() / 3;
+
+  for (const QueryPlan* plan : {&factor_plan, &holistic_plan}) {
+    const bool holistic = plan == &holistic_plan;
+    SCOPED_TRACE(holistic ? "holistic MEDIAN plan" : "factor plan");
+    CollectingSink reference;
+    PlanExecutor(*plan, {.num_keys = 300}, &reference).Run(events);
+
+    EmissionOrderSink sink;
+    auto executor = std::make_unique<PlanExecutor>(
+        *plan, PlanExecutor::Options{.num_keys = 300}, &sink);
+    for (size_t i = 0; i < third; ++i) executor->Push(events[i]);
+    const std::vector<Event> middle(events.begin() + third,
+                                    events.begin() + 2 * third);
+    for (const EventColumns& chunk : SplitIntoColumns(middle, 97)) {
+      executor->PushColumns(chunk);
+    }
+    executor->CloseThrough(events[2 * third - 1].timestamp + 1);
+    Result<ExecutorCheckpoint> checkpoint = executor->Checkpoint();
+    if (holistic) {
+      EXPECT_EQ(checkpoint.status().code(), StatusCode::kUnimplemented);
+    } else {
+      ASSERT_TRUE(checkpoint.ok()) << checkpoint.status().ToString();
+      executor = std::make_unique<PlanExecutor>(
+          *plan, PlanExecutor::Options{.num_keys = 300}, &sink);
+      ASSERT_TRUE(executor->Restore(*checkpoint).ok());
+    }
+    const std::vector<Event> last_third(events.begin() + 2 * third,
+                                        events.end());
+    for (const EventColumns& chunk : SplitIntoColumns(last_third, 61)) {
+      executor->PushColumns(chunk);
+    }
+    executor->Finish();
+    // The drive emitted exactly an uninterrupted run's results.
+    EXPECT_EQ(sink.all.results().size(), reference.results().size());
+    EXPECT_EQ(sink.all.ToMap(), reference.ToMap());
   }
 }
 

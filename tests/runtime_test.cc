@@ -669,6 +669,40 @@ TEST(ShardedExecutor, CheckpointAndResizeWithCloseThroughTailStayExact) {
   }
 }
 
+// Holistic plans run unshared (QueryPlan::Original) and never checkpoint,
+// but they shard like any other plan: HolisticWindowOperator keeps the
+// same emission-order contract, so every drain chunk is in merge order
+// and the union is a bare engine's result set, bit for bit.
+TEST(ShardedExecutor, HolisticPlanMatchesBareEngineWithSortedChunks) {
+  constexpr uint32_t kKeys = 16;
+  const WindowSet set = WindowSet::Parse("{T(20), W(60, 20), T(40)}").value();
+  const QueryPlan plan = QueryPlan::Original(set, Agg("MEDIAN"));
+  const std::vector<Event> events = GenerateSyntheticStream(3000, kKeys, 26);
+  CollectingSink reference;
+  ExecutePlan(plan, events, kKeys, &reference, nullptr, nullptr);
+  ASSERT_FALSE(reference.results().empty());
+
+  for (uint32_t shards : {1u, 2u, 4u}) {
+    SCOPED_TRACE(std::to_string(shards) + " shards");
+    ShardedExecutor::Options options;
+    options.num_keys = kKeys;
+    options.num_shards = shards;
+    options.batch_size = 16;
+    options.drain_interval = 250;
+    DeliveryLog delivered;
+    ShardedExecutor executor(plan, options, &delivered);
+    for (const Event& event : events) {
+      ++delivered.pushed;
+      executor.Push(event);
+    }
+    executor.Finish();
+    // Inline mode delivers from Push, without drain chunks.
+    if (shards > 1) ExpectChunksSorted(delivered.log);
+    EXPECT_EQ(delivered.results.results().size(), reference.results().size());
+    EXPECT_EQ(delivered.results.ToMap(), reference.ToMap());
+  }
+}
+
 // A registered UDAF whose accumulate parks its worker while the flag is
 // up — a deterministic way to back a shard's ring up.
 std::atomic<bool> hold_accumulate{false};

@@ -1,22 +1,27 @@
 // Telemetry layer (DESIGN.md §13): bucket math and percentile contracts
 // of the log2 histogram, sharded-cell exactness, trace-ring bounds,
-// renderer formats, and the headline merge contract — session counters
-// stay exact across a 1→4→2 live resize ramp. Writer/snapshot races run
-// under the `threaded` label, so the ThreadSanitizer CI leg proves
-// snapshots are race-free. Every value assertion is gated on
-// telemetry::kEnabled, so this suite also passes in a
-// -DFW_TELEMETRY=OFF build, where it instead pins the compile-out
-// contract (empty snapshots, enabled=false, zero-cost objects).
+// renderer formats, the executor's per-drain-point timers, and the
+// headline merge contract — session counters stay exact across a 1→4→2
+// live resize ramp. Writer/snapshot races run under the `threaded`
+// label, so the ThreadSanitizer CI leg proves snapshots are race-free.
+// Every value assertion is gated on telemetry::kEnabled, so this suite
+// also passes in a -DFW_TELEMETRY=OFF build, where it instead pins the
+// compile-out contract (empty snapshots, enabled=false, zero-cost
+// objects).
 
 #include <gtest/gtest.h>
 
 #include <atomic>
 #include <cstdint>
 #include <map>
+#include <string>
 #include <thread>
 #include <tuple>
 #include <vector>
 
+#include "agg/aggregate.h"
+#include "plan/plan.h"
+#include "runtime/sharded_executor.h"
 #include "session/session.h"
 #include "telemetry/json.h"
 #include "telemetry/metrics.h"
@@ -274,6 +279,46 @@ TEST(Json, RendersSnapshotShape) {
                       "\"a\": 1, \"b\": 4"),
             std::string::npos);
   EXPECT_NE(json.find("\"trace_dropped\": 2"), std::string::npos);
+}
+
+// --- Executor drain stage ----------------------------------------------------
+
+// executor.drain_wait_ns (flush + waiting for the workers) and
+// executor.drain_deliver_ns (merge + callbacks) take one sample each per
+// drain point of a threaded executor — periodic, Drain, Checkpoint,
+// Restore and Finish — and none inline, where Push delivers directly.
+TEST(ExecutorMetrics, DrainStageRecordsOneSamplePerDrainPoint) {
+  constexpr uint32_t kKeys = 8;
+  const std::vector<Event> events = GenerateSyntheticStream(1050, kKeys, 9);
+  WindowSet set;
+  ASSERT_TRUE(set.Add(Window::Tumbling(20)).ok());
+  const QueryPlan plan = QueryPlan::Original(set, Agg("MIN"));
+  for (uint32_t shards : {1u, 2u}) {
+    SCOPED_TRACE(std::to_string(shards) + " shards");
+    MetricsRegistry registry;
+    ShardedExecutor::Options options;
+    options.num_keys = kKeys;
+    options.num_shards = shards;
+    options.drain_interval = 100;
+    options.metrics = &registry;
+    CountingSink sink;
+    ShardedExecutor executor(plan, options, &sink);
+    const auto push = [&](size_t from, size_t to) {
+      for (size_t i = from; i < to; ++i) executor.Push(events[i]);
+    };
+    push(0, 500);                 // 5 periodic drain points.
+    executor.Drain();             // 1.
+    Result<ExecutorCheckpoint> checkpoint = executor.Checkpoint();  // 1.
+    ASSERT_TRUE(checkpoint.ok());
+    push(500, events.size());     // 5 periodic.
+    ASSERT_TRUE(executor.Restore(*checkpoint).ok());  // 1.
+    push(500, events.size());     // 5 periodic.
+    executor.Finish();            // 1.
+    const uint64_t expected = kEnabled && shards > 1 ? 19 : 0;
+    MetricsSnapshot snap = registry.Snapshot();
+    EXPECT_EQ(snap.histograms["executor.drain_wait_ns"].count, expected);
+    EXPECT_EQ(snap.histograms["executor.drain_deliver_ns"].count, expected);
+  }
 }
 
 // --- Session integration: merge exactness across a live resize ramp ----------
