@@ -4,11 +4,14 @@
 // BM_FactorFanout has a "<name>Columns" twin driving the same workload
 // through the columnar batch path (OnEvents / PushColumns, DESIGN.md
 // §14); CI's perf smoke compares the pairs and fails if the columnar
-// geomean speedup drops below its floor.
+// geomean speedup drops below its floor. BM_FactorFanout's twin,
+// BM_FactorFanoutFallback, runs its merges without the merge_batch kernel
+// instead.
 
 #include <benchmark/benchmark.h>
 
 #include <memory>
+#include <utility>
 
 #include "cost/min_cost.h"
 #include "exec/engine.h"
@@ -172,17 +175,17 @@ void BM_SubAggregateChainColumns(benchmark::State& state) {
 }
 BENCHMARK(BM_SubAggregateChainColumns);
 
-void BM_FactorFanout(benchmark::State& state) {
-  // A T(2) factor root feeding ten tumbling/hopping windows, the plan
-  // shape the optimizer emits for dashboard workloads. Each root instance
-  // holds two events, so it touches two of the keys; the children merge
-  // every closed root instance. Scalar only: it has no Columns twin.
+// A T(2) factor root feeding ten tumbling/hopping windows, the plan shape
+// the optimizer emits for dashboard workloads. Each root instance holds
+// two events, so it touches two of the keys; the children merge every
+// closed root instance. Scalar only: it has no Columns twin.
+void RunFactorFanout(benchmark::State& state, AggFn agg) {
   const uint32_t keys = static_cast<uint32_t>(state.range(0));
   std::vector<Event> events = MakeStream(1 << 16, keys);
   CountingSink sink;
   WindowAggregateOperator::Config root_config;
   root_config.window = Window::Tumbling(2);
-  root_config.agg = Agg("MIN");
+  root_config.agg = agg;
   root_config.exposed = false;
   root_config.num_keys = keys;
   WindowAggregateOperator root(root_config, nullptr);
@@ -212,7 +215,26 @@ void BM_FactorFanout(benchmark::State& state) {
   state.SetItemsProcessed(static_cast<int64_t>(state.iterations()) *
                           static_cast<int64_t>(events.size()));
 }
+
+void BM_FactorFanout(benchmark::State& state) {
+  RunFactorFanout(state, Agg("MIN"));
+}
 BENCHMARK(BM_FactorFanout)->Arg(16)->Arg(256);
+
+// The same plan over a registered clone of MIN that declares no
+// merge_batch, so the children merge through the engine's per-key
+// fallback loop: the twin keeps a perf trail for both merge paths.
+void BM_FactorFanoutFallback(benchmark::State& state) {
+  AggFn min = FindAggregate("MIN_NO_MERGE_BATCH");
+  if (min == nullptr) {
+    AggregateFunction clone = *Agg("MIN");
+    clone.name = "MIN_NO_MERGE_BATCH";
+    clone.merge_batch = nullptr;
+    min = AggregateRegistry::Global().Register(std::move(clone)).value();
+  }
+  RunFactorFanout(state, min);
+}
+BENCHMARK(BM_FactorFanoutFallback)->Arg(16)->Arg(256);
 
 void BM_KeyedAggregation(benchmark::State& state) {
   const uint32_t keys = static_cast<uint32_t>(state.range(0));

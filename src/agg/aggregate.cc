@@ -52,24 +52,34 @@ Sketch* SketchOf(AggState* state) {
 // identity step on the hot path); finalize is only called on non-empty
 // states.
 
+// MIN/MAX/RANGE select instead of branching: `v < cur ? v : cur` compiles
+// to minsd (`>` to maxsd), so a random stream costs no mispredicted
+// compares. It is the `if (v < cur) cur = v` form with the comparison
+// direction kept: a failed compare keeps `cur`, so a NaN candidate never
+// replaces the extremum, a NaN that seeded the state sticks, and a +0/-0
+// tie keeps the current value. An empty state seeds from the candidate
+// first (v < v fails, storing v).
+double SelectMin(double v, double cur) { return v < cur ? v : cur; }
+double SelectMax(double v, double cur) { return v > cur ? v : cur; }
+
 void MinAccumulate(AggState* s, double v) {
-  if (s->n == 0 || v < s->v1) s->v1 = v;
+  s->v1 = SelectMin(v, s->n == 0 ? v : s->v1);
   ++s->n;
 }
 void MinMerge(AggState* s, const AggState& o) {
   if (o.n == 0) return;
-  if (s->n == 0 || o.v1 < s->v1) s->v1 = o.v1;
+  s->v1 = SelectMin(o.v1, s->n == 0 ? o.v1 : s->v1);
   s->n += o.n;
 }
 double ValueFinalize(const AggState& s) { return s.v1; }
 
 void MaxAccumulate(AggState* s, double v) {
-  if (s->n == 0 || v > s->v1) s->v1 = v;
+  s->v1 = SelectMax(v, s->n == 0 ? v : s->v1);
   ++s->n;
 }
 void MaxMerge(AggState* s, const AggState& o) {
   if (o.n == 0) return;
-  if (s->n == 0 || o.v1 > s->v1) s->v1 = o.v1;
+  s->v1 = SelectMax(o.v1, s->n == 0 ? o.v1 : s->v1);
   s->n += o.n;
 }
 
@@ -116,25 +126,23 @@ double StdevFinalize(const AggState& s) {
   return std::sqrt(VarianceFinalize(s));
 }
 
+// Both bounds load before either store: storing v1 first leaves GCC 12 to
+// branch on the v2 compare.
 void RangeAccumulate(AggState* s, double v) {
-  if (s->n == 0) {
-    s->v1 = v;
-    s->v2 = v;
-  } else {
-    if (v < s->v1) s->v1 = v;
-    if (v > s->v2) s->v2 = v;
-  }
+  const bool seed = s->n == 0;
+  const double lo = seed ? v : s->v1;
+  const double hi = seed ? v : s->v2;
+  s->v1 = SelectMin(v, lo);
+  s->v2 = SelectMax(v, hi);
   ++s->n;
 }
 void RangeMerge(AggState* s, const AggState& o) {
   if (o.n == 0) return;
-  if (s->n == 0) {
-    s->v1 = o.v1;
-    s->v2 = o.v2;
-  } else {
-    if (o.v1 < s->v1) s->v1 = o.v1;
-    if (o.v2 > s->v2) s->v2 = o.v2;
-  }
+  const bool seed = s->n == 0;
+  const double lo = seed ? o.v1 : s->v1;
+  const double hi = seed ? o.v2 : s->v2;
+  s->v1 = SelectMin(o.v1, lo);
+  s->v2 = SelectMax(o.v2, hi);
   s->n += o.n;
 }
 double RangeFinalize(const AggState& s) { return s.v2 - s.v1; }
@@ -182,9 +190,7 @@ void MinAccumulateBatch(AggState* s, const double* v, size_t count) {
     i = 1;
   }
   double m = s->v1;
-  for (; i < count; ++i) {
-    if (v[i] < m) m = v[i];
-  }
+  for (; i < count; ++i) m = SelectMin(v[i], m);
   s->v1 = m;
   s->n += count;
 }
@@ -197,9 +203,7 @@ void MaxAccumulateBatch(AggState* s, const double* v, size_t count) {
     i = 1;
   }
   double m = s->v1;
-  for (; i < count; ++i) {
-    if (v[i] > m) m = v[i];
-  }
+  for (; i < count; ++i) m = SelectMax(v[i], m);
   s->v1 = m;
   s->n += count;
 }
@@ -238,8 +242,8 @@ void RangeAccumulateBatch(AggState* s, const double* v, size_t count) {
   double lo = s->v1;
   double hi = s->v2;
   for (; i < count; ++i) {
-    if (v[i] < lo) lo = v[i];
-    if (v[i] > hi) hi = v[i];
+    lo = SelectMin(v[i], lo);
+    hi = SelectMax(v[i], hi);
   }
   s->v1 = lo;
   s->v2 = hi;
@@ -256,6 +260,19 @@ void LastAccumulateBatch(AggState* s, const double* v, size_t count) {
   if (count == 0) return;
   s->v1 = v[count - 1];
   s->n += count;
+}
+
+// One merge_batch call merges a closed instance's whole key list into one
+// open instance, so the sub-aggregate path pays one indirect call per
+// open instance instead of one per (instance, key). The kernel inlines the
+// function's own scalar merge into the loop, so it is bitwise equivalent
+// to the per-key calls in key-list order by construction (merge_batch
+// contract, DESIGN.md §14) — and branch-free on the values for the
+// extrema, whose scalar merges select.
+template <void (*Merge)(AggState*, const AggState&)>
+void MergeBatch(AggState* states, const AggState* others,
+                const uint32_t* keys, size_t count) {
+  for (size_t i = 0; i < count; ++i) Merge(&states[keys[i]], others[keys[i]]);
 }
 
 double MedianFinalize(HolisticState* state) {
@@ -311,6 +328,7 @@ void RegisterBuiltins(AggregateRegistry* registry) {
         .accumulate = MinAccumulate,
         .accumulate_batch = MinAccumulateBatch,
         .merge = MinMerge,
+        .merge_batch = MergeBatch<MinMerge>,
         .finalize = ValueFinalize});
   must({.name = "MAX",
         .description = "largest value",
@@ -320,6 +338,7 @@ void RegisterBuiltins(AggregateRegistry* registry) {
         .accumulate = MaxAccumulate,
         .accumulate_batch = MaxAccumulateBatch,
         .merge = MaxMerge,
+        .merge_batch = MergeBatch<MaxMerge>,
         .finalize = ValueFinalize});
   must({.name = "SUM",
         .description = "sum of values",
@@ -329,6 +348,7 @@ void RegisterBuiltins(AggregateRegistry* registry) {
         .accumulate = SumAccumulate,
         .accumulate_batch = SumAccumulateBatch,
         .merge = SumMerge,
+        .merge_batch = MergeBatch<SumMerge>,
         .finalize = ValueFinalize});
   must({.name = "COUNT",
         .description = "number of events",
@@ -338,6 +358,7 @@ void RegisterBuiltins(AggregateRegistry* registry) {
         .accumulate = CountAccumulate,
         .accumulate_batch = CountAccumulateBatch,
         .merge = CountMerge,
+        .merge_batch = MergeBatch<CountMerge>,
         .finalize = CountFinalize});
   must({.name = "AVG",
         .description = "arithmetic mean",
@@ -347,6 +368,7 @@ void RegisterBuiltins(AggregateRegistry* registry) {
         .accumulate = SumAccumulate,
         .accumulate_batch = SumAccumulateBatch,
         .merge = SumMerge,
+        .merge_batch = MergeBatch<SumMerge>,
         .finalize = AvgFinalize});
   must({.name = "STDEV",
         .description = "population standard deviation",
@@ -356,6 +378,7 @@ void RegisterBuiltins(AggregateRegistry* registry) {
         .accumulate = MomentsAccumulate,
         .accumulate_batch = MomentsAccumulateBatch,
         .merge = MomentsMerge,
+        .merge_batch = MergeBatch<MomentsMerge>,
         .finalize = StdevFinalize});
   must({.name = "VARIANCE",
         .description = "population variance",
@@ -365,6 +388,7 @@ void RegisterBuiltins(AggregateRegistry* registry) {
         .accumulate = MomentsAccumulate,
         .accumulate_batch = MomentsAccumulateBatch,
         .merge = MomentsMerge,
+        .merge_batch = MergeBatch<MomentsMerge>,
         .finalize = VarianceFinalize});
   must({.name = "RANGE",
         .description = "max - min",
@@ -374,6 +398,7 @@ void RegisterBuiltins(AggregateRegistry* registry) {
         .accumulate = RangeAccumulate,
         .accumulate_batch = RangeAccumulateBatch,
         .merge = RangeMerge,
+        .merge_batch = MergeBatch<RangeMerge>,
         .finalize = RangeFinalize});
   must({.name = "MEDIAN",
         .description = "middle value (holistic; unshared plans only)",
@@ -391,6 +416,7 @@ void RegisterBuiltins(AggregateRegistry* registry) {
         .accumulate = FirstAccumulate,
         .accumulate_batch = FirstAccumulateBatch,
         .merge = FirstMerge,
+        .merge_batch = MergeBatch<FirstMerge>,
         .finalize = ValueFinalize});
   must({.name = "LAST",
         .description = "latest value in the window",
@@ -400,6 +426,7 @@ void RegisterBuiltins(AggregateRegistry* registry) {
         .accumulate = LastAccumulate,
         .accumulate_batch = LastAccumulateBatch,
         .merge = LastMerge,
+        .merge_batch = MergeBatch<LastMerge>,
         .finalize = ValueFinalize});
   must({.name = "P99",
         .description =
@@ -529,6 +556,12 @@ Result<AggFn> AggregateRegistry::Register(AggregateFunction fn) {
                                      ": holistic functions take no "
                                      "accumulate_batch (no slice states "
                                      "to fold into)");
+    }
+    if (fn.merge_batch != nullptr) {
+      return Status::InvalidArgument(fn.name +
+                                     ": holistic functions take no "
+                                     "merge_batch (no sub-aggregates "
+                                     "to merge)");
     }
   } else if (fn.accumulate == nullptr || fn.merge == nullptr ||
              fn.finalize == nullptr) {

@@ -166,7 +166,9 @@ struct HolisticState {
 ///    must advance `n`; `merge` folds one sub-aggregate (callers deliver
 ///    sub-aggregates in non-decreasing window-end order, so order-dependent
 ///    functions like FIRST/LAST stay correct) and must no-op on an empty
-///    `other`; `finalize` is only called on non-empty states.
+///    `other`; `finalize` is only called on non-empty states. The optional
+///    `accumulate_batch` and `merge_batch` kernels batch the first two
+///    (DESIGN.md §14).
 struct AggregateFunction {
   /// Canonical name (upper-case identifier: [A-Z_][A-Z0-9_]*). The SQL
   /// parser and QueryBuilder resolve any registered name.
@@ -194,6 +196,14 @@ struct AggregateFunction {
   void (*accumulate_batch)(AggState* state, const double* values,
                            size_t count) = nullptr;
   void (*merge)(AggState* state, const AggState& other) = nullptr;
+  /// Optional batch merge (the sub-aggregate path, DESIGN.md §14): must
+  /// leave `states` bitwise equal to calling
+  /// `merge(&states[keys[i]], others[keys[i]])` for i = 0..count-1 in
+  /// order, repeated keys included. `states` and `others` are distinct
+  /// arrays. Null is always valid: the engine then runs that loop itself.
+  /// Like `accumulate_batch`, holistic functions may not declare it.
+  void (*merge_batch)(AggState* states, const AggState* others,
+                      const uint32_t* keys, size_t count) = nullptr;
   double (*finalize)(const AggState& state) = nullptr;
   /// Holistic functions only: final scalar from the full value multiset.
   double (*holistic_finalize)(HolisticState* state) = nullptr;
@@ -292,6 +302,20 @@ inline void AggAccumulateBatch(AggFn fn, AggState* state,
     return;
   }
   for (size_t i = 0; i < count; ++i) fn->accumulate(state, values[i]);
+}
+/// Batch merge with the same fallback: the function's `merge_batch` kernel
+/// when declared, otherwise `merge` key by key — identical results either
+/// way (the merge_batch contract). The engine's sub-aggregate path calls
+/// it once per open instance (exec/operator.cc).
+inline void AggMergeBatch(AggFn fn, AggState* states, const AggState* others,
+                          const uint32_t* keys, size_t count) {
+  if (fn->merge_batch != nullptr) {
+    fn->merge_batch(states, others, keys, count);
+    return;
+  }
+  for (size_t i = 0; i < count; ++i) {
+    fn->merge(&states[keys[i]], others[keys[i]]);
+  }
 }
 /// Checked finalize: CHECK-fails on an empty state (the finalize contract;
 /// engine hot paths skip empty states and call the raw pointer instead).

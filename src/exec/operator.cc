@@ -15,7 +15,6 @@ WindowAggregateOperator::WindowAggregateOperator(const Config& config,
       accumulate_(config.agg != nullptr ? config.agg->accumulate : nullptr),
       accumulate_batch_(config.agg != nullptr ? config.agg->accumulate_batch
                                               : nullptr),
-      merge_(config.agg != nullptr ? config.agg->merge : nullptr),
       finalize_(config.agg != nullptr ? config.agg->finalize : nullptr) {
   FW_CHECK(config.agg != nullptr) << "operator needs an aggregate function";
   FW_CHECK(ClassOf(config.agg) != AggClass::kHolistic)
@@ -157,11 +156,14 @@ void WindowAggregateOperator::OnEvents(const EventColumns& columns) {
 }
 
 void WindowAggregateOperator::MergeSubAggregates(
-    const std::vector<AggState>& states, const std::vector<uint32_t>& keys) {
+    const std::vector<AggState>& states, const std::vector<uint32_t>& keys,
+    const std::vector<KeyMask>& masks) {
   for (Instance& instance : open_) {
-    for (const uint32_t key : keys) {
-      merge_(instance.StateFor(key), states[key]);
-    }
+    AggMergeBatch(config_.agg, instance.states.data(), states.data(),
+                  keys.data(), keys.size());
+    // One OR per occupied word: per key, the ORs would chain
+    // read-modify-writes through the same word.
+    for (const KeyMask& mask : masks) instance.touched[mask.word] |= mask.bits;
   }
   accumulate_ops_ += static_cast<uint64_t>(keys.size()) * open_.size();
 }
@@ -306,17 +308,20 @@ void WindowAggregateOperator::EmitInstance(Instance* instance) {
   const TimeT start = InstanceStart(instance->m);
   const TimeT end = InstanceEnd(instance->m);
   // Walk only the touched keys, in ascending key order, and collect the
-  // non-empty ones for the children.
+  // non-empty ones for the children, as a key list and as bitmap words.
   emit_keys_.clear();
+  emit_masks_.clear();
   for (size_t word = 0; word < instance->touched.size(); ++word) {
     uint64_t bits = instance->touched[word];
     instance->touched[word] = 0;
+    uint64_t emitted = 0;
     while (bits != 0) {
-      const uint32_t key =
-          static_cast<uint32_t>(word * 64 + std::countr_zero(bits));
+      const int bit = std::countr_zero(bits);
+      const uint32_t key = static_cast<uint32_t>(word * 64 + bit);
       bits &= bits - 1;
       const AggState& state = instance->states[key];
       if (state.n == 0) continue;
+      emitted |= uint64_t{1} << bit;
       if (config_.exposed) {
         ++finalized_results_;
         sink_->OnResult(WindowResult{config_.operator_id, start, end, key,
@@ -333,10 +338,13 @@ void WindowAggregateOperator::EmitInstance(Instance* instance) {
       }
       emit_keys_.push_back(key);
     }
+    if (emitted != 0) {
+      emit_masks_.push_back({static_cast<uint32_t>(word), emitted});
+    }
   }
   if (!emit_keys_.empty()) {
     for (WindowAggregateOperator* child : children_) {
-      child->MergeSubAggregates(instance->states, emit_keys_);
+      child->MergeSubAggregates(instance->states, emit_keys_, emit_masks_);
     }
   }
   for (const uint32_t key : emit_keys_) {

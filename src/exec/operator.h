@@ -184,11 +184,21 @@ class WindowAggregateOperator {
   /// children (see the class comment for the delivery order).
   void EmitInstance(Instance* instance);
 
+  /// A closed instance's non-empty keys within one bitmap word.
+  struct KeyMask {
+    uint32_t word;
+    uint64_t bits;
+  };
+
   /// Sub-aggregate input: merges states[key] for each of `keys` (the
-  /// parent's closed instance) into every open instance. The parent has
-  /// already advanced this operator's frontier to that instance.
+  /// parent's closed instance, ascending) into every open instance — one
+  /// AggMergeBatch call per instance (the merge_batch kernel, or its
+  /// per-key fallback) — and ORs `masks`, the same keys as bitmap words,
+  /// into each instance's touched bits. The parent has already advanced
+  /// this operator's frontier to that instance.
   void MergeSubAggregates(const std::vector<AggState>& states,
-                          const std::vector<uint32_t>& keys);
+                          const std::vector<uint32_t>& keys,
+                          const std::vector<KeyMask>& masks);
 
   /// Appends instance m to open_, with zeroed states and bitmap taken
   /// from the pool (or allocated).
@@ -204,15 +214,16 @@ class WindowAggregateOperator {
   /// AccumulateRun falls back to a scalar loop over accumulate_ (the
   /// derived fallback of the accumulate_batch contract).
   void (*accumulate_batch_)(AggState*, const double*, size_t);
-  void (*merge_)(AggState*, const AggState&);
   double (*finalize_)(const AggState&);
   std::vector<WindowAggregateOperator*> children_;
   std::deque<Instance> open_;  // Ordered by m (and thus by end).
   int64_t next_m_ = 0;         // Next instance number not yet opened.
   TimeT next_open_start_ = 0;  // == next_m_ * slide.
   std::vector<Instance> instance_pool_;  // Recycled closed instances.
-  /// EmitInstance scratch: the closing instance's non-empty keys.
+  /// EmitInstance scratch: the closing instance's non-empty keys, as a
+  /// list and as one mask per bitmap word that holds any.
   std::vector<uint32_t> emit_keys_;
+  std::vector<KeyMask> emit_masks_;
   /// AccumulateRun scratch (counting-sort grouping). group_counts_ and
   /// group_cursors_ are key-indexed and kept zeroed between runs via
   /// run_keys_, the touched-key list, so a run costs O(count + touched)

@@ -2,7 +2,13 @@
 
 #include <gtest/gtest.h>
 
+#include <bit>
 #include <cmath>
+#include <cstring>
+#include <limits>
+#include <string>
+#include <utility>
+#include <vector>
 
 #include "common/rng.h"
 
@@ -258,6 +264,196 @@ TEST(Reference, MatchesManual) {
   EXPECT_DOUBLE_EQ(AggReference(Agg("AVG"), vals).value(), 2.8);
   EXPECT_DOUBLE_EQ(AggReference(Agg("MEDIAN"), vals).value(), 3.0);
   EXPECT_FALSE(AggReference(Agg("MIN"), {}).ok());
+}
+
+// --- The merge_batch contract ----------------------------------------------
+
+// The values a kernel must carry bit for bit: NaN, both zeros (MIN/MAX
+// ties), both infinities, and two ordinary values.
+const double kSpecials[] = {std::numeric_limits<double>::quiet_NaN(),
+                            0.0,
+                            -0.0,
+                            std::numeric_limits<double>::infinity(),
+                            -std::numeric_limits<double>::infinity(),
+                            1.5,
+                            -2.25};
+
+// State seeds: empty (n == 0), each special alone, and pairs whose fold
+// order decides the result.
+std::vector<std::vector<double>> SeedValueLists() {
+  const double nan = kSpecials[0];
+  const double inf = kSpecials[3];
+  std::vector<std::vector<double>> lists = {{}};
+  for (double v : kSpecials) lists.push_back({v});
+  for (const auto& [a, b] : std::vector<std::pair<double, double>>{
+           {nan, 1.5}, {0.0, -0.0}, {inf, -inf}, {1.5, -2.25}}) {
+    lists.push_back({a, b});
+    lists.push_back({b, a});
+  }
+  return lists;
+}
+
+AggState FoldAll(void (*accumulate)(AggState*, double),
+                 const std::vector<double>& values) {
+  AggState s;
+  for (double v : values) accumulate(&s, v);
+  return s;
+}
+
+void ExpectBitwiseEqual(const AggState& got, const AggState& want,
+                        const std::string& where) {
+  EXPECT_EQ(std::bit_cast<uint64_t>(got.v1), std::bit_cast<uint64_t>(want.v1))
+      << where << ": v1 " << got.v1 << " vs " << want.v1;
+  EXPECT_EQ(std::bit_cast<uint64_t>(got.v2), std::bit_cast<uint64_t>(want.v2))
+      << where << ": v2 " << got.v2 << " vs " << want.v2;
+  EXPECT_EQ(got.n, want.n) << where;
+  ASSERT_EQ(got.ext_size(), want.ext_size()) << where;
+  if (got.ext_size() > 0) {
+    EXPECT_EQ(std::memcmp(got.ext(), want.ext(), got.ext_size()), 0) << where;
+  }
+}
+
+// Every target seed against every source seed, one key per pair, and a
+// key list that visits each key once in order and then again scrambled,
+// with runs of the same key — so repeated keys must fold in list order.
+struct MergeCase {
+  std::vector<AggState> targets;
+  std::vector<AggState> sources;
+  std::vector<uint32_t> keys;
+};
+
+MergeCase BuildMergeCase(void (*accumulate)(AggState*, double)) {
+  const std::vector<std::vector<double>> seeds = SeedValueLists();
+  MergeCase c;
+  for (const auto& target : seeds) {
+    for (const auto& source : seeds) {
+      c.targets.push_back(FoldAll(accumulate, target));
+      c.sources.push_back(FoldAll(accumulate, source));
+    }
+  }
+  const uint32_t n = static_cast<uint32_t>(c.targets.size());
+  for (uint32_t k = 0; k < n; ++k) c.keys.push_back(k);
+  Rng rng(7);
+  for (uint32_t i = 0; i < n; ++i) {
+    const auto k = static_cast<uint32_t>(rng.Uniform(0, n - 1));
+    c.keys.push_back(k);
+    if (i % 5 == 0) c.keys.push_back(k);
+  }
+  return c;
+}
+
+TEST(MergeBatch, KernelsDeclaredWhereShipped) {
+  for (const char* name : {"MIN", "MAX", "SUM", "COUNT", "AVG", "STDEV",
+                           "VARIANCE", "RANGE", "FIRST", "LAST"}) {
+    EXPECT_NE(Agg(name)->merge_batch, nullptr) << name;
+  }
+  // The sketches keep the engine's fallback loop exercised.
+  EXPECT_EQ(Agg("P99")->merge_batch, nullptr);
+  EXPECT_EQ(Agg("DISTINCT_COUNT")->merge_batch, nullptr);
+  EXPECT_EQ(Agg("MEDIAN")->merge_batch, nullptr);
+}
+
+TEST(MergeBatch, BitwiseEqualToPerKeyMergeForEveryFunction) {
+  for (AggFn fn : AggregateRegistry::Global().List()) {
+    if (fn->agg_class == AggClass::kHolistic) continue;
+    SCOPED_TRACE(fn->name);
+    const MergeCase c = BuildMergeCase(fn->accumulate);
+    std::vector<AggState> want = c.targets;
+    for (uint32_t key : c.keys) fn->merge(&want[key], c.sources[key]);
+    std::vector<AggState> got = c.targets;
+    AggMergeBatch(fn, got.data(), c.sources.data(), c.keys.data(),
+                  c.keys.size());
+    for (size_t k = 0; k < got.size(); ++k) {
+      ExpectBitwiseEqual(got[k], want[k], "key " + std::to_string(k));
+    }
+  }
+}
+
+// The branch-free MIN/MAX/RANGE against the `if` form they replaced: same
+// comparison direction, so NaN and +0/-0 results keep their bits. A `<=`
+// in MIN's select flips the (+0, -0) ties and fails here.
+void RefMinAccumulate(AggState* s, double v) {
+  if (s->n == 0 || v < s->v1) s->v1 = v;
+  ++s->n;
+}
+void RefMinMerge(AggState* s, const AggState& o) {
+  if (o.n == 0) return;
+  if (s->n == 0 || o.v1 < s->v1) s->v1 = o.v1;
+  s->n += o.n;
+}
+void RefMaxAccumulate(AggState* s, double v) {
+  if (s->n == 0 || v > s->v1) s->v1 = v;
+  ++s->n;
+}
+void RefMaxMerge(AggState* s, const AggState& o) {
+  if (o.n == 0) return;
+  if (s->n == 0 || o.v1 > s->v1) s->v1 = o.v1;
+  s->n += o.n;
+}
+void RefRangeAccumulate(AggState* s, double v) {
+  if (s->n == 0) {
+    s->v1 = v;
+    s->v2 = v;
+  } else {
+    if (v < s->v1) s->v1 = v;
+    if (v > s->v2) s->v2 = v;
+  }
+  ++s->n;
+}
+void RefRangeMerge(AggState* s, const AggState& o) {
+  if (o.n == 0) return;
+  if (s->n == 0) {
+    s->v1 = o.v1;
+    s->v2 = o.v2;
+  } else {
+    if (o.v1 < s->v1) s->v1 = o.v1;
+    if (o.v2 > s->v2) s->v2 = o.v2;
+  }
+  s->n += o.n;
+}
+
+struct ExtremumReference {
+  const char* name;
+  void (*accumulate)(AggState*, double);
+  void (*merge)(AggState*, const AggState&);
+};
+
+TEST(MergeBatch, BranchFreeExtremaMatchTheIfForm) {
+  for (const ExtremumReference& ref :
+       {ExtremumReference{"MIN", RefMinAccumulate, RefMinMerge},
+        ExtremumReference{"MAX", RefMaxAccumulate, RefMaxMerge},
+        ExtremumReference{"RANGE", RefRangeAccumulate, RefRangeMerge}}) {
+    SCOPED_TRACE(ref.name);
+    AggFn fn = Agg(ref.name);
+    // accumulate: every ordered triple of specials.
+    for (double a : kSpecials) {
+      for (double b : kSpecials) {
+        for (double c : kSpecials) {
+          ExpectBitwiseEqual(FoldAll(fn->accumulate, {a, b, c}),
+                             FoldAll(ref.accumulate, {a, b, c}),
+                             "accumulate " + std::to_string(a) + ", " +
+                                 std::to_string(b) + ", " +
+                                 std::to_string(c));
+        }
+      }
+    }
+    // merge and merge_batch: every seed pair, states built the `if` way.
+    const MergeCase c = BuildMergeCase(ref.accumulate);
+    std::vector<AggState> want = c.targets;
+    std::vector<AggState> scalar = c.targets;
+    for (uint32_t key : c.keys) {
+      ref.merge(&want[key], c.sources[key]);
+      fn->merge(&scalar[key], c.sources[key]);
+    }
+    std::vector<AggState> batch = c.targets;
+    fn->merge_batch(batch.data(), c.sources.data(), c.keys.data(),
+                    c.keys.size());
+    for (size_t k = 0; k < want.size(); ++k) {
+      ExpectBitwiseEqual(scalar[k], want[k], "merge key " + std::to_string(k));
+      ExpectBitwiseEqual(batch[k], want[k],
+                         "merge_batch key " + std::to_string(k));
+    }
+  }
 }
 
 // Property: merging a random binary split equals direct evaluation for

@@ -9,9 +9,12 @@
 
 #include <gtest/gtest.h>
 
+#include <bit>
+#include <cstdint>
 #include <map>
 #include <string>
 #include <tuple>
+#include <utility>
 #include <vector>
 
 #include "cost/min_cost.h"
@@ -110,32 +113,84 @@ TEST(ColumnarEngine, EveryBuiltinBitwiseEqualOnMultiRootPlan) {
   }
 }
 
+// A registered copy of `fn` that declares no merge_batch kernel, so the
+// engine merges sub-aggregates through its per-key fallback loop.
+AggFn WithoutMergeBatch(AggFn fn) {
+  const std::string name = fn->name + "_NO_MERGE_BATCH";
+  if (AggFn registered = FindAggregate(name)) return registered;
+  AggregateFunction clone = *fn;
+  clone.name = name;
+  clone.merge_batch = nullptr;
+  return AggregateRegistry::Global().Register(std::move(clone)).value();
+}
+
+// The delivered sequence, bit for bit: same results in the same order.
+void ExpectSameSequence(const std::vector<WindowResult>& got,
+                        const std::vector<WindowResult>& want) {
+  ASSERT_EQ(got.size(), want.size());
+  for (size_t i = 0; i < got.size(); ++i) {
+    const WindowResult& a = got[i];
+    const WindowResult& b = want[i];
+    if (a.operator_id != b.operator_id || a.start != b.start ||
+        a.end != b.end || a.key != b.key ||
+        std::bit_cast<uint64_t>(a.value) != std::bit_cast<uint64_t>(b.value)) {
+      ADD_FAILURE() << "result " << i << " differs: operator " << a.operator_id
+                    << " [" << a.start << ", " << a.end << ") key " << a.key
+                    << " = " << a.value << ", want operator " << b.operator_id
+                    << " [" << b.start << ", " << b.end << ") key " << b.key
+                    << " = " << b.value;
+      return;
+    }
+  }
+}
+
 // The rewritten (shared factor-window) plan: single raw root feeding a
-// merge chain, so OnEvents' per-operator run split carries the folds.
+// merge chain, so OnEvents' per-operator run split carries the folds and
+// every child merges through its function's merge_batch kernel (P99 and
+// DISTINCT_COUNT declare none and take the fallback loop). 130
+// round-robin keys give each bitmap three words, and an instance's keys
+// wrap across them. A third leg runs the plan over a clone without
+// merge_batch: the delivered sequence, not only the result map, must
+// match.
 TEST(ColumnarEngine, RewrittenPlanBitwiseEqual) {
-  const std::vector<Event> events = GenerateSyntheticStream(6000, 4, 78);
+  constexpr uint32_t kKeys = 130;
+  const std::vector<Event> events = GenerateSyntheticStream(6000, kKeys, 78);
   const std::vector<EventColumns> chunks = SplitIntoColumns(events, 256);
   WindowSet set;
   for (TimeT r : {10, 20, 30, 40, 60}) {
     ASSERT_TRUE(set.Add(Window::Tumbling(r)).ok());
   }
-  for (const char* name : {"MIN", "SUM", "AVG"}) {
+  for (const char* name :
+       {"MIN", "MAX", "SUM", "COUNT", "AVG", "STDEV", "VARIANCE", "RANGE",
+        "FIRST", "LAST", "P99", "DISTINCT_COUNT"}) {
     SCOPED_TRACE(name);
-    MinCostWcg wcg = FindMinCostWcg(set, CoverageSemantics::kPartitionedBy);
-    QueryPlan plan = QueryPlan::FromMinCostWcg(wcg, Agg(name));
+    AggFn fn = Agg(name);
+    MinCostWcg wcg = FindMinCostWcg(set, SemanticsFor(fn).value());
+    QueryPlan plan = QueryPlan::FromMinCostWcg(wcg, fn);
+    ASSERT_GT(plan.NumSharedEdges(), 0);
 
     CollectingSink scalar_sink;
-    PlanExecutor scalar(plan, {.num_keys = 4}, &scalar_sink);
+    PlanExecutor scalar(plan, {.num_keys = kKeys}, &scalar_sink);
     for (const Event& e : events) scalar.Push(e);
     scalar.Finish();
 
     CollectingSink columnar_sink;
-    PlanExecutor columnar(plan, {.num_keys = 4}, &columnar_sink);
+    PlanExecutor columnar(plan, {.num_keys = kKeys}, &columnar_sink);
     for (const EventColumns& c : chunks) columnar.PushColumns(c);
     columnar.Finish();
 
     EXPECT_EQ(columnar_sink.ToMap(), scalar_sink.ToMap());
     EXPECT_EQ(columnar.TotalAccumulateOps(), scalar.TotalAccumulateOps());
+
+    QueryPlan fallback_plan =
+        QueryPlan::FromMinCostWcg(wcg, WithoutMergeBatch(fn));
+    CollectingSink fallback_sink;
+    PlanExecutor fallback(fallback_plan, {.num_keys = kKeys}, &fallback_sink);
+    for (const EventColumns& c : chunks) fallback.PushColumns(c);
+    fallback.Finish();
+
+    ExpectSameSequence(fallback_sink.results(), columnar_sink.results());
+    EXPECT_EQ(fallback.TotalAccumulateOps(), columnar.TotalAccumulateOps());
   }
 }
 

@@ -1095,7 +1095,9 @@ TEST(SessionDurability, ReplayRedeliversChurnEraResultsExactly) {
     for (size_t i = 150; i < events.size(); ++i) {
       ASSERT_TRUE(session.Push(events[i]).ok());
     }
-    if (finish) ASSERT_TRUE(session.Finish().ok());
+    if (finish) {
+      ASSERT_TRUE(session.Finish().ok());
+    }
   };
   {
     StreamSession session({.num_keys = 2});

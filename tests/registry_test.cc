@@ -74,6 +74,30 @@ TEST(Registry, InvalidDescriptorsRejected) {
   EXPECT_FALSE(AggregateRegistry::Global().Register(holistic).ok());
 }
 
+// Holistic functions have neither slice states nor sub-aggregates, so a
+// batch kernel on one is a descriptor error, not a silently unused field.
+TEST(Registry, HolisticBatchKernelsRejected) {
+  AggregateFunction holistic = *Agg("MEDIAN");
+  holistic.name = "HOLISTIC_WITH_KERNEL";
+  holistic.accumulate_batch = Agg("MIN")->accumulate_batch;
+  Result<AggFn> registered = AggregateRegistry::Global().Register(holistic);
+  ASSERT_FALSE(registered.ok());
+  EXPECT_EQ(registered.status().code(), StatusCode::kInvalidArgument);
+  EXPECT_EQ(registered.status().message(),
+            "HOLISTIC_WITH_KERNEL: holistic functions take no "
+            "accumulate_batch (no slice states to fold into)");
+
+  holistic.accumulate_batch = nullptr;
+  holistic.merge_batch = Agg("MIN")->merge_batch;
+  registered = AggregateRegistry::Global().Register(holistic);
+  ASSERT_FALSE(registered.ok());
+  EXPECT_EQ(registered.status().code(), StatusCode::kInvalidArgument);
+  EXPECT_EQ(registered.status().message(),
+            "HOLISTIC_WITH_KERNEL: holistic functions take no merge_batch "
+            "(no sub-aggregates to merge)");
+  EXPECT_EQ(FindAggregate("HOLISTIC_WITH_KERNEL"), nullptr);
+}
+
 TEST(Registry, ListIsSortedAndComplete) {
   std::vector<AggFn> all = AggregateRegistry::Global().List();
   ASSERT_GE(all.size(), 13u);

@@ -170,7 +170,9 @@ TEST(Registry, TraceRingBoundsAndOrder) {
   // Oldest first: the surviving window is [extra, total).
   for (size_t i = 0; i < snap.trace.size(); ++i) {
     EXPECT_EQ(snap.trace[i].a, static_cast<int64_t>(extra + i));
-    if (i > 0) EXPECT_GE(snap.trace[i].at_ns, snap.trace[i - 1].at_ns);
+    if (i > 0) {
+      EXPECT_GE(snap.trace[i].at_ns, snap.trace[i - 1].at_ns);
+    }
   }
 }
 
@@ -378,8 +380,12 @@ TEST(SessionMetrics, CountersMergeExactlyAcrossResizeRamp) {
     AddDashboards(session, results);
     const size_t third = events.size() / 3;
     for (size_t i = 0; i < events.size(); ++i) {
-      if (i == third) ASSERT_TRUE(session.Resize(4).ok());
-      if (i == 2 * third) ASSERT_TRUE(session.Resize(2).ok());
+      if (i == third) {
+        ASSERT_TRUE(session.Resize(4).ok());
+      }
+      if (i == 2 * third) {
+        ASSERT_TRUE(session.Resize(2).ok());
+      }
       ASSERT_TRUE(session.Push(events[i]).ok());
     }
     ASSERT_TRUE(session.Finish().ok());
