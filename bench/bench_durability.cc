@@ -2,15 +2,18 @@
 //
 //  * Ingest throughput vs fsync policy — the same single-query stream
 //    runs without durability (baseline), then with the changelog under
-//    each FsyncPolicy. Every durable run must deliver the bitwise-
-//    identical result multiset (ResultFingerprint) — a throughput number
-//    bought by losing results is not a benchmark result.
+//    each FsyncPolicy, and once more under kInterval with a snapshot
+//    every events/8 (interval_snapshotted), so several snapshots go
+//    through the background writer at any --events. Every durable run
+//    must deliver the bitwise-identical result multiset
+//    (ResultFingerprint) — a throughput number bought by losing results
+//    is not a benchmark result.
 //
 //  * Recovery time vs changelog depth — sessions killed mid-stream
 //    (destructor, no Finish) leave changelogs of increasing replay
 //    depth; StreamSession::Recover is timed end to end (snapshot load +
 //    suffix replay + the covering snapshot it publishes). A final row
-//    recovers a periodically-snapshotted session, showing the bounded
+//    recovers a session snapshotted every events/8, showing the bounded
 //    replay the snapshot cadence buys.
 //
 // Output is google-benchmark-compatible JSON ({"benchmarks": [...]}
@@ -20,6 +23,7 @@
 
 #include <unistd.h>
 
+#include <algorithm>
 #include <cstdio>
 #include <string>
 #include <vector>
@@ -89,12 +93,15 @@ struct IngestRow {
   uint64_t wal_records = 0;
   uint64_t wal_bytes = 0;
   uint64_t wal_fsyncs = 0;
+  uint64_t snapshots = 0;
   bench::ResultFingerprint totals;
 };
 
+/// `snapshot_interval` 0 keeps the default periodic-snapshot interval.
 int RunIngest(const bench::BenchArgs& args, const std::vector<Event>& events,
               const std::vector<EventColumns>& chunks, bool durable,
-              FsyncPolicy policy, IngestRow* out) {
+              FsyncPolicy policy, uint64_t snapshot_interval,
+              IngestRow* out) {
   std::string dir;
   StreamSession::Options options = BaseOptions(args);
   if (durable) {
@@ -103,6 +110,10 @@ int RunIngest(const bench::BenchArgs& args, const std::vector<Event>& events,
     options.durability.dir = dir;
     options.durability.fsync_policy = policy;
     out->name = std::string("BM_DurableIngest/") + PolicyName(policy);
+    if (snapshot_interval > 0) {
+      options.durability.snapshot_interval_events = snapshot_interval;
+      out->name = "BM_DurableIngest/interval_snapshotted";
+    }
   } else {
     out->name = "BM_DurableIngest/baseline";
   }
@@ -130,6 +141,7 @@ int RunIngest(const bench::BenchArgs& args, const std::vector<Event>& events,
         out->wal_records = stats.wal_records;
         out->wal_bytes = stats.wal_bytes;
         out->wal_fsyncs = stats.wal_fsyncs;
+        out->snapshots = stats.snapshots_written;
       }
     }
   }
@@ -214,14 +226,22 @@ int Run(int argc, char** argv) {
   std::vector<EventColumns> chunks;
   if (args.batch > 0) chunks = SplitIntoColumns(events, args.batch);
 
+  // Several periodic snapshots at any stream length.
+  const uint64_t snapshot_interval =
+      std::max<uint64_t>(1, events.size() / 8);
+
   // --- Panel 1: ingest throughput vs fsync policy. ---
-  std::vector<IngestRow> ingest(4);
-  if (RunIngest(args, events, chunks, false, FsyncPolicy::kNone, &ingest[0]) ||
-      RunIngest(args, events, chunks, true, FsyncPolicy::kNone, &ingest[1]) ||
-      RunIngest(args, events, chunks, true, FsyncPolicy::kInterval,
+  std::vector<IngestRow> ingest(5);
+  if (RunIngest(args, events, chunks, false, FsyncPolicy::kNone, 0,
+                &ingest[0]) ||
+      RunIngest(args, events, chunks, true, FsyncPolicy::kNone, 0,
+                &ingest[1]) ||
+      RunIngest(args, events, chunks, true, FsyncPolicy::kInterval, 0,
                 &ingest[2]) ||
-      RunIngest(args, events, chunks, true, FsyncPolicy::kEveryBatch,
-                &ingest[3])) {
+      RunIngest(args, events, chunks, true, FsyncPolicy::kEveryBatch, 0,
+                &ingest[3]) ||
+      RunIngest(args, events, chunks, true, FsyncPolicy::kInterval,
+                snapshot_interval, &ingest[4])) {
     return 1;
   }
   for (size_t i = 1; i < ingest.size(); ++i) {
@@ -250,7 +270,7 @@ int Run(int argc, char** argv) {
                   &recovery[1]) ||
       RunRecovery(args, events, full, 0, "BM_Recovery/depth_full",
                   &recovery[2]) ||
-      RunRecovery(args, events, full, /*snapshot_interval=*/65536,
+      RunRecovery(args, events, full, snapshot_interval,
                   "BM_Recovery/depth_full_snapshotted", &recovery[3])) {
     return 1;
   }
@@ -266,11 +286,12 @@ int Run(int argc, char** argv) {
     std::printf(
         "%s{\"name\":\"%s\",\"run_type\":\"iteration\",\"iterations\":1,"
         "\"items_per_second\":%.1f,\"wal_records\":%llu,"
-        "\"wal_bytes\":%llu,\"wal_fsyncs\":%llu}",
+        "\"wal_bytes\":%llu,\"wal_fsyncs\":%llu,\"snapshots\":%llu}",
         first ? "" : ",", row.name.c_str(), row.events_per_sec,
         static_cast<unsigned long long>(row.wal_records),
         static_cast<unsigned long long>(row.wal_bytes),
-        static_cast<unsigned long long>(row.wal_fsyncs));
+        static_cast<unsigned long long>(row.wal_fsyncs),
+        static_cast<unsigned long long>(row.snapshots));
     first = false;
   }
   for (const RecoveryRow& row : recovery) {

@@ -152,12 +152,11 @@ Status SyncDir(const std::string& dir) {
   return Status::OK();
 }
 
-Status AtomicPublish(const std::string& tmp_path,
-                     const std::string& final_path, const std::string& dir) {
-  if (::rename(tmp_path.c_str(), final_path.c_str()) != 0) {
-    return Status::Internal(ErrnoText("rename", final_path));
+Status RenameFile(const std::string& from, const std::string& to) {
+  if (::rename(from.c_str(), to.c_str()) != 0) {
+    return Status::Internal(ErrnoText("rename", to));
   }
-  return SyncDir(dir);
+  return Status::OK();
 }
 
 Status RemoveFile(const std::string& path) {

@@ -91,10 +91,9 @@ class FramedBuffer {
 Status EnsureDir(const std::string& dir);
 Status ReadFileBytes(const std::string& path, std::string* out);
 Status SyncDir(const std::string& dir);
-/// rename(tmp, final) + fsync of the containing directory — the atomic
-/// publish step snapshots use.
-Status AtomicPublish(const std::string& tmp_path,
-                     const std::string& final_path, const std::string& dir);
+/// rename(from, to): with SyncDir after it, the atomic publish step
+/// snapshots use.
+Status RenameFile(const std::string& from, const std::string& to);
 Status RemoveFile(const std::string& path);
 /// Regular-file names in `dir` (no ordering guarantee).
 Result<std::vector<std::string>> ListDir(const std::string& dir);

@@ -8,6 +8,46 @@
 namespace fw {
 namespace durability {
 
+namespace {
+
+std::function<bool(SnapshotStage)>& KillHook() {
+  static std::function<bool(SnapshotStage)> hook;
+  return hook;
+}
+
+/// Deletes every file a snapshot covering `covered_seq` makes redundant:
+/// changelog segments and snapshots below it, and temp files a kill
+/// left behind mid-write. Returns how many could not be deleted.
+/// Best-effort, but counted: ReadChangelog skips segments that fall
+/// entirely below the snapshot's coverage (torn or not), so a leftover
+/// costs disk, never recoverability — truncate_failures flags the leak.
+uint64_t Truncate(const std::string& dir, uint64_t covered_seq,
+                  const std::function<bool(SnapshotStage)>& proceed) {
+  Result<std::vector<std::string>> names = ListDir(dir);
+  if (!names.ok()) return 1;
+  uint64_t failures = 0;
+  for (const std::string& name : *names) {
+    uint64_t seq = 0;
+    const bool covered = (ParseSegmentFileName(name, &seq) ||
+                          ParseSnapshotFileName(name, &seq) ||
+                          ParseSnapshotTempFileName(name, &seq)) &&
+                         seq < covered_seq;
+    if (!covered) continue;
+    if (!RemoveFile(dir + "/" + name).ok()) {
+      ++failures;
+    } else if (proceed && !proceed(SnapshotStage::kTruncating)) {
+      break;
+    }
+  }
+  return failures;
+}
+
+}  // namespace
+
+void SetSnapshotKillHookForTesting(std::function<bool(SnapshotStage)> hook) {
+  KillHook() = std::move(hook);
+}
+
 DurabilityManager::DurabilityManager(const DurabilityOptions& options,
                                      telemetry::MetricsRegistry* metrics)
     : options_(options),
@@ -17,7 +57,13 @@ DurabilityManager::DurabilityManager(const DurabilityOptions& options,
       snapshots_counter_(metrics->GetCounter("durability.snapshots")),
       truncate_failures_counter_(
           metrics->GetCounter("durability.truncate_failures")),
-      fsync_hist_(metrics->GetHistogram("durability.wal_fsync_ns")) {}
+      fsync_hist_(metrics->GetHistogram("durability.wal_fsync_ns")),
+      stall_hist_(metrics->GetHistogram("durability.snapshot_stall_ns")),
+      write_hist_(metrics->GetHistogram("durability.snapshot_write_ns")) {}
+
+DurabilityManager::~DurabilityManager() {
+  if (writer_.joinable()) writer_.join();
+}
 
 Result<std::unique_ptr<DurabilityManager>> DurabilityManager::CreateFresh(
     const DurabilityOptions& options, telemetry::MetricsRegistry* metrics) {
@@ -61,6 +107,7 @@ Status DurabilityManager::AppendRecord(uint8_t type,
                                        uint64_t events_in_record) {
   const uint64_t before = wal_.bytes_written();
   FW_RETURN_IF_ERROR(wal_.Append(type, payload));
+  unsynced_ = true;
   ++counters_.wal_records;
   counters_.wal_bytes += wal_.bytes_written() - before;
   wal_records_counter_->Increment(0);
@@ -93,6 +140,7 @@ Status DurabilityManager::SyncNow() {
   ++counters_.wal_fsyncs;
   fsyncs_counter_->Increment(0);
   events_since_sync_ = 0;
+  unsynced_ = false;
   return Status::OK();
 }
 
@@ -115,47 +163,101 @@ bool DurabilityManager::SnapshotDue() const {
          events_since_snapshot_ >= options_.snapshot_interval_events;
 }
 
-Status DurabilityManager::WriteSnapshot(SnapshotContents contents) {
+Status DurabilityManager::BeginSnapshot(
+    SnapshotContents contents, std::optional<ExecutorCheckpoint> checkpoint,
+    uint64_t started_ns) {
+  FW_RETURN_IF_ERROR(JoinSnapshot());
   // The snapshot covers everything appended so far: it is taken between
   // records, after the batch that made it due was both logged and
   // applied.
   contents.meta.covered_seq = wal_.next_seq();
-  FW_RETURN_IF_ERROR(WriteSnapshotFile(options_.dir, contents));
-
-  // The snapshot is durable: roll a fresh segment (base == covered_seq),
-  // then truncate everything it covers. Strictly in that order — the new
-  // segment demotes the old newest one, whose torn tail is only
-  // tolerable once the snapshot covers its whole range.
+  // Roll a fresh segment (base == covered_seq) before the snapshot is
+  // published: the roll demotes the closing segment, and a demoted
+  // segment must never be tearable. The fsync rules out a host crash
+  // tearing it; a process kill cannot, because the roll happens between
+  // whole records.
+  if (unsynced_) FW_RETURN_IF_ERROR(SyncNow());
   FW_RETURN_IF_ERROR(wal_.Roll());
-  NoteSnapshotPublished(contents.meta.covered_seq);
+  events_since_snapshot_ = 0;
+
+  job_ = std::make_unique<SnapshotJob>();
+  job_->dir = options_.dir;
+  job_->contents = std::move(contents);
+  job_->checkpoint = std::move(checkpoint);
+  writer_ = std::thread(&DurabilityManager::RunWriter, job_.get());
+  stall_hist_->Record(0, telemetry::NowNanosIfEnabled() - started_ns);
   return Status::OK();
+}
+
+void DurabilityManager::RunWriter(SnapshotJob* job) {
+  const uint64_t started_ns = telemetry::NowNanosIfEnabled();
+  bool killed = false;
+  const auto proceed = [&killed](SnapshotStage stage) {
+    killed = KillHook() && KillHook()(stage);
+    return !killed;
+  };
+  if (proceed(SnapshotStage::kRolled)) {
+    if (job->checkpoint) {
+      job->contents.checkpoint = job->checkpoint->Serialize();
+      job->contents.has_checkpoint = true;
+    }
+    job->status = WriteSnapshotFile(job->dir, job->contents, proceed);
+    // Truncation only once the snapshot is durable (the §16 invariant).
+    if (job->status.ok() && proceed(SnapshotStage::kPublished)) {
+      job->truncate_failures =
+          Truncate(job->dir, job->contents.meta.covered_seq, proceed);
+    }
+  }
+  job->write_ns = telemetry::NowNanosIfEnabled() - started_ns;
+  if (killed) {
+    // Like a dead process's writer, a killed one never reports done: only
+    // a join observes it, so where the session fail-stops does not depend
+    // on thread timing.
+    job->status = Status::Internal("snapshot writer killed by the test hook");
+    return;
+  }
+  job->done.store(true);
+}
+
+void DurabilityManager::FoldWriter() {
+  writer_.join();
+  write_hist_->Record(0, job_->write_ns);
+  if (job_->status.ok()) {
+    ++counters_.snapshots_written;
+    snapshots_counter_->Increment(0);
+    counters_.truncate_failures += job_->truncate_failures;
+    truncate_failures_counter_->Add(0, job_->truncate_failures);
+  } else if (writer_status_.ok()) {
+    writer_status_ = job_->status;
+  }
+  job_.reset();
+}
+
+Status DurabilityManager::JoinSnapshot() {
+  if (writer_.joinable()) FoldWriter();
+  return writer_status_;
+}
+
+Status DurabilityManager::ReapSnapshot() {
+  if (writer_.joinable() && job_->done.load()) {
+    FoldWriter();
+  }
+  return writer_status_;
+}
+
+Status DurabilityManager::WriteSnapshot(SnapshotContents contents) {
+  FW_RETURN_IF_ERROR(BeginSnapshot(std::move(contents), std::nullopt,
+                                   telemetry::NowNanosIfEnabled()));
+  return JoinSnapshot();
 }
 
 void DurabilityManager::NoteSnapshotPublished(uint64_t covered_seq) {
   ++counters_.snapshots_written;
   snapshots_counter_->Increment(0);
   events_since_snapshot_ = 0;
-
-  // Delete every segment and snapshot the new snapshot makes redundant.
-  // Best-effort, but counted: ReadChangelog skips segments that fall
-  // entirely below the snapshot's coverage (torn or not), so a leftover
-  // costs disk, never recoverability — truncate_failures flags the leak.
-  Result<std::vector<std::string>> names = ListDir(options_.dir);
-  if (!names.ok()) {
-    ++counters_.truncate_failures;
-    truncate_failures_counter_->Increment(0);
-    return;
-  }
-  for (const std::string& name : *names) {
-    uint64_t seq = 0;
-    const bool covered =
-        (ParseSegmentFileName(name, &seq) && seq < wal_.segment_base()) ||
-        (ParseSnapshotFileName(name, &seq) && seq < covered_seq);
-    if (covered && !RemoveFile(options_.dir + "/" + name).ok()) {
-      ++counters_.truncate_failures;
-      truncate_failures_counter_->Increment(0);
-    }
-  }
+  const uint64_t failures = Truncate(options_.dir, covered_seq, nullptr);
+  counters_.truncate_failures += failures;
+  truncate_failures_counter_->Add(0, failures);
 }
 
 }  // namespace durability

@@ -1,14 +1,19 @@
 #ifndef FW_DURABILITY_MANAGER_H_
 #define FW_DURABILITY_MANAGER_H_
 
+#include <atomic>
 #include <cstdint>
+#include <functional>
 #include <memory>
+#include <optional>
 #include <string>
+#include <thread>
 
 #include "common/status.h"
 #include "durability/options.h"
 #include "durability/snapshot.h"
 #include "durability/wal.h"
+#include "exec/checkpoint.h"
 #include "exec/columns.h"
 #include "query/query.h"
 #include "telemetry/metrics.h"
@@ -16,18 +21,38 @@
 namespace fw {
 namespace durability {
 
+/// Test-only seam for the kill-anywhere fuzz
+/// (tests/crash_recovery_fuzz_test.cc): the background snapshot writer
+/// asks `hook` at every SnapshotStage it reaches, and a true answer
+/// stops it right there, leaving the files exactly as a process kill at
+/// that instant would. A stopped writer, like a dead process, never
+/// reports completion to ReapSnapshot; only a join observes it (as an
+/// Internal error). Null (the default) removes the hook. Install it
+/// only while no writer runs. Recover's synchronous snapshot never
+/// consults it.
+void SetSnapshotKillHookForTesting(std::function<bool(SnapshotStage)> hook);
+
 /// Owns a session's durability files (DESIGN.md §16): appends admitted
 /// batches and churn to the write-ahead changelog under the configured
 /// fsync policy, decides when a snapshot is due, and — when the session
-/// hands one over — publishes it atomically and truncates every
-/// changelog segment it covers.
+/// hands one over — rolls the changelog at the snapshot's coverage and
+/// lets one background writer publish it and truncate every changelog
+/// segment it covers.
 ///
 /// Driven from the session's caller thread only (like all session
-/// state); holds no locks. Fail-stop: the session latches the first
-/// append/snapshot error and refuses further ingest, so the on-disk log
-/// never silently diverges from the in-memory state.
+/// state); holds no locks. At most one writer is in flight, and it
+/// touches only its own job: inputs moved in before it starts, outcome
+/// read back after it finishes. Fail-stop: the session latches the
+/// first append/snapshot error and refuses further ingest, so the
+/// on-disk log never silently diverges from the in-memory state.
 class DurabilityManager {
  public:
+  /// Joins an in-flight writer.
+  ~DurabilityManager();
+
+  DurabilityManager(const DurabilityManager&) = delete;
+  DurabilityManager& operator=(const DurabilityManager&) = delete;
+
   /// For a brand-new session: creates `options.dir` if missing and opens
   /// segment wal-0. Refuses a directory that already holds changelog
   /// segments or snapshots — that state belongs to a previous session;
@@ -54,12 +79,30 @@ class DurabilityManager {
   /// since the last snapshot (never under interval 0).
   bool SnapshotDue() const;
 
-  /// Publishes `contents` (covered_seq is filled in here: everything
-  /// appended so far), rolls a fresh segment, then deletes the covered
-  /// segments and any older snapshots. Deletion failures are non-fatal
-  /// (counted in truncate_failures) — ReadChangelog skips segments a
-  /// snapshot fully covers, so a leftover only costs disk, never
-  /// correctness.
+  /// Starts a snapshot of everything appended so far (covered_seq is
+  /// filled in here). On the caller thread: joins the previous writer
+  /// (returning its failure), fsyncs the closing segment unless nothing
+  /// was appended since the last sync, and rolls a fresh segment at
+  /// covered_seq. One background writer then serializes `checkpoint`
+  /// (when given) into the contents, writes and fsyncs the temp file,
+  /// renames it, fsyncs the directory, and only then deletes the covered
+  /// segments, older snapshots and stale temp files. Deletion failures
+  /// are non-fatal (counted in truncate_failures) — ReadChangelog skips
+  /// segments a snapshot fully covers, so a leftover only costs disk,
+  /// never correctness. `started_ns` is the caller's NowNanosIfEnabled()
+  /// stamp from before it took the snapshot, so
+  /// durability.snapshot_stall_ns covers the take as well.
+  Status BeginSnapshot(SnapshotContents contents,
+                       std::optional<ExecutorCheckpoint> checkpoint,
+                       uint64_t started_ns);
+  /// Waits for the in-flight writer, if any, and folds its outcome into
+  /// the counters. Returns the first writer failure (sticky), else OK.
+  Status JoinSnapshot();
+  /// JoinSnapshot without the wait: folds the writer only once it has
+  /// finished — one atomic load while it runs.
+  Status ReapSnapshot();
+  /// BeginSnapshot + JoinSnapshot: a synchronous snapshot of `contents`
+  /// as given (its checkpoint already serialized, or none).
   Status WriteSnapshot(SnapshotContents contents);
 
   /// Records a snapshot covering `covered_seq` that was published
@@ -71,6 +114,7 @@ class DurabilityManager {
   /// bookkeeping lands here. Requires covered_seq == segment_base().
   void NoteSnapshotPublished(uint64_t covered_seq);
 
+  /// Snapshot tallies count writes that have been joined or reaped.
   struct Counters {
     uint64_t wal_records = 0;
     uint64_t wal_bytes = 0;
@@ -87,6 +131,22 @@ class DurabilityManager {
   DurabilityManager(const DurabilityOptions& options,
                     telemetry::MetricsRegistry* metrics);
 
+  /// One background snapshot write. The caller thread moves the inputs
+  /// in before the writer starts and reads the outcome only after it
+  /// finished (`done`, or the join).
+  struct SnapshotJob {
+    std::string dir;
+    SnapshotContents contents;
+    std::optional<ExecutorCheckpoint> checkpoint;
+    Status status;
+    uint64_t truncate_failures = 0;
+    uint64_t write_ns = 0;
+    std::atomic<bool> done{false};
+  };
+  static void RunWriter(SnapshotJob* job);
+  /// Joins the writer thread and folds its job into the counters.
+  void FoldWriter();
+
   Status AppendRecord(uint8_t type, const std::string& payload,
                       uint64_t events_in_record);
   Status SyncNow();
@@ -96,6 +156,15 @@ class DurabilityManager {
   Counters counters_;
   uint64_t events_since_sync_ = 0;
   uint64_t events_since_snapshot_ = 0;
+  /// Set by every append, cleared by every fsync: the snapshot roll
+  /// syncs the closing segment only when it is set.
+  bool unsynced_ = false;
+
+  /// The in-flight writer's job and thread (both empty when none runs),
+  /// and the first failure any writer reported.
+  std::unique_ptr<SnapshotJob> job_;
+  std::thread writer_;
+  Status writer_status_;
 
   telemetry::Counter* const wal_records_counter_;
   telemetry::Counter* const wal_bytes_counter_;
@@ -104,6 +173,10 @@ class DurabilityManager {
   telemetry::Counter* const truncate_failures_counter_;
   /// fsync latency distribution ("durability.wal_fsync_ns").
   telemetry::Histogram* const fsync_hist_;
+  /// Per snapshot: caller-thread time (take, join wait, segment fsync,
+  /// roll) and writer time (serialize, write, fsync, publish, truncate).
+  telemetry::Histogram* const stall_hist_;
+  telemetry::Histogram* const write_hist_;
 };
 
 }  // namespace durability

@@ -128,13 +128,21 @@ Status ParseSnapshot(std::string bytes, SnapshotContents* contents) {
 
 }  // namespace
 
-Status WriteSnapshotFile(const std::string& dir,
-                         const SnapshotContents& contents) {
+Status WriteSnapshotFile(
+    const std::string& dir, const SnapshotContents& contents,
+    const std::function<bool(SnapshotStage)>& proceed) {
+  const auto reached = [&proceed](SnapshotStage stage) {
+    if (!proceed || proceed(stage)) return Status::OK();
+    return Status::Internal("snapshot write stopped at stage " +
+                            std::to_string(static_cast<int>(stage)));
+  };
   const std::string final_name = SnapshotFileName(contents.meta.covered_seq);
-  const std::string tmp_path = dir + "/" + final_name + ".tmp";
+  const std::string tmp_path = dir + "/" + SnapshotTempFileName(
+                                               contents.meta.covered_seq);
   FramedFileWriter writer;
   FW_RETURN_IF_ERROR(writer.Open(tmp_path));
   FW_RETURN_IF_ERROR(writer.Append(kSnapMeta, EncodeMeta(contents.meta)));
+  FW_RETURN_IF_ERROR(reached(SnapshotStage::kTempPartial));
   for (const SnapshotQuery& query : contents.queries) {
     FW_RETURN_IF_ERROR(
         writer.Append(kSnapQuery, EncodeQueryPayload(query.id, query.query)));
@@ -147,7 +155,10 @@ Status WriteSnapshotFile(const std::string& dir,
   // publishes the file.
   FW_RETURN_IF_ERROR(writer.Sync());
   FW_RETURN_IF_ERROR(writer.Close());
-  return AtomicPublish(tmp_path, dir + "/" + final_name, dir);
+  FW_RETURN_IF_ERROR(reached(SnapshotStage::kTempSynced));
+  FW_RETURN_IF_ERROR(RenameFile(tmp_path, dir + "/" + final_name));
+  FW_RETURN_IF_ERROR(reached(SnapshotStage::kRenamed));
+  return SyncDir(dir);
 }
 
 Result<LoadedSnapshot> LoadLatestSnapshot(const std::string& dir) {

@@ -17,6 +17,7 @@
 // never their predecessors' files before the new file is durable.
 
 #include <cstdint>
+#include <functional>
 #include <string>
 #include <vector>
 
@@ -86,10 +87,26 @@ struct SnapshotContents {
   bool has_checkpoint = false;
 };
 
+/// The steps of a snapshot publish, in order. The background writer
+/// (durability/manager.h) passes them all; WriteSnapshotFile covers
+/// kTempPartial through kRenamed.
+enum class SnapshotStage : uint8_t {
+  kRolled = 0,       // After the changelog roll, before the temp file opens.
+  kTempPartial = 1,  // The temp file holds only its meta frame.
+  kTempSynced = 2,   // Temp file written and fsynced, not yet renamed.
+  kRenamed = 3,      // Renamed into place, directory not yet fsynced.
+  kPublished = 4,    // Directory fsynced, truncation not started.
+  kTruncating = 5,   // After each truncation unlink.
+};
+inline constexpr int kNumSnapshotStages = 6;
+
 /// Writes `contents` to dir/snap-<covered_seq>.fws via temp + rename +
-/// directory fsync. Never visible half-written.
-Status WriteSnapshotFile(const std::string& dir,
-                         const SnapshotContents& contents);
+/// directory fsync. Never visible half-written. When `proceed` is given,
+/// it is asked at each stage the write reaches, and false stops the
+/// write there with an Internal error (the manager's kill seam).
+Status WriteSnapshotFile(
+    const std::string& dir, const SnapshotContents& contents,
+    const std::function<bool(SnapshotStage)>& proceed = nullptr);
 
 struct LoadedSnapshot {
   bool found = false;

@@ -47,6 +47,14 @@ bool ParseSnapshotFileName(std::string_view name, uint64_t* covered_seq) {
   return ParseNamed(name, "snap-", ".fws", covered_seq);
 }
 
+std::string SnapshotTempFileName(uint64_t covered_seq) {
+  return SnapshotFileName(covered_seq) + ".tmp";
+}
+
+bool ParseSnapshotTempFileName(std::string_view name, uint64_t* covered_seq) {
+  return ParseNamed(name, "snap-", ".fws.tmp", covered_seq);
+}
+
 std::string EncodeEventsPayload(const EventColumns& columns) {
   ByteWriter w;
   w.U32(static_cast<uint32_t>(columns.size()));

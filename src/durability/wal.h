@@ -45,6 +45,11 @@ bool ParseSegmentFileName(std::string_view name, uint64_t* base_seq);
 /// naming scheme so one directory listing serves both).
 std::string SnapshotFileName(uint64_t covered_seq);
 bool ParseSnapshotFileName(std::string_view name, uint64_t* covered_seq);
+/// "snap-<covered_seq, zero-padded>.fws.tmp": a snapshot being written,
+/// published by renaming it to SnapshotFileName. A leftover from a kill
+/// mid-write is never read; truncation deletes it.
+std::string SnapshotTempFileName(uint64_t covered_seq);
+bool ParseSnapshotTempFileName(std::string_view name, uint64_t* covered_seq);
 
 // Payload codecs (common/codec.h wire format).
 std::string EncodeEventsPayload(const EventColumns& columns);

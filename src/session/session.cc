@@ -998,15 +998,14 @@ Status StreamSession::Finish() {
   ring_occupancy_gauge_->Set(0.0);
   // One final snapshot (finished flag set, no executor checkpoint — the
   // windows all flushed above), so recovering a finished session is a
-  // snapshot load with an empty replay.
-  if (durability_ && durability_error_.ok()) {
-    Status snap = WriteDurableSnapshot();
-    if (!snap.ok()) {
-      durability_error_ = snap;
-      return snap;
-    }
+  // snapshot load with an empty replay. It is written synchronously, and
+  // no write is left in flight after Finish even on a failed session.
+  if (durability_) {
+    if (durability_error_.ok()) durability_error_ = BeginDurableSnapshot();
+    Status written = durability_->JoinSnapshot();
+    if (durability_error_.ok()) durability_error_ = written;
   }
-  return Status::OK();
+  return durability_error_;
 }
 
 const QueryPlan* StreamSession::shared_plan() const {
@@ -1070,6 +1069,10 @@ Result<StreamSession::QueryStats> StreamSession::StatsFor(QueryId id) const {
 
 StreamSession::SessionStats StreamSession::Stats() const {
   session_role_.AssertHeld();  // Public entry: caller thread only.
+  // At rest: join an in-flight snapshot write so the durability tallies
+  // (and the files) are exact. A write failure stays with the manager
+  // until the next mutation latches it.
+  if (durability_) (void)durability_->JoinSnapshot();
   return BuildStats();
 }
 
@@ -1141,6 +1144,9 @@ StreamSession::SessionStats StreamSession::BuildStats() const {
 
 StreamSession::SessionMetrics StreamSession::Metrics() const {
   session_role_.AssertHeld();  // Public entry: caller thread only.
+  // Never waits for a snapshot write: the durability tallies are those of
+  // the last completed one.
+  if (durability_) (void)durability_->ReapSnapshot();
   SessionMetrics metrics;
   metrics.stats = BuildStats();
 
@@ -1207,7 +1213,11 @@ std::vector<QueryId> StreamSession::QueryIds() const {
 Status StreamSession::CheckDurable() {
   if (!durability_error_.ok()) return durability_error_;
   FW_CHECK(durability_ != nullptr);
-  return Status::OK();
+  // Every mutation reaps a finished snapshot writer (one atomic load
+  // while it runs), so a failed write fail-stops the session at the
+  // first call after it completes.
+  durability_error_ = durability_->ReapSnapshot();
+  return durability_error_;
 }
 
 Status StreamSession::DurableAppend(const Event& event) {
@@ -1238,21 +1248,24 @@ void StreamSession::MaybeSnapshot() {
   // pipeline — the next quiescent batch boundary snapshots instead.
   if (!durability_ || cross_ || !durability_error_.ok()) return;
   if (!durability_->SnapshotDue()) return;
-  Status snap = WriteDurableSnapshot();
   // A failed snapshot latches (fail-stop on the next ingest) but does
   // not fail the Push that triggered it: that batch was logged and
   // applied — it is durable through the changelog.
-  if (!snap.ok()) durability_error_ = snap;
+  durability_error_ = BeginDurableSnapshot();
 }
 
-Status StreamSession::WriteDurableSnapshot() {
+Status StreamSession::BeginDurableSnapshot() {
+  const uint64_t started_ns = telemetry::NowNanosIfEnabled();
   durability::SnapshotContents contents;
-  FW_RETURN_IF_ERROR(BuildDurableSnapshot(&contents));
-  return durability_->WriteSnapshot(std::move(contents));
+  std::optional<ExecutorCheckpoint> checkpoint;
+  FW_RETURN_IF_ERROR(BuildDurableSnapshot(&contents, &checkpoint));
+  return durability_->BeginSnapshot(std::move(contents),
+                                    std::move(checkpoint), started_ns);
 }
 
 Status StreamSession::BuildDurableSnapshot(
-    durability::SnapshotContents* out) {
+    durability::SnapshotContents* out,
+    std::optional<ExecutorCheckpoint>* checkpoint) {
   MonotonicTimer timer;
   durability::SnapshotContents& contents = *out;
   durability::SnapshotMeta& meta = contents.meta;
@@ -1286,13 +1299,12 @@ Status StreamSession::BuildDurableSnapshot(
     // Canonical merged checkpoint: CloseThrough-canonicalized, shard
     // counts merged into the global view — a pure function of the
     // delivered stream, which is what makes recovery bitwise exact.
-    Result<ExecutorCheckpoint> checkpoint = executor_->Checkpoint();
-    if (!checkpoint.ok()) return checkpoint.status();
-    contents.checkpoint = checkpoint->Serialize();
-    contents.has_checkpoint = true;
+    Result<ExecutorCheckpoint> taken = executor_->Checkpoint();
+    if (!taken.ok()) return taken.status();
     metrics_.RecordTrace(telemetry::TraceKind::kCheckpoint,
                          timer.ElapsedNanos(),
-                         static_cast<int64_t>(checkpoint->operators.size()));
+                         static_cast<int64_t>(taken->operators.size()));
+    *checkpoint = std::move(*taken);
   }
   return Status::OK();
 }
@@ -1459,7 +1471,13 @@ Result<StreamSession::RecoveryInfo> StreamSession::Recover(
   // snapshot-covered (the torn segment is fully covered, so the reader
   // skips it).
   durability::SnapshotContents recovery_snapshot;
-  FW_RETURN_IF_ERROR(session->BuildDurableSnapshot(&recovery_snapshot));
+  std::optional<ExecutorCheckpoint> checkpoint;
+  FW_RETURN_IF_ERROR(
+      session->BuildDurableSnapshot(&recovery_snapshot, &checkpoint));
+  if (checkpoint) {
+    recovery_snapshot.checkpoint = checkpoint->Serialize();
+    recovery_snapshot.has_checkpoint = true;
+  }
   recovery_snapshot.meta.covered_seq = next_seq;
   FW_RETURN_IF_ERROR(durability::WriteSnapshotFile(options.durability.dir,
                                                    recovery_snapshot));

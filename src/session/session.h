@@ -5,6 +5,7 @@
 #include <functional>
 #include <limits>
 #include <memory>
+#include <optional>
 #include <string_view>
 #include <vector>
 
@@ -282,11 +283,14 @@ class StreamSession {
     /// (write-ahead) to a CRC-framed changelog in `durability.dir`, group-
     /// committed under `durability.fsync_policy`, and a full canonical
     /// snapshot is published every `snapshot_interval_events` admitted
-    /// events — truncating the changelog it covers. After a crash,
-    /// StreamSession::Recover rebuilds the session from the newest valid
-    /// snapshot plus a changelog replay. Durability is fail-stop: the
-    /// first append/snapshot error latches, and every later ingest or
-    /// churn call returns it instead of letting memory and disk diverge.
+    /// events — truncating the changelog it covers. The snapshot is taken
+    /// on the caller thread and written by a background writer (at most
+    /// one in flight). After a crash, StreamSession::Recover rebuilds the
+    /// session from the newest valid snapshot plus a changelog replay.
+    /// Durability is fail-stop: the first append/snapshot error latches,
+    /// and every later ingest or churn call returns it instead of letting
+    /// memory and disk diverge. A failed background write latches at the
+    /// first such call after it completes.
     DurabilityOptions durability = {};
   };
 
@@ -508,8 +512,9 @@ class StreamSession {
   /// Ends the stream: flushes every open window of every live query. The
   /// session is read-only afterwards (Push/AddQuery/RemoveQuery error);
   /// Explain and stats remain available. Idempotent. A durable session
-  /// publishes one final snapshot (so recovery of a finished session is a
-  /// snapshot load, no replay).
+  /// publishes one final snapshot synchronously (so recovery of a
+  /// finished session is a snapshot load, no replay) and returns the
+  /// latched durability error, if any, after flushing.
   Status Finish();
 
   /// Supplies the result callback for each query Recover re-installs —
@@ -570,12 +575,16 @@ class StreamSession {
   /// The classic pull-only counter view — now a thin view over the same
   /// state Metrics() reports (both build from one BuildStats helper), so
   /// the cumulative/instantaneous/topology-scoped contracts above stay
-  /// pinned by the existing elasticity regression tests.
+  /// pinned by the existing elasticity regression tests. A durable
+  /// session joins its in-flight snapshot write first, so the durability
+  /// tallies are exact at rest.
   SessionStats Stats() const;
   /// The full telemetry snapshot; see SessionMetrics. Publishes the
   /// instantaneous session gauges (ring occupancy, live queries, engine
   /// totals) into the registry first, so the returned snapshot — and any
-  /// Prometheus/JSON rendering of it — is self-contained.
+  /// Prometheus/JSON rendering of it — is self-contained. Never waits for
+  /// a snapshot write: durability tallies are as of the last completed
+  /// one.
   SessionMetrics Metrics() const;
 
   /// Observed runtime statistics in the cost model's vocabulary
@@ -697,18 +706,22 @@ class StreamSession {
   Status DurableAppend(const Event& event) FW_REQUIRES(session_role_);
   Status DurableAppendColumns(const EventColumns& columns, size_t accepted)
       FW_REQUIRES(session_role_);
-  /// Publishes a snapshot if one is due; called between batches, never
+  /// Starts a snapshot if one is due; called between batches, never
   /// while a drift crossover is in flight (dual-pipeline state is
   /// transient — the next quiescent point snapshots instead).
   void MaybeSnapshot() FW_REQUIRES(session_role_);
-  Status WriteDurableSnapshot() FW_REQUIRES(session_role_);
-  /// Fills `out` with the canonical session image WriteDurableSnapshot
-  /// publishes (counters, query set, merged executor checkpoint) —
-  /// everything but covered_seq. Split out so Recover can publish its
-  /// snapshot *before* attaching a DurabilityManager: the file must be
-  /// durable before a new changelog segment demotes the crashed run's
-  /// torn newest segment.
-  Status BuildDurableSnapshot(durability::SnapshotContents* out)
+  /// Takes the snapshot here and hands it to the manager's background
+  /// writer (DurabilityManager::BeginSnapshot).
+  Status BeginDurableSnapshot() FW_REQUIRES(session_role_);
+  /// Fills `out` with the canonical session image a snapshot publishes
+  /// (counters, query set) — everything but covered_seq — and takes the
+  /// merged executor checkpoint into `checkpoint` (left empty when idle
+  /// or finished) unserialized: serializing is the writer's job. Split
+  /// out so Recover can publish its snapshot *before* attaching a
+  /// DurabilityManager: the file must be durable before a new changelog
+  /// segment demotes the crashed run's torn newest segment.
+  Status BuildDurableSnapshot(durability::SnapshotContents* out,
+                              std::optional<ExecutorCheckpoint>* checkpoint)
       FW_REQUIRES(session_role_);
   /// Applies one replayed changelog record during Recover.
   Status ReplayRecord(const durability::WalRecord& record,

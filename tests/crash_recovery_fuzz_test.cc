@@ -10,6 +10,12 @@
 // the at-least-once replay window must also be bitwise identical to the
 // original delivery (the result map asserts on every duplicate insert).
 //
+// Half the cases also stop a background snapshot write part-way: a
+// drawn periodic snapshot's writer halts at a drawn SnapshotStage (from
+// right after the changelog roll to between truncation unlinks), when
+// the case gets that far. The session then dies at its next join point:
+// the next due snapshot, or the kill position, whichever comes first.
+//
 // A fixed-seed subset runs in tier-1; scale the search from the
 // environment:
 //
@@ -25,6 +31,7 @@
 
 #include <unistd.h>
 
+#include <atomic>
 #include <cstdint>
 #include <cstdio>
 #include <cstdlib>
@@ -37,6 +44,7 @@
 
 #include "common/rng.h"
 #include "durability/framed_io.h"
+#include "durability/manager.h"
 #include "durability/wal.h"
 #include "session/session.h"
 #include "workload/datagen.h"
@@ -132,6 +140,10 @@ struct CrashCase {
   FsyncPolicy fsync_policy = FsyncPolicy::kInterval;
   bool columnar = false;     // Batch the subject's feed through
                              // PushColumns (the oracle stays scalar).
+  /// Stop the writer of the writer_kill_snapshot-th periodic snapshot
+  /// at this SnapshotStage (-1: no writer kill).
+  int writer_kill_stage = -1;
+  int writer_kill_snapshot = 1;
 };
 
 StreamQuery RandomQuery(Rng& rng, AggFn agg, bool per_key) {
@@ -229,8 +241,44 @@ CrashCase GenerateCase(uint64_t seed) {
   c.kill_at = rng.Uniform(0, c.events.size());
   c.kill_after_ops = rng.Uniform(0, 1) == 1;
   c.tear_bytes = rng.Uniform(0, 1) == 1 ? rng.Uniform(1, 8) : 0;
+  if (rng.Uniform(0, 1) == 1) {
+    c.writer_kill_stage = static_cast<int>(
+        rng.Uniform(0, durability::kNumSnapshotStages - 1));
+    c.writer_kill_snapshot = static_cast<int>(rng.Uniform(1, 3));
+  }
   return c;
 }
+
+/// Arms the snapshot writer's kill seam for one case (see CrashCase).
+/// Disarm it once the session is gone: recovered sessions write
+/// snapshots too.
+class WriterKill {
+ public:
+  WriterKill(int stage, int snapshot) {
+    if (stage < 0) return;
+    durability::SetSnapshotKillHookForTesting(
+        [this, stage, snapshot](durability::SnapshotStage at) {
+          if (at == durability::SnapshotStage::kRolled) ++started_;
+          if (started_ != snapshot || static_cast<int>(at) != stage) {
+            return false;
+          }
+          fired_ = true;
+          return true;
+        });
+  }
+  ~WriterKill() { Disarm(); }
+
+  bool fired() const { return fired_; }
+  /// Returns whether the kill fired.
+  bool Disarm() {
+    durability::SetSnapshotKillHookForTesting(nullptr);
+    return fired_;
+  }
+
+ private:
+  std::atomic<int> started_{0};
+  std::atomic<bool> fired_{false};
+};
 
 // --- The dup-asserting result map ------------------------------------------
 
@@ -325,13 +373,9 @@ void RunOracle(const CrashCase& c, Recorded* out,
 
 // --- Subject: run, kill, tear, recover, resume -----------------------------
 
-void RunSeed(uint64_t seed) {
-  SCOPED_TRACE("crash seed " + std::to_string(seed) +
-               " — repro: FW_CRASH_SEED=" + std::to_string(seed) +
-               " ./crash_recovery_fuzz_test"
-               " --gtest_filter=CrashRecoveryFuzz.ReproSeed");
-  const CrashCase c = GenerateCase(seed);
-
+/// Runs one case; `seed` also seeds the subject's batch sizes. Sets
+/// *writer_killed (when given) to whether the writer kill fired.
+void RunCase(const CrashCase& c, uint64_t seed, bool* writer_killed) {
   Recorded oracle;
   StreamSession::SessionStats oracle_stats;
   ASSERT_NO_FATAL_FAILURE(RunOracle(c, &oracle, &oracle_stats));
@@ -346,6 +390,11 @@ void RunSeed(uint64_t seed) {
   std::map<QueryId, int> tag_of;
 
   // ---- Phase 1: durable session up to the kill point. ----
+  // Events admitted and ops applied before the kill — the kill position
+  // itself when no writer kill cuts the run short.
+  size_t admitted = 0;
+  std::set<size_t> applied_ops;
+  WriterKill writer_kill(c.writer_kill_stage, c.writer_kill_snapshot);
   {
     StreamSession::Options options;
     options.num_keys = c.num_keys;
@@ -358,26 +407,38 @@ void RunSeed(uint64_t seed) {
     options.durability.snapshot_interval_events = c.snapshot_interval;
     StreamSession session(options);
 
+    // A killed writer surfaces at the session's next join point, and the
+    // mutation after it fails: the process died right before that call.
+    bool dead = false;
+    auto survived = [&](const Status& status) {
+      if (status.ok()) return true;
+      EXPECT_TRUE(writer_kill.fired()) << status.ToString();
+      EXPECT_NE(status.message().find("snapshot writer killed"),
+                std::string::npos)
+          << status.ToString();
+      dead = true;
+      return false;
+    };
+
     std::vector<QueryId> live;
     Rng batch_rng(seed * 2 + 1);
     EventColumns pending;
     size_t batch_target = 0;
     auto flush = [&] {
-      if (pending.empty()) return;
-      Status status = session.PushColumns(pending);
-      ASSERT_TRUE(status.ok()) << status.ToString();
+      if (pending.empty() || !survived(session.PushColumns(pending))) return;
+      admitted += pending.size();
       pending.clear();
     };
 
     size_t next_op = 0;
-    for (size_t i = 0; i <= c.kill_at; ++i) {
+    for (size_t i = 0; i <= c.kill_at && !dead; ++i) {
       const bool ops_fire =
           i < c.kill_at || (i == c.kill_at && c.kill_after_ops);
       if (ops_fire && next_op < c.ops.size() &&
           c.ops[next_op].at_event == i) {
-        ASSERT_NO_FATAL_FAILURE(flush());
+        flush();
       }
-      while (ops_fire && next_op < c.ops.size() &&
+      while (!dead && ops_fire && next_op < c.ops.size() &&
              c.ops[next_op].at_event == i) {
         const size_t op_index = next_op;
         const CrashOp& op = c.ops[next_op++];
@@ -385,40 +446,43 @@ void RunSeed(uint64_t seed) {
           case CrashOp::kAdd: {
             Result<QueryId> id =
                 session.AddQuery(op.query, Tagged(&subject, op.tag));
-            ASSERT_TRUE(id.ok()) << id.status().ToString();
+            if (!survived(id.status())) break;
             live.push_back(*id);
             phase1_add_id[op_index] = *id;
             tag_of[*id] = op.tag;
+            applied_ops.insert(op_index);
             break;
           }
           case CrashOp::kRemove: {
             ASSERT_GT(live.size(), 1u);
             const size_t slot = op.remove_slot % live.size();
+            if (!survived(session.RemoveQuery(live[slot]))) break;
             phase1_remove_id[op_index] = live[slot];
-            ASSERT_TRUE(session.RemoveQuery(live[slot]).ok());
             live.erase(live.begin() + static_cast<ptrdiff_t>(slot));
+            applied_ops.insert(op_index);
             break;
           }
           case CrashOp::kResize:
             ASSERT_TRUE(session.Resize(op.shards).ok());
+            applied_ops.insert(op_index);
             break;
         }
       }
-      if (i == c.kill_at) break;
+      if (dead || i == c.kill_at) break;
       if (c.columnar) {
         if (pending.empty()) batch_target = batch_rng.Uniform(1, 64);
         pending.Append(c.events[i]);
-        if (pending.size() >= batch_target) {
-          ASSERT_NO_FATAL_FAILURE(flush());
-        }
-      } else {
-        Status status = session.Push(c.events[i]);
-        ASSERT_TRUE(status.ok()) << status.ToString();
+        if (pending.size() >= batch_target) flush();
+      } else if (survived(session.Push(c.events[i]))) {
+        ++admitted;
       }
     }
     // Kill: destructor, no Finish, no flush of the caller-side pending
     // batch — exactly what a crashed producer loses.
   }
+  // The destructor joined the writer, so the kill's outcome is final.
+  const bool killed = writer_kill.Disarm();
+  if (writer_killed != nullptr) *writer_killed = killed;
 
   if (c.tear_bytes > 0) {
     // Tearing at most 8 bytes damages exactly the final record (frames
@@ -440,10 +504,18 @@ void RunSeed(uint64_t seed) {
       });
   ASSERT_TRUE(recovered.ok()) << recovered.status().ToString();
   const uint64_t durable = recovered->durable_events;
-  ASSERT_LE(durable, c.kill_at);
-  if (c.tear_bytes == 0 && !c.columnar) {
-    // Scalar, no tear: every admitted event is durable.
-    EXPECT_EQ(durable, c.kill_at);
+  ASSERT_LE(durable, admitted);
+  if (c.tear_bytes == 0) {
+    // No tear: every admitted event is durable (a kill loses nothing
+    // from the page cache).
+    EXPECT_EQ(durable, admitted);
+  }
+  // Recover's truncation deletes any temp file a killed writer left.
+  Result<std::vector<std::string>> names = durability::ListDir(dir.path);
+  ASSERT_TRUE(names.ok());
+  for (const std::string& name : *names) {
+    uint64_t seq = 0;
+    EXPECT_FALSE(durability::ParseSnapshotTempFileName(name, &seq)) << name;
   }
 
   StreamSession& session = *recovered->session;
@@ -470,9 +542,7 @@ void RunSeed(uint64_t seed) {
       const size_t op_index = next_op;
       const CrashOp& op = c.ops[next_op];
       if (i < durable) continue;  // Durable-applied: already in state.
-      const bool applied_in_phase1 =
-          op.at_event < c.kill_at ||
-          (op.at_event == c.kill_at && c.kill_after_ops);
+      const bool applied_in_phase1 = applied_ops.count(op_index) > 0;
       if (i == durable && applied_in_phase1) {
         // The boundary is ambiguous: the op fired before the crash, but
         // its changelog record may have been the torn final one. The
@@ -544,6 +614,14 @@ void RunSeed(uint64_t seed) {
   EXPECT_EQ(stats.lifetime_ops, oracle_stats.lifetime_ops);
 }
 
+void RunSeed(uint64_t seed) {
+  SCOPED_TRACE("crash seed " + std::to_string(seed) +
+               " — repro: FW_CRASH_SEED=" + std::to_string(seed) +
+               " ./crash_recovery_fuzz_test"
+               " --gtest_filter=CrashRecoveryFuzz.ReproSeed");
+  RunCase(GenerateCase(seed), seed, nullptr);
+}
+
 // --- Entry points ----------------------------------------------------------
 
 // Always-on subset: fixed seeds, frozen forever — a failure here is a
@@ -559,6 +637,31 @@ TEST(CrashRecoveryFuzz, FixedSeedsTier1) {
                    "--gtest_filter=CrashRecoveryFuzz.ReproSeed\n",
                    static_cast<unsigned long long>(seed));
       return;
+    }
+  }
+}
+
+// Always-on writer kills: every SnapshotStage, forced onto fixed-seed
+// cases with 64-event snapshots. The first seed of each pair runs to the
+// end of the stream, so the kill surfaces at the next due snapshot's
+// join; the second is killed before that snapshot falls due, so only the
+// destructor joins the stopped writer.
+TEST(CrashRecoveryFuzz, WriterKillStagesTier1) {
+  for (int stage = 0; stage < durability::kNumSnapshotStages; ++stage) {
+    for (uint64_t seed : {7u, 31u}) {
+      SCOPED_TRACE("writer kill at stage " + std::to_string(stage) +
+                   " forced onto crash seed " + std::to_string(seed));
+      CrashCase c = GenerateCase(seed);
+      c.snapshot_interval = 64;
+      c.writer_kill_stage = stage;
+      c.writer_kill_snapshot = 1 + stage % 3;
+      c.kill_at = seed == 7u ? c.events.size()
+                             : 64 * static_cast<size_t>(
+                                        c.writer_kill_snapshot) + 10;
+      bool killed = false;
+      RunCase(c, seed, &killed);
+      EXPECT_TRUE(killed);
+      if (HasFatalFailure() || HasNonfatalFailure()) return;
     }
   }
 }

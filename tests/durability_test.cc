@@ -14,6 +14,7 @@
 
 #include <gtest/gtest.h>
 
+#include <sys/stat.h>
 #include <unistd.h>
 
 #include <cstdint>
@@ -1459,6 +1460,138 @@ TEST(SessionDurability, FsyncPoliciesAndCounters) {
     ASSERT_TRUE(recovered.ok()) << recovered.status().ToString();
     EXPECT_EQ(recovered->durable_events, events.size());
   }
+}
+
+bool Exists(const std::string& path) {
+  return ::access(path.c_str(), F_OK) == 0;
+}
+
+TEST(SessionDurability, StaleSnapshotTempFilesAreTruncated) {
+  // A kill during a snapshot's temp-file write leaves snap-<seq>.fws.tmp
+  // behind. Nothing ever reads it, so truncation must delete it once a
+  // newer snapshot covers its sequence number.
+  TempDir dir;
+  const std::vector<Event> events = GenerateSyntheticStream(100, 2, 51);
+  const std::string stale_early =
+      dir.path + "/" + durability::SnapshotTempFileName(3);
+  const std::string stale_late =
+      dir.path + "/" + durability::SnapshotTempFileName(70);
+  StreamSession::Options options;
+  options.num_keys = 2;
+  options.durability.enabled = true;
+  options.durability.dir = dir.path;
+  options.durability.snapshot_interval_events = 64;
+  {
+    StreamSession session(options);
+    ASSERT_TRUE(session.AddQuery(MakeQuery("SUM", 20, 10)).ok());
+    for (size_t i = 0; i < 10; ++i) {
+      ASSERT_TRUE(session.Push(events[i]).ok());
+    }
+    ASSERT_NO_FATAL_FAILURE(WriteAll(stale_early, "torn snapshot"));
+    // The 64th event starts the periodic snapshot (covered_seq 65).
+    for (size_t i = 10; i < 70; ++i) {
+      ASSERT_TRUE(session.Push(events[i]).ok());
+    }
+    const StreamSession::SessionStats stats = session.Stats();
+    EXPECT_EQ(stats.snapshots_written, 1u);
+    EXPECT_EQ(stats.truncate_failures, 0u);
+    EXPECT_FALSE(Exists(stale_early));
+    // Killed with a newer leftover in place: Recover's snapshot covers
+    // sequence 101, so its truncation deletes this one.
+    ASSERT_NO_FATAL_FAILURE(WriteAll(stale_late, "torn snapshot"));
+    for (size_t i = 70; i < events.size(); ++i) {
+      ASSERT_TRUE(session.Push(events[i]).ok());
+    }
+  }
+  options.durability = {};
+  Result<StreamSession::RecoveryInfo> recovered =
+      StreamSession::Recover(dir.path, options);
+  ASSERT_TRUE(recovered.ok()) << recovered.status().ToString();
+  EXPECT_EQ(recovered->durable_events, events.size());
+  EXPECT_FALSE(Exists(stale_late));
+  EXPECT_EQ(recovered->session->Stats().truncate_failures, 0u);
+}
+
+TEST(SessionDurability, BackgroundSnapshotFailureFailStops) {
+  TempDir dir;
+  const std::vector<Event> events = GenerateSyntheticStream(256, 2, 41);
+  Recorded oracle;
+  {
+    StreamSession session({.num_keys = 2});
+    ASSERT_TRUE(
+        session.AddQuery(MakeQuery("SUM", 20, 10), Tagged(&oracle, 0)).ok());
+    for (const Event& e : events) ASSERT_TRUE(session.Push(e).ok());
+    ASSERT_TRUE(session.Finish().ok());
+  }
+
+  // Records: the add (seq 0), then one per 16-event batch. The fourth
+  // batch makes the snapshot due at covered_seq 5. A directory squatting
+  // on its temp-file name fails the writer's open — and nothing else:
+  // the fsync and the roll on the caller thread succeed.
+  constexpr size_t kBatch = 16;
+  constexpr uint64_t kCoveredSeq = 1 + 64 / kBatch;
+  const std::string squatter =
+      dir.path + "/" + durability::SnapshotTempFileName(kCoveredSeq);
+  ASSERT_EQ(::mkdir(squatter.c_str(), 0755), 0);
+
+  Recorded subject;
+  {
+    StreamSession::Options options;
+    options.num_keys = 2;
+    options.durability.enabled = true;
+    options.durability.dir = dir.path;
+    options.durability.snapshot_interval_events = 64;
+    StreamSession session(options);
+    Recorded delivered;
+    ASSERT_TRUE(
+        session.AddQuery(MakeQuery("SUM", 20, 10), Tagged(&delivered, 0))
+            .ok());
+    for (size_t begin = 0; begin < 64; begin += kBatch) {
+      const std::vector<Event> batch(events.begin() + begin,
+                                     events.begin() + begin + kBatch);
+      ASSERT_TRUE(session.PushBatch(batch).ok());
+    }
+    // Stats() joins the failed write; the session latches the failure at
+    // its next mutation.
+    EXPECT_EQ(session.Stats().snapshots_written, 0u);
+    Status push = session.Push(events[64]);
+    ASSERT_FALSE(push.ok());
+    EXPECT_EQ(push.message().rfind("ingest stopped at event 0 (timestamp " +
+                                       std::to_string(events[64].timestamp) +
+                                       "): open " + squatter,
+                                   0),
+              0u)
+        << push.ToString();
+    Result<QueryId> added = session.AddQuery(MakeQuery("SUM", 40, 40));
+    ASSERT_FALSE(added.ok());
+    EXPECT_EQ(push.message().find(added.status().message()),
+              push.message().size() - added.status().message().size());
+    // Finish still flushes the failed session's windows; those partial
+    // results are not part of the stream recovery resumes.
+    subject = delivered;
+    EXPECT_EQ(session.Finish(), added.status());
+  }
+
+  // Remove the squatter first: no record follows the failed snapshot, so
+  // Recover's own snapshot reuses the same temp-file name.
+  ASSERT_EQ(::rmdir(squatter.c_str()), 0);
+  StreamSession::Options options;
+  options.num_keys = 2;
+  Result<StreamSession::RecoveryInfo> recovered = StreamSession::Recover(
+      dir.path, options, [&subject](QueryId, const StreamQuery&) {
+        return Tagged(&subject, 0);
+      });
+  ASSERT_TRUE(recovered.ok()) << recovered.status().ToString();
+  EXPECT_EQ(recovered->snapshot_events, 0u);
+  EXPECT_EQ(recovered->durable_events, 64u);
+  EXPECT_EQ(recovered->replayed_records, kCoveredSeq);
+  StreamSession& session = *recovered->session;
+  for (size_t i = recovered->durable_events; i < events.size(); ++i) {
+    ASSERT_TRUE(session.Push(events[i]).ok());
+  }
+  ASSERT_TRUE(session.Finish().ok());
+  EXPECT_EQ(subject.results, oracle.results);
+  EXPECT_GT(subject.redelivered, 0);
 }
 
 TEST(SessionDurability, DurabilityFailureIsStickyFailStop) {

@@ -11,6 +11,8 @@
 
 #include <gtest/gtest.h>
 
+#include <unistd.h>
+
 #include <atomic>
 #include <cstdint>
 #include <map>
@@ -20,6 +22,7 @@
 #include <vector>
 
 #include "agg/aggregate.h"
+#include "durability/framed_io.h"
 #include "plan/plan.h"
 #include "runtime/sharded_executor.h"
 #include "session/session.h"
@@ -321,6 +324,47 @@ TEST(ExecutorMetrics, DrainStageRecordsOneSamplePerDrainPoint) {
     EXPECT_EQ(snap.histograms["executor.drain_wait_ns"].count, expected);
     EXPECT_EQ(snap.histograms["executor.drain_deliver_ns"].count, expected);
   }
+}
+
+// --- Durability snapshot timers ----------------------------------------------
+
+// durability.snapshot_stall_ns (the caller thread's share) and
+// durability.snapshot_write_ns (the background writer's) take one sample
+// per snapshot: each periodic one and Finish's.
+TEST(SessionMetrics, SnapshotTimersRecordOneSamplePerSnapshot) {
+  char tmpl[] = "/tmp/fw_telemetry_test_XXXXXX";
+  ASSERT_NE(::mkdtemp(tmpl), nullptr);
+  const std::string dir = tmpl;
+  StreamSession::SessionMetrics metrics;
+  {
+    StreamSession::Options options;
+    options.num_keys = 4;
+    options.durability.enabled = true;
+    options.durability.dir = dir;
+    options.durability.snapshot_interval_events = 64;
+    StreamSession session(options);
+    ASSERT_TRUE(
+        session.AddQuery(Query().Sum("v").From("s").PerKey("k").Tumbling(20))
+            .ok());
+    for (const Event& e : GenerateSyntheticStream(300, 4, 17)) {
+      ASSERT_TRUE(session.Push(e).ok());  // Snapshots at 64, 128, 192, 256.
+    }
+    ASSERT_TRUE(session.Finish().ok());   // And one more.
+    metrics = session.Metrics();
+  }
+  Result<std::vector<std::string>> names = durability::ListDir(dir);
+  ASSERT_TRUE(names.ok());
+  for (const std::string& name : *names) {
+    ASSERT_TRUE(durability::RemoveFile(dir + "/" + name).ok());
+  }
+  ::rmdir(dir.c_str());
+
+  EXPECT_EQ(metrics.stats.snapshots_written, 5u);
+  const uint64_t expected = kEnabled ? 5 : 0;
+  EXPECT_EQ(metrics.telemetry.histograms["durability.snapshot_stall_ns"].count,
+            expected);
+  EXPECT_EQ(metrics.telemetry.histograms["durability.snapshot_write_ns"].count,
+            expected);
 }
 
 // --- Session integration: merge exactness across a live resize ramp ----------
