@@ -1,7 +1,8 @@
 // Micro-benchmarks for the execution engine's hot paths (google-benchmark):
 // raw pushes through tumbling/hopping operators, sub-aggregate merging,
-// multi-key grouping, and full small plans. Each scalar benchmark except
-// BM_FactorFanout has a "<name>Columns" twin driving the same workload
+// multi-key grouping, full small plans, and result delivery through a
+// session. Each scalar benchmark except BM_FactorFanout and
+// BM_SessionDelivery has a "<name>Columns" twin driving the same workload
 // through the columnar batch path (OnEvents / PushColumns, DESIGN.md
 // §14); CI's perf smoke compares the pairs and fails if the columnar
 // geomean speedup drops below its floor. BM_FactorFanout's twin,
@@ -12,10 +13,12 @@
 
 #include <memory>
 #include <utility>
+#include <vector>
 
 #include "cost/min_cost.h"
 #include "exec/engine.h"
 #include "factor/optimizer.h"
+#include "session/session.h"
 #include "workload/datagen.h"
 
 namespace fw {
@@ -324,6 +327,51 @@ void BM_FullPlanOriginalVsRewrittenColumns(benchmark::State& state) {
   state.SetLabel(rewritten ? "rewritten+FW" : "original");
 }
 BENCHMARK(BM_FullPlanOriginalVsRewrittenColumns)->Arg(0)->Arg(1);
+
+// Result delivery through an inline session: 64 keys, per-key tumbling
+// windows T(8) ⊂ T(32) ⊂ T(128) (no factor window; 2.5 results per event
+// per query), each subscribed by Arg() queries with no-op callbacks, so
+// the engine's work is fixed and the delivery path — gate, router,
+// per-query callback sinks — scales with the subscribers. Items are
+// results delivered, summed over the queries.
+void BM_SessionDelivery(benchmark::State& state) {
+  constexpr uint32_t kKeys = 64;
+  const int subscribers = static_cast<int>(state.range(0));
+  const std::vector<Event> events = MakeStream(1 << 16, kKeys);
+  int64_t delivered = 0;
+  for (auto _ : state) {
+    state.PauseTiming();
+    auto session = std::make_unique<StreamSession>(
+        StreamSession::Options{.num_keys = kKeys});
+    std::vector<QueryId> ids;
+    for (int q = 0; q < subscribers; ++q) {
+      ids.push_back(session
+                        ->AddQuery(Query()
+                                       .Min("v")
+                                       .From("s")
+                                       .PerKey("k")
+                                       .Tumbling(8)
+                                       .Tumbling(32)
+                                       .Tumbling(128),
+                                   [](const WindowResult&) {})
+                        .value());
+    }
+    state.ResumeTiming();
+    for (const Event& e : events) {
+      benchmark::DoNotOptimize(session->Push(e).ok());
+    }
+    benchmark::DoNotOptimize(session->Finish().ok());
+    state.PauseTiming();
+    for (const QueryId id : ids) {
+      delivered += static_cast<int64_t>(
+          session->StatsFor(id).value().results_delivered);
+    }
+    session.reset();
+    state.ResumeTiming();
+  }
+  state.SetItemsProcessed(delivered);
+}
+BENCHMARK(BM_SessionDelivery)->Arg(1)->Arg(4);
 
 }  // namespace
 }  // namespace fw

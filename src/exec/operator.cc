@@ -308,9 +308,11 @@ void WindowAggregateOperator::EmitInstance(Instance* instance) {
   const TimeT start = InstanceStart(instance->m);
   const TimeT end = InstanceEnd(instance->m);
   // Walk only the touched keys, in ascending key order, and collect the
-  // non-empty ones for the children, as a key list and as bitmap words.
+  // non-empty ones: as a key list and as bitmap words for the children,
+  // and with their finalized values beside the keys for the sink.
   emit_keys_.clear();
   emit_masks_.clear();
+  emit_values_.clear();
   for (size_t word = 0; word < instance->touched.size(); ++word) {
     uint64_t bits = instance->touched[word];
     instance->touched[word] = 0;
@@ -322,27 +324,36 @@ void WindowAggregateOperator::EmitInstance(Instance* instance) {
       const AggState& state = instance->states[key];
       if (state.n == 0) continue;
       emitted |= uint64_t{1} << bit;
-      if (config_.exposed) {
-        ++finalized_results_;
-        sink_->OnResult(WindowResult{config_.operator_id, start, end, key,
-                                     finalize_(state)});
-      }
-      if (emit_keys_.empty()) {
-        // The instance moves each child's frontier once, right after its
-        // first result: instances with end < this end cannot contain
-        // [start, end) and close; the ones whose span covers it open.
-        for (WindowAggregateOperator* child : children_) {
-          child->CloseBefore(end);
-          child->OpenThrough(start, end);
-        }
-      }
       emit_keys_.push_back(key);
+      if (config_.exposed) emit_values_.push_back(finalize_(state));
     }
     if (emitted != 0) {
       emit_masks_.push_back({static_cast<uint32_t>(word), emitted});
     }
   }
-  if (!emit_keys_.empty()) {
+  const size_t count = emit_keys_.size();
+  if (count != 0) {
+    // The first result goes out alone when there are children: their
+    // frontier moves to this instance right after it, which closes (and
+    // delivers) every child instance that ends before it, ahead of the
+    // remaining keys' block. A childless operator delivers the instance
+    // as one block.
+    const size_t head = children_.empty() ? count : 1;
+    if (config_.exposed) {
+      finalized_results_ += count;
+      sink_->OnBlock(config_.operator_id, start, end, emit_keys_.data(),
+                     emit_values_.data(), head);
+    }
+    // Instances with end < this end cannot contain [start, end) and
+    // close; the ones whose span covers it open.
+    for (WindowAggregateOperator* child : children_) {
+      child->CloseBefore(end);
+      child->OpenThrough(start, end);
+    }
+    if (config_.exposed && head < count) {
+      sink_->OnBlock(config_.operator_id, start, end, emit_keys_.data() + head,
+                     emit_values_.data() + head, count - head);
+    }
     for (WindowAggregateOperator* child : children_) {
       child->MergeSubAggregates(instance->states, emit_keys_, emit_masks_);
     }
@@ -405,13 +416,18 @@ void HolisticWindowOperator::EmitInstance(Instance* instance) {
   ++closed_instances_;
   const TimeT start = instance->m * config_.window.slide();
   const TimeT end = InstanceEnd(instance->m);
+  emit_keys_.clear();
+  emit_values_.clear();
   for (uint32_t key = 0; key < config_.num_keys; ++key) {
     HolisticState& state = instance->states[key];
     if (state.empty()) continue;
-    ++finalized_results_;
-    sink_->OnResult(WindowResult{config_.operator_id, start, end, key,
-                                 HolisticFinalize(config_.agg, &state)});
+    emit_keys_.push_back(key);
+    emit_values_.push_back(HolisticFinalize(config_.agg, &state));
   }
+  if (emit_keys_.empty()) return;
+  finalized_results_ += emit_keys_.size();
+  sink_->OnBlock(config_.operator_id, start, end, emit_keys_.data(),
+                 emit_values_.data(), emit_keys_.size());
 }
 
 }  // namespace fw

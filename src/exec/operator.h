@@ -33,23 +33,28 @@ namespace fw {
 /// the non-empty states), so a close visits only those keys, in ascending
 /// key order, never all num_keys states.
 ///
-/// A closing instance goes to each child once, not once per key. Delivery
-/// order: the first non-empty key's result goes to the sink; then every
-/// child, in AddChild order, advances its frontier once to the instance
-/// (closing — and recursively delivering — whatever ends before it,
-/// opening whatever covers it); then the remaining keys' results; then
-/// every child merges all the non-empty states into its open instances.
-/// Handing the children one key at a time would deliver the same
-/// sequence: only the first key could close or open anything, merges emit
-/// nothing, and sibling subtrees share no state. An instance with no data
-/// reaches no child at all.
+/// A closing instance goes to each child once, not once per key, and to
+/// the sink as ResultSink::OnBlock calls, not one call per result.
+/// Delivery order: the first non-empty key's result goes to the sink as a
+/// one-key block; then every child, in AddChild order, advances its
+/// frontier once to the instance (closing — and recursively delivering —
+/// whatever ends before it, opening whatever covers it); then the
+/// remaining keys' results go out as one block; then every child merges
+/// all the non-empty states into its open instances. A childless operator
+/// has nothing to order between the two, so it delivers each instance as
+/// one block. Handing the children one key at a time would deliver the
+/// same sequence: only the first key could close or open anything, merges
+/// emit nothing, and sibling subtrees share no state. An instance with no
+/// data reaches neither the sink nor any child.
 ///
 /// Emission order: from construction, Reset or Restore on, the operator's
 /// results reach the sink in strictly increasing (end, start, key) order
 /// — instances close oldest first (by m, so by end and start alike), and
-/// a close walks its keys in ascending order. The sharded runtime merges
-/// its per-operator result runs without sorting them on the strength of
-/// this contract (runtime/sharded_executor.h).
+/// a close walks its keys in ascending order, so every block's keys
+/// ascend and the blocks of one instance are adjacent in the operator's
+/// own sequence. The sharded runtime merges its per-operator result runs
+/// without sorting them on the strength of this contract
+/// (runtime/sharded_executor.h).
 ///
 /// The operator counts one "accumulate op" per (item × instance) fold —
 /// exactly the unit of the paper's cost model — which the harness uses for
@@ -180,8 +185,8 @@ class WindowAggregateOperator {
   /// data gap longer than the window range.
   void OpenThrough(TimeT start_limit, TimeT end_floor);
 
-  /// Finalizes a closing instance to the sink and hands it to the
-  /// children (see the class comment for the delivery order).
+  /// Finalizes a closing instance to the sink as one or two blocks and
+  /// hands it to the children (see the class comment for the order).
   void EmitInstance(Instance* instance);
 
   /// A closed instance's non-empty keys within one bitmap word.
@@ -221,9 +226,12 @@ class WindowAggregateOperator {
   TimeT next_open_start_ = 0;  // == next_m_ * slide.
   std::vector<Instance> instance_pool_;  // Recycled closed instances.
   /// EmitInstance scratch: the closing instance's non-empty keys, as a
-  /// list and as one mask per bitmap word that holds any.
+  /// list and as one mask per bitmap word that holds any, and (exposed
+  /// operators) their finalized values, parallel to the list — the
+  /// instance's OnBlock arrays.
   std::vector<uint32_t> emit_keys_;
   std::vector<KeyMask> emit_masks_;
+  std::vector<double> emit_values_;
   /// AccumulateRun scratch (counting-sort grouping). group_counts_ and
   /// group_cursors_ are key-indexed and kept zeroed between runs via
   /// run_keys_, the touched-key list, so a run costs O(count + touched)
@@ -242,7 +250,8 @@ class WindowAggregateOperator {
 /// the operator never has children. Same emission-order contract as
 /// WindowAggregateOperator: results are strictly increasing in (end,
 /// start, key), because instances open and close in m order and a close
-/// walks the keys in ascending order.
+/// walks the keys in ascending order. Each closed instance with data
+/// reaches the sink as one block.
 class HolisticWindowOperator {
  public:
   using Config = WindowAggregateOperator::Config;
@@ -273,6 +282,9 @@ class HolisticWindowOperator {
   Config config_;
   ResultSink* sink_;
   std::deque<Instance> open_;
+  /// EmitInstance scratch: the closing instance's block.
+  std::vector<uint32_t> emit_keys_;
+  std::vector<double> emit_values_;
   int64_t next_m_ = 0;
   uint64_t accumulate_ops_ = 0;
   uint64_t closed_instances_ = 0;

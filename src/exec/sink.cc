@@ -4,6 +4,14 @@
 
 namespace fw {
 
+void ResultSink::OnBlock(int operator_id, TimeT start, TimeT end,
+                         const uint32_t* keys, const double* values,
+                         size_t count) {
+  for (size_t i = 0; i < count; ++i) {
+    OnResult(WindowResult{operator_id, start, end, keys[i], values[i]});
+  }
+}
+
 std::map<CollectingSink::ResultKey, double> CollectingSink::ToMap() const {
   delivery_role_.AssertHeld();  // Read from the delivery thread.
   std::map<ResultKey, double> out;

@@ -2,6 +2,7 @@
 #define FW_EXEC_SINK_H_
 
 #include <atomic>
+#include <cstddef>
 #include <cstdint>
 #include <map>
 #include <tuple>
@@ -28,6 +29,18 @@ class ResultSink {
  public:
   virtual ~ResultSink() = default;
   virtual void OnResult(const WindowResult& result) = 0;
+
+  /// One closed instance's results in one call: `count` (at least 1)
+  /// results of operator `operator_id` over [start, end), keys strictly
+  /// ascending, `values[i]` belonging to `keys[i]`. The arrays are valid
+  /// only during the call. Exactly equivalent to OnResult for each result
+  /// in order, which is what the default does, so a sink that implements
+  /// only OnResult sees the same sequence. The engine, the sharded merge,
+  /// the session's gate and the multi-query router all pass blocks
+  /// (DESIGN.md §4).
+  virtual void OnBlock(int operator_id, TimeT start, TimeT end,
+                       const uint32_t* keys, const double* values,
+                       size_t count);
 };
 
 /// Receives events one at a time: the late side-output of the sharded

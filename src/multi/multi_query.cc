@@ -156,4 +156,13 @@ void RoutingSink::OnResult(const WindowResult& result) {
   }
 }
 
+void RoutingSink::OnBlock(int operator_id, TimeT start, TimeT end,
+                          const uint32_t* keys, const double* values,
+                          size_t count) {
+  for (const Route& route : routes_[static_cast<size_t>(operator_id)]) {
+    sinks_[static_cast<size_t>(route.query_index)]->OnBlock(
+        route.local_operator, start, end, keys, values, count);
+  }
+}
+
 }  // namespace fw

@@ -109,7 +109,12 @@ class RoutingSink : public ResultSink {
               const std::vector<StreamQuery>& queries,
               std::vector<ResultSink*> sinks);
 
+  /// Per-result routing: one rewritten copy per subscriber.
   void OnResult(const WindowResult& result) override;
+  /// Forwards the block once to each subscriber under its local operator
+  /// id; the key and value arrays pass through uncopied.
+  void OnBlock(int operator_id, TimeT start, TimeT end, const uint32_t* keys,
+               const double* values, size_t count) override;
 
  private:
   struct Route {

@@ -24,13 +24,6 @@ struct EventBatch {
   EventColumns columns;
   uint64_t enqueued_ns = 0;
 };
-
-/// Whether two results belong to the same closed instance of the same
-/// operator — one block of a shard's run.
-bool SameInstance(const WindowResult& a, const WindowResult& b) {
-  return a.end == b.end && a.start == b.start &&
-         a.operator_id == b.operator_id;
-}
 }  // namespace
 
 /// One worker shard. The members split into three ownership classes,
@@ -344,6 +337,31 @@ void ShardedExecutor::Quiesce() {
   }
 }
 
+void ShardedExecutor::BufferSink::OnBlock(int operator_id, TimeT start,
+                                          TimeT end, const uint32_t* keys,
+                                          const double* values,
+                                          size_t count) {
+  Run& run = runs_[static_cast<size_t>(operator_id)];
+  // Within one run equal (start, end) means the same instance: this is
+  // the second block of a close.
+  if (!run.blocks.empty() && run.blocks.back().start == start &&
+      run.blocks.back().end == end) {
+    run.blocks.back().count += count;
+  } else {
+    run.blocks.push_back({start, end, run.keys.size(), count});
+  }
+  run.keys.insert(run.keys.end(), keys, keys + count);
+  run.values.insert(run.values.end(), values, values + count);
+}
+
+void ShardedExecutor::BufferSink::Clear() {
+  for (Run& run : runs_) {
+    run.blocks.clear();
+    run.keys.clear();
+    run.values.clear();
+  }
+}
+
 void ShardedExecutor::DeliverBuffered(uint64_t drain_started_ns) {
   const uint64_t deliver_started_ns = telemetry::NowNanosIfEnabled();
   drain_wait_hist_->Record(0, deliver_started_ns - drain_started_ns);
@@ -353,61 +371,71 @@ void ShardedExecutor::DeliverBuffered(uint64_t drain_started_ns) {
     // consumed/enqueued acquire-release pair published the buffer and the
     // worker is parked on an empty ring, so the session thread owns it.
     shard->worker_role.AssertHeld();
-    for (const std::vector<WindowResult>& run : shard->buffer.runs()) {
-      if (run.empty()) continue;
-      merge_heap_.push_back({run.data(), nullptr, run.data() + run.size()});
+    const std::vector<BufferSink::Run>& runs = shard->buffer.runs();
+    for (size_t op = 0; op < runs.size(); ++op) {
+      const std::vector<BufferSink::Block>& blocks = runs[op].blocks;
+      if (blocks.empty()) continue;
+      merge_heap_.push_back({&runs[op], blocks.data(),
+                             blocks.data() + blocks.size(),
+                             static_cast<int>(op), 0});
     }
   }
-  // Each run is strictly increasing in (end, start, key), so ordering the
-  // runs by their head block's (end, start, operator) delivers instances
-  // in merge order; the min-heap takes one step per run holding the
-  // instance.
+  // Each run's blocks are strictly increasing in (end, start), so ordering
+  // the runs by their head block's (end, start, operator) delivers
+  // instances in merge order; the min-heap takes one step per run holding
+  // the instance.
   const auto later = [](const RunCursor& a, const RunCursor& b) {
-    return std::tie(b.next->end, b.next->start, b.next->operator_id) <
-           std::tie(a.next->end, a.next->start, a.next->operator_id);
+    return std::tie(b.next->end, b.next->start, b.operator_id) <
+           std::tie(a.next->end, a.next->start, a.operator_id);
   };
   std::make_heap(merge_heap_.begin(), merge_heap_.end(), later);
   while (!merge_heap_.empty()) {
     // Pop every run whose head block is the smallest instance: one per
-    // shard that holds keys of it.
+    // shard that holds keys of it. The heap's front is never smaller than
+    // the popped minimum, so "not later" means the same instance.
     merge_blocks_.clear();
     do {
       std::pop_heap(merge_heap_.begin(), merge_heap_.end(), later);
       merge_blocks_.push_back(merge_heap_.back());
       merge_heap_.pop_back();
     } while (!merge_heap_.empty() &&
-             SameInstance(*merge_heap_.front().next,
-                          *merge_blocks_.front().next));
-    for (RunCursor& block : merge_blocks_) {
-      block.block_end = block.next + 1;
-      while (block.block_end != block.end &&
-             SameInstance(*block.block_end, *block.next)) {
-        ++block.block_end;
-      }
-    }
+             !later(merge_heap_.front(), merge_blocks_.front()));
+    const RunCursor& first = merge_blocks_.front();
+    const BufferSink::Block& head = *first.next;
     if (merge_blocks_.size() == 1) {
-      const RunCursor& block = merge_blocks_.front();
-      for (const WindowResult* r = block.next; r != block.block_end; ++r) {
-        sink_->OnResult(*r);
-      }
+      sink_->OnBlock(first.operator_id, head.start, head.end,
+                     first.run->keys.data() + head.offset,
+                     first.run->values.data() + head.offset, head.count);
     } else {
-      // Several shards closed this instance: merge their blocks by key.
-      // Keys never span shards, so heads never tie.
+      // Several shards closed this instance: merge their blocks by key
+      // into one. Keys never span shards, so heads never tie.
+      merge_keys_.clear();
+      merge_values_.clear();
       while (true) {
         RunCursor* smallest = nullptr;
+        uint32_t smallest_key = 0;
         for (RunCursor& block : merge_blocks_) {
-          if (block.next != block.block_end &&
-              (smallest == nullptr || block.next->key < smallest->next->key)) {
+          if (block.taken == block.next->count) continue;
+          const uint32_t key =
+              block.run->keys[block.next->offset + block.taken];
+          if (smallest == nullptr || key < smallest_key) {
             smallest = &block;
+            smallest_key = key;
           }
         }
         if (smallest == nullptr) break;
-        sink_->OnResult(*smallest->next++);
+        merge_keys_.push_back(smallest_key);
+        merge_values_.push_back(
+            smallest->run->values[smallest->next->offset + smallest->taken]);
+        ++smallest->taken;
       }
+      sink_->OnBlock(first.operator_id, head.start, head.end,
+                     merge_keys_.data(), merge_values_.data(),
+                     merge_keys_.size());
     }
     for (RunCursor& block : merge_blocks_) {
-      block.next = block.block_end;
-      if (block.next == block.end) continue;
+      block.taken = 0;
+      if (++block.next == block.end) continue;
       merge_heap_.push_back(block);
       std::push_heap(merge_heap_.begin(), merge_heap_.end(), later);
     }

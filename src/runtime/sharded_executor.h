@@ -24,7 +24,7 @@ namespace fw {
 /// grouping key across N shards, each shard runs a private single-threaded
 /// PlanExecutor over its key slice on its own worker thread, fed through a
 /// bounded SPSC ring in batches, and a merge stage funnels per-shard
-/// WindowResults back into the caller's sink in deterministic
+/// result blocks back into the caller's sink in deterministic
 /// (window end, start, operator, key) order.
 ///
 /// Because every operator's state and every result is per-key, and each
@@ -66,10 +66,11 @@ namespace fw {
 ///    start, key) order (the emission-order contract on
 ///    WindowAggregateOperator). At a drain point the session thread
 ///    merges the shards × operators runs one closed instance at a time:
-///    a heap picks the smallest head (end, start, operator), and the at
-///    most N blocks of that instance — one per shard holding its keys —
-///    merge by key. The workers have nothing to do at a drain point
-///    beyond folding what they were handed.
+///    a heap picks the smallest head (end, start, operator), the at most
+///    N blocks of that instance — one per shard holding its keys — merge
+///    by key, and the sink gets the instance as one OnBlock call. The
+///    workers have nothing to do at a drain point beyond folding what
+///    they were handed.
 ///  * Latency: a result waits at most about one drain interval of pushed
 ///    events (4096 by default) plus the time the workers need to fold
 ///    them. Across chunks delivery is not globally sorted — see
@@ -301,35 +302,54 @@ class ShardedExecutor {
   /// Shard-local result buffer: one run per plan operator, indexed by
   /// operator id. The engine's emission-order contract keeps every run
   /// strictly increasing in (end, start, key), so a run is a sequence of
-  /// *blocks*, one per closed instance. Written only by the shard's
-  /// worker while a batch is in flight, read by the session thread only
-  /// after a quiesce. The guard lives on the owning member (Shard::buffer
-  /// is FW_GUARDED_BY(worker_role)) rather than in here, because the
-  /// capability is per shard, not per sink.
+  /// blocks, one per closed instance, each held as a Block header over
+  /// the run's parallel key and value arrays (12 bytes per result). The
+  /// engine's two OnBlock calls for one close extend one header. Written
+  /// only by the shard's worker while a batch is in flight, read by the
+  /// session thread only after a quiesce. The guard lives on the owning
+  /// member (Shard::buffer is FW_GUARDED_BY(worker_role)) rather than in
+  /// here, because the capability is per shard, not per sink.
   class BufferSink : public ResultSink {
    public:
+    /// One closed instance's results: keys[offset, offset + count) of the
+    /// run and the same range of values.
+    struct Block {
+      TimeT start;
+      TimeT end;
+      size_t offset;
+      size_t count;
+    };
+    struct Run {
+      std::vector<Block> blocks;
+      std::vector<uint32_t> keys;
+      std::vector<double> values;
+    };
+
     explicit BufferSink(size_t num_operators) : runs_(num_operators) {}
     void OnResult(const WindowResult& result) override {
-      runs_[static_cast<size_t>(result.operator_id)].push_back(result);
+      OnBlock(result.operator_id, result.start, result.end, &result.key,
+              &result.value, 1);
     }
-    const std::vector<std::vector<WindowResult>>& runs() const {
-      return runs_;
-    }
-    void Clear() {
-      for (std::vector<WindowResult>& run : runs_) run.clear();
-    }
+    void OnBlock(int operator_id, TimeT start, TimeT end,
+                 const uint32_t* keys, const double* values,
+                 size_t count) override;
+    const std::vector<Run>& runs() const { return runs_; }
+    void Clear();
 
    private:
-    std::vector<std::vector<WindowResult>> runs_;
+    std::vector<Run> runs_;
   };
 
   /// DeliverBuffered's cursor over one (shard, operator) run: `next` is
-  /// the head block's first result, `block_end` one past its last (set
-  /// while the block is being delivered), `end` one past the run.
+  /// the head block, `end` one past the run's last block, and `taken`
+  /// the head block's results already merged while several shards'
+  /// blocks of one instance merge by key.
   struct RunCursor {
-    const WindowResult* next;
-    const WindowResult* block_end;
-    const WindowResult* end;
+    const BufferSink::Run* run;
+    const BufferSink::Block* next;
+    const BufferSink::Block* end;
+    int operator_id;
+    size_t taken;
   };
 
   struct Shard;
@@ -402,9 +422,12 @@ class ShardedExecutor {
   /// in one pass over the key column (grown once, reused per batch).
   std::vector<uint32_t> shard_ids_ FW_GUARDED_BY(session_role_);
   /// DeliverBuffered scratch, reused across drains: the heap of non-empty
-  /// runs, and the runs whose head block is the instance being delivered.
+  /// runs, the runs whose head block is the instance being delivered, and
+  /// the block that several shards' blocks of one instance merge into.
   std::vector<RunCursor> merge_heap_ FW_GUARDED_BY(session_role_);
   std::vector<RunCursor> merge_blocks_ FW_GUARDED_BY(session_role_);
+  std::vector<uint32_t> merge_keys_ FW_GUARDED_BY(session_role_);
+  std::vector<double> merge_values_ FW_GUARDED_BY(session_role_);
 
   /// Per-shard delivered-event counts for the current topology (session
   /// thread only; sized num_shards()).

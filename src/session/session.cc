@@ -103,17 +103,39 @@ void StreamSession::CallbackSink::OnResult(const WindowResult& result) {
   if (owner_->callback) owner_->callback(result);
 }
 
+void StreamSession::CallbackSink::OnBlock(int operator_id, TimeT start,
+                                          TimeT end, const uint32_t* keys,
+                                          const double* values,
+                                          size_t count) {
+  owner_->results_delivered += count;
+  if (!owner_->callback) return;
+  // The one place a block splits back into results: ResultCallback is
+  // per result.
+  WindowResult result{operator_id, start, end, 0, 0.0};
+  for (size_t i = 0; i < count; ++i) {
+    result.key = keys[i];
+    result.value = values[i];
+    owner_->callback(result);
+  }
+}
+
 /// See the declaration in session.h: the era gate every pipeline routes
 /// through. Results pass iff their window start lies in
 /// [min_start, max_start) — open on both ends until a crossover narrows
-/// the old pipeline to starts < C and the new one to starts >= C.
+/// the old pipeline to starts < C and the new one to starts >= C. All
+/// results of a block share one start, so a block passes or drops whole.
 class StreamSession::StartGateSink : public ResultSink {
  public:
   explicit StartGateSink(ResultSink* next) : next_(next) {}
 
   void OnResult(const WindowResult& result) override {
-    if (result.start >= min_start_ && result.start < max_start_) {
-      next_->OnResult(result);
+    if (Passes(result.start)) next_->OnResult(result);
+  }
+
+  void OnBlock(int operator_id, TimeT start, TimeT end, const uint32_t* keys,
+               const double* values, size_t count) override {
+    if (Passes(start)) {
+      next_->OnBlock(operator_id, start, end, keys, values, count);
     }
   }
 
@@ -121,6 +143,10 @@ class StreamSession::StartGateSink : public ResultSink {
   void set_max_start(TimeT max_start) { max_start_ = max_start; }
 
  private:
+  bool Passes(TimeT start) const {
+    return start >= min_start_ && start < max_start_;
+  }
+
   ResultSink* next_;
   TimeT min_start_ = std::numeric_limits<TimeT>::min();
   TimeT max_start_ = std::numeric_limits<TimeT>::max();

@@ -296,7 +296,9 @@ class StreamSession {
 
   /// Per-query measurements.
   struct QueryStats {
-    /// Window results delivered to this query's callback.
+    /// Window results delivered to this query: the number of callback
+    /// invocations, or with a null callback the results that would have
+    /// been delivered (see AddQuery).
     uint64_t results_delivered = 0;
     /// Engine accumulate/merge ops of the shared-plan operators this query
     /// subscribes to — the per-query attribution of PerOperatorOps. An
@@ -610,11 +612,16 @@ class StreamSession {
  private:
   struct LiveQuery;
 
-  /// Per-query ResultSink bridging RoutingSink to the user callback.
+  /// Per-query ResultSink bridging RoutingSink to the user callback:
+  /// counts every result (callback or not) and calls the callback once
+  /// per result.
   class CallbackSink : public ResultSink {
    public:
     explicit CallbackSink(LiveQuery* owner) : owner_(owner) {}
     void OnResult(const WindowResult& result) override;
+    void OnBlock(int operator_id, TimeT start, TimeT end,
+                 const uint32_t* keys, const double* values,
+                 size_t count) override;
 
    private:
     LiveQuery* owner_;

@@ -6,6 +6,7 @@
 #include <iterator>
 #include <map>
 #include <memory>
+#include <set>
 #include <string>
 #include <tuple>
 
@@ -262,6 +263,142 @@ TEST(Engine, TwoLevelFactorPlanDeliverySequenceIsPinned) {
     EXPECT_EQ(executor.TotalAccumulateOps(), 40847u);
     EXPECT_EQ(executor.PerOperatorCloses(), expected_closes);
   }
+}
+
+// Records the shape of every OnBlock call and folds its results into a
+// SequenceHashSink, so the flattened sequence compares with the golden
+// one. The engine delivers blocks only: a per-result call fails.
+class BlockShapeSink : public ResultSink {
+ public:
+  struct Block {
+    int op;
+    TimeT start;
+    TimeT end;
+    size_t count;
+  };
+
+  void OnResult(const WindowResult&) override {
+    ADD_FAILURE() << "the engine delivered a result outside a block";
+  }
+  void OnBlock(int operator_id, TimeT start, TimeT end, const uint32_t* keys,
+               const double* values, size_t count) override {
+    EXPECT_GT(count, 0u);
+    blocks.push_back({operator_id, start, end, count});
+    for (size_t i = 0; i < count; ++i) {
+      if (i > 0) {
+        EXPECT_LT(keys[i - 1], keys[i]) << "block " << blocks.size();
+      }
+      flat.OnResult(WindowResult{operator_id, start, end, keys[i], values[i]});
+    }
+  }
+
+  std::vector<Block> blocks;
+  SequenceHashSink flat;
+};
+
+// Whether operator `op` lies in the subtree below operator `ancestor`.
+bool Descends(const QueryPlan& plan, int op, int ancestor) {
+  for (int p = plan.op(op).parent; p >= 0; p = plan.op(p).parent) {
+    if (p == ancestor) return true;
+  }
+  return false;
+}
+
+TEST(Engine, TwoLevelFactorPlanDeliversEachCloseAsPinnedBlocks) {
+  // The plan and stream of TwoLevelFactorPlanDeliverySequenceIsPinned.
+  // T(18) is the one exposed operator with children (W(36, 18) and the
+  // T(36) factor): each of its closes is a one-key block, then the child
+  // blocks its frontier move delivers, then one block of the remaining
+  // keys. Every childless operator delivers a close as one block.
+  const WindowSet set =
+      WindowSet::Parse("{T(12), T(18), W(36, 18), W(72, 36), W(60, 30)}")
+          .value();
+  const QueryPlan plan = QueryPlan::FromMinCostWcg(
+      OptimizeWithFactorWindows(set, CoverageSemantics::kPartitionedBy),
+      Agg("SUM"));
+  std::vector<bool> has_children(plan.num_operators(), false);
+  for (const PlanOperator& op : plan.operators()) {
+    if (op.parent >= 0) has_children[static_cast<size_t>(op.parent)] = true;
+  }
+  ASSERT_TRUE(has_children[1]);  // T(18), exposed.
+  ASSERT_TRUE(plan.op(1).exposed);
+
+  const std::vector<Event> events = SparseKeyedStream();
+  for (const bool columnar : {false, true}) {
+    SCOPED_TRACE(columnar ? "PushColumns" : "Push");
+    BlockShapeSink sink;
+    PlanExecutor executor(plan, {.num_keys = 300}, &sink);
+    if (columnar) {
+      for (const EventColumns& chunk : SplitIntoColumns(events, 97)) {
+        executor.PushColumns(chunk);
+      }
+      executor.Finish();
+    } else {
+      executor.Run(events);
+    }
+    // Flattened, the blocks are the golden per-result sequence.
+    EXPECT_EQ(sink.flat.count(), 21094u);
+    EXPECT_EQ(sink.flat.hash(), 4451557757294197549u);
+
+    // Index of each instance's first block; an instance whose first block
+    // is still open for a second one maps to true in `split`.
+    std::map<std::tuple<int, TimeT, TimeT>, size_t> first_block;
+    std::map<std::tuple<int, TimeT, TimeT>, bool> split;
+    std::vector<uint64_t> results(plan.num_operators(), 0);
+    size_t second_blocks = 0;
+    for (size_t i = 0; i < sink.blocks.size(); ++i) {
+      const BlockShapeSink::Block& b = sink.blocks[i];
+      const auto instance = std::make_tuple(b.op, b.start, b.end);
+      results[static_cast<size_t>(b.op)] += b.count;
+      const auto [it, first] = first_block.try_emplace(instance, i);
+      if (first) {
+        if (has_children[static_cast<size_t>(b.op)]) {
+          EXPECT_EQ(b.count, 1u) << "block " << i;
+          split[instance] = true;
+        }
+        continue;
+      }
+      // The second block of a close: its operator has children, its
+      // first block was one key, and only blocks of the subtree that the
+      // frontier move closed (all ending earlier) lie in between.
+      ASSERT_TRUE(split[instance]) << "third block of an instance, " << i;
+      split[instance] = false;
+      ++second_blocks;
+      for (size_t j = it->second + 1; j < i; ++j) {
+        EXPECT_TRUE(Descends(plan, sink.blocks[j].op, b.op)) << "block " << j;
+        EXPECT_LT(sink.blocks[j].end, b.end) << "block " << j;
+      }
+    }
+    EXPECT_EQ(results, executor.PerOperatorFinalizes());
+    // The shape itself, pinned: block count, second blocks, and an FNV-1a
+    // hash over every block's (operator, start, end, count).
+    uint64_t shape = 0xcbf29ce484222325ull;
+    for (const BlockShapeSink::Block& b : sink.blocks) {
+      for (const uint64_t v :
+           {static_cast<uint64_t>(b.op), static_cast<uint64_t>(b.start),
+            static_cast<uint64_t>(b.end), static_cast<uint64_t>(b.count)}) {
+        shape = (shape ^ v) * 0x100000001b3ull;
+      }
+    }
+    EXPECT_EQ(sink.blocks.size(), 1964u);
+    EXPECT_EQ(second_blocks, 342u);
+    EXPECT_EQ(shape, 16120626983944497327u);
+  }
+
+  // MEDIAN: one block per instance with data.
+  const QueryPlan holistic = QueryPlan::Original(set, Agg("MEDIAN"));
+  BlockShapeSink sink;
+  PlanExecutor executor(holistic, {.num_keys = 300}, &sink);
+  executor.Run(events);
+  std::set<std::tuple<int, TimeT, TimeT>> instances;
+  std::vector<uint64_t> results(holistic.num_operators(), 0);
+  for (const BlockShapeSink::Block& b : sink.blocks) {
+    EXPECT_TRUE(instances.emplace(b.op, b.start, b.end).second)
+        << "two blocks for one MEDIAN instance";
+    results[static_cast<size_t>(b.op)] += b.count;
+  }
+  EXPECT_EQ(results, executor.PerOperatorFinalizes());
+  EXPECT_EQ(sink.blocks.size(), 1622u);
 }
 
 // Checks the emission-order contract (DESIGN.md §4) as results arrive:

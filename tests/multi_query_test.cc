@@ -2,6 +2,10 @@
 
 #include <gtest/gtest.h>
 
+#include <string>
+#include <tuple>
+#include <vector>
+
 #include "exec/engine.h"
 #include "harness/runner.h"
 #include "query/parser.h"
@@ -138,6 +142,132 @@ TEST(MultiQuery, RoutedResultsMatchIndependentExecution) {
     ExecutePlan(original, events, 1, &reference, nullptr, nullptr);
     EXPECT_EQ(per_query[qi].ToMap(), reference.ToMap()) << "query " << qi;
   }
+}
+
+// One OnBlock call, copied out of the call's arrays.
+struct LoggedBlock {
+  int op;
+  TimeT start;
+  TimeT end;
+  std::vector<uint32_t> keys;
+  std::vector<double> values;
+  bool operator==(const LoggedBlock&) const = default;
+};
+
+// Logs every block; the engine and the router deliver blocks only, so a
+// per-result call fails.
+class BlockLogSink : public ResultSink {
+ public:
+  void OnResult(const WindowResult&) override {
+    ADD_FAILURE() << "a result was delivered outside a block";
+  }
+  void OnBlock(int operator_id, TimeT start, TimeT end, const uint32_t* keys,
+               const double* values, size_t count) override {
+    blocks.push_back({operator_id, start, end, {keys, keys + count},
+                      {values, values + count}});
+  }
+  std::vector<LoggedBlock> blocks;
+};
+
+TEST(MultiQuery, RoutingForwardsEachBlockOncePerSubscriber) {
+  // Both queries subscribe to the shared T(30) operator: query 0 as its
+  // window 1, query 1 as its window 0. At η = 1 the set gets a factor
+  // operator (Example 7's T(10)) that nobody subscribes to.
+  const std::vector<StreamQuery> queries = {MakeQuery("{T(20), T(30)}"),
+                                            MakeQuery("{T(30), T(40)}")};
+  Result<MultiQueryOptimizer::SharedPlan> shared =
+      MultiQueryOptimizer::Optimize(queries);
+  ASSERT_TRUE(shared.ok()) << shared.status().ToString();
+  constexpr uint32_t kKeys = 4;
+  const std::vector<Event> events = GenerateSyntheticStream(6000, kKeys, 8);
+
+  // local[q][p]: query q's id for shared operator p, or -1.
+  std::vector<std::vector<int>> local(
+      queries.size(), std::vector<int>(shared->plan.num_operators(), -1));
+  for (const MultiQueryOptimizer::Subscription& sub : shared->subscriptions) {
+    const WindowSet& windows = queries[sub.query_index].windows;
+    for (size_t i = 0; i < windows.size(); ++i) {
+      if (windows[i] == sub.window) {
+        local[sub.query_index][sub.plan_operator] = static_cast<int>(i);
+      }
+    }
+  }
+  int shared_t30 = -1;
+  int factor = -1;
+  for (size_t p = 0; p < shared->plan.num_operators(); ++p) {
+    if (shared->plan.op(static_cast<int>(p)).window == Window::Tumbling(30)) {
+      shared_t30 = static_cast<int>(p);
+    }
+    if (!shared->plan.op(static_cast<int>(p)).exposed) {
+      factor = static_cast<int>(p);
+    }
+  }
+  ASSERT_GE(shared_t30, 0);
+  ASSERT_GE(factor, 0);
+  EXPECT_EQ(local[0][shared_t30], 1);
+  EXPECT_EQ(local[1][shared_t30], 0);
+
+  // The engine's own blocks, unrouted.
+  BlockLogSink engine;
+  PlanExecutor(shared->plan, {.num_keys = kKeys}, &engine).Run(events);
+  ASSERT_FALSE(engine.blocks.empty());
+
+  std::vector<BlockLogSink> routed(queries.size());
+  RoutingSink router(*shared, queries, {&routed[0], &routed[1]});
+  PlanExecutor(shared->plan, {.num_keys = kKeys}, &router).Run(events);
+  // The same results routed one at a time through OnResult.
+  std::vector<CollectingSink> per_result(queries.size());
+  RoutingSink result_router(*shared, queries,
+                            {&per_result[0], &per_result[1]});
+  for (const LoggedBlock& b : engine.blocks) {
+    for (size_t i = 0; i < b.keys.size(); ++i) {
+      result_router.OnResult(
+          WindowResult{b.op, b.start, b.end, b.keys[i], b.values[i]});
+    }
+  }
+
+  size_t shared_blocks = 0;
+  for (size_t q = 0; q < queries.size(); ++q) {
+    SCOPED_TRACE("query " + std::to_string(q));
+    // Exactly one block per engine block of a subscribed operator, under
+    // the query's local id, with the engine's keys and values.
+    std::vector<LoggedBlock> expected;
+    for (const LoggedBlock& b : engine.blocks) {
+      const int id = local[q][static_cast<size_t>(b.op)];
+      if (id < 0) continue;
+      expected.push_back(b);
+      expected.back().op = id;
+      if (b.op == shared_t30) ++shared_blocks;
+    }
+    EXPECT_EQ(routed[q].blocks, expected);
+    // Flattened, the blocks are what the per-result path delivers.
+    std::vector<WindowResult> flattened;
+    for (const LoggedBlock& b : routed[q].blocks) {
+      for (size_t i = 0; i < b.keys.size(); ++i) {
+        flattened.push_back({b.op, b.start, b.end, b.keys[i], b.values[i]});
+      }
+    }
+    const std::vector<WindowResult>& reference = per_result[q].results();
+    ASSERT_EQ(flattened.size(), reference.size());
+    for (size_t i = 0; i < flattened.size(); ++i) {
+      EXPECT_EQ(std::tie(flattened[i].operator_id, flattened[i].start,
+                         flattened[i].end, flattened[i].key,
+                         flattened[i].value),
+                std::tie(reference[i].operator_id, reference[i].start,
+                         reference[i].end, reference[i].key,
+                         reference[i].value))
+          << "result " << i;
+    }
+  }
+  EXPECT_GT(shared_blocks, 0u);
+
+  // A block of the unsubscribed factor operator reaches no query.
+  const uint32_t keys[] = {0, 2};
+  const double values[] = {1.5, -2.5};
+  const size_t before[] = {routed[0].blocks.size(), routed[1].blocks.size()};
+  router.OnBlock(factor, 0, 10, keys, values, 2);
+  EXPECT_EQ(routed[0].blocks.size(), before[0]);
+  EXPECT_EQ(routed[1].blocks.size(), before[1]);
 }
 
 TEST(MultiQuery, SharedExecutionDoesFewerOps) {

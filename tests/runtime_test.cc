@@ -8,6 +8,7 @@
 #include <map>
 #include <memory>
 #include <set>
+#include <string>
 #include <thread>
 #include <tuple>
 #include <vector>
@@ -579,6 +580,102 @@ TEST(ShardedExecutor, EveryDrainChunkIsTheSortedUnionOfItsEpoch) {
   close_epoch(events.size());
   ASSERT_GT(expected.size(), 0u);
   EXPECT_EQ(delivered.log, expected);
+}
+
+// Logs every OnBlock call with its delivery position, and its results
+// flattened like DeliveryLog's. The merge stage hands the sink blocks
+// only, so a per-result call fails.
+class BlockDeliveryLog : public ResultSink {
+ public:
+  struct Block {
+    uint64_t position;
+    int op;
+    TimeT start;
+    TimeT end;
+  };
+
+  void OnResult(const WindowResult&) override {
+    ADD_FAILURE() << "a result was delivered outside a block";
+  }
+  void OnBlock(int operator_id, TimeT start, TimeT end, const uint32_t* keys,
+               const double* values, size_t count) override {
+    EXPECT_GT(count, 0u);
+    blocks.push_back({pushed, operator_id, start, end});
+    for (size_t i = 0; i < count; ++i) {
+      if (i > 0) {
+        EXPECT_LT(keys[i - 1], keys[i]) << "block " << blocks.size();
+      }
+      const WindowResult r{operator_id, start, end, keys[i], values[i]};
+      flat.push_back(Flatten(pushed, r));
+      results.OnResult(r);
+    }
+  }
+
+  uint64_t pushed = 0;
+  std::vector<Block> blocks;
+  std::vector<Delivery> flat;
+  CollectingSink results;
+};
+
+TEST(ShardedExecutor, EveryDrainDeliversOneBlockPerInstance) {
+  // Round-robin keys over 300: every instance holds keys of every shard,
+  // so each delivered block is a merge of 2 or 4 shard blocks. T(20) and
+  // T(40) have children, so their closes reach the shard buffers as two
+  // engine blocks each.
+  constexpr uint32_t kKeys = 300;
+  const std::vector<Event> events = GenerateSyntheticStream(9000, kKeys, 31);
+  const QueryPlan plan = SharedTestPlan();
+  CollectingSink inline_sink;
+  ExecutePlan(plan, events, kKeys, &inline_sink, nullptr, nullptr);
+  // With Finish the only drain point, the one chunk is the inline
+  // delivery sequence in merge order.
+  std::vector<WindowResult> merge_ordered = inline_sink.results();
+  std::sort(merge_ordered.begin(), merge_ordered.end(),
+            [](const WindowResult& a, const WindowResult& b) {
+              return std::tie(a.end, a.start, a.operator_id, a.key) <
+                     std::tie(b.end, b.start, b.operator_id, b.key);
+            });
+  std::vector<Delivery> single_chunk;
+  for (const WindowResult& r : merge_ordered) {
+    single_chunk.push_back(Flatten(events.size(), r));
+  }
+
+  for (const uint32_t shards : {2u, 4u}) {
+    for (const uint64_t drain_interval : {uint64_t{700}, events.size() + 1}) {
+      SCOPED_TRACE(std::to_string(shards) + " shards, drain interval " +
+                   std::to_string(drain_interval));
+      ShardedExecutor::Options options;
+      options.num_keys = kKeys;
+      options.num_shards = shards;
+      options.batch_size = 64;
+      options.drain_interval = drain_interval;
+      BlockDeliveryLog log;
+      ShardedExecutor executor(plan, options, &log);
+      for (const Event& event : events) {
+        ++log.pushed;
+        executor.Push(event);
+      }
+      executor.Finish();
+      // One OnBlock per (operator, instance) in each drain.
+      std::set<std::tuple<uint64_t, int, TimeT, TimeT>> seen;
+      for (const BlockDeliveryLog::Block& b : log.blocks) {
+        EXPECT_TRUE(seen.emplace(b.position, b.op, b.start, b.end).second)
+            << "operator " << b.op << " [" << b.start << ", " << b.end
+            << ") twice in the drain at " << b.position;
+      }
+      ExpectChunksSorted(log.flat);
+      EXPECT_EQ(log.results.ToMap(), inline_sink.ToMap());
+      if (drain_interval > events.size()) {
+        EXPECT_EQ(log.flat, single_chunk);
+      } else {
+        std::set<uint64_t> drains;
+        for (const BlockDeliveryLog::Block& b : log.blocks) {
+          drains.insert(b.position);
+        }
+        EXPECT_GT(drains.size(), 10u);
+      }
+    }
+  }
 }
 
 TEST(ShardedExecutor, CheckpointAndResizeWithCloseThroughTailStayExact) {

@@ -4,6 +4,7 @@
 
 #include <limits>
 #include <map>
+#include <string>
 #include <tuple>
 #include <vector>
 
@@ -435,6 +436,90 @@ TEST(StreamSession, StatsAttributeOpsAndSurviveReplans) {
   EXPECT_GT(stats->results_delivered, 0u);
   EXPECT_GT(stats->attributed_ops, 0u);
   EXPECT_LE(stats->attributed_ops, session.Stats().lifetime_ops);
+}
+
+// A callback that counts its invocations into `*calls`.
+StreamSession::ResultCallback CountInto(uint64_t* calls) {
+  return [calls](const WindowResult&) { ++*calls; };
+}
+
+TEST(StreamSession, ResultsDeliveredCountsEveryCallbackInvocation) {
+  constexpr uint32_t kKeys = 16;
+  const std::vector<Event> events = GenerateSyntheticStream(8000, kKeys, 19);
+  auto fleet = [](TimeT range) {
+    return Query().Max("v").From("fleet").PerKey("device").Tumbling(range);
+  };
+  for (const uint32_t shards : {1u, 2u}) {
+    SCOPED_TRACE(std::to_string(shards) + " shards");
+    StreamSession session({.num_keys = kKeys, .num_shards = shards});
+    uint64_t calls[2] = {0, 0};
+    Result<QueryId> a = session.AddQuery(fleet(20).Hopping(60, 20),
+                                         CountInto(&calls[0]));
+    Result<QueryId> b =
+        session.AddQuery(fleet(40).Tumbling(80), CountInto(&calls[1]));
+    // The same windows as `b` under a null callback: counted, not called.
+    Result<QueryId> silent = session.AddQuery(fleet(40).Tumbling(80));
+    ASSERT_TRUE(a.ok() && b.ok() && silent.ok());
+    const size_t half = events.size() / 2;
+    for (size_t i = 0; i < half; ++i) {
+      ASSERT_TRUE(session.Push(events[i]).ok());
+    }
+    // A replan mid-stream: the counters carry across it.
+    Result<QueryId> transient = session.AddQuery(fleet(120));
+    ASSERT_TRUE(transient.ok());
+    for (size_t i = half; i < events.size(); ++i) {
+      ASSERT_TRUE(session.Push(events[i]).ok());
+    }
+    ASSERT_TRUE(session.Finish().ok());
+    EXPECT_GT(calls[0], 0u);
+    EXPECT_EQ(session.StatsFor(*a)->results_delivered, calls[0]);
+    EXPECT_EQ(session.StatsFor(*b)->results_delivered, calls[1]);
+    EXPECT_EQ(session.StatsFor(*silent)->results_delivered, calls[1]);
+  }
+}
+
+TEST(StreamSession, ResultsDeliveredStaysExactAcrossADriftCrossover) {
+  // AdaptiveSession.SparseStreamEvictsFactorWindowsBitwise's set-up: at
+  // η = 0.05 the drift detector evicts the factor window through the
+  // dual-pipeline crossover, whose start gates drop each pipeline's
+  // foreign era one block at a time.
+  auto example7 = [] {
+    return Query().Sum("v").From("s").Tumbling(20).Tumbling(30).Tumbling(
+        40);
+  };
+  std::vector<Event> events;
+  for (int i = 0; i < 4000; ++i) {
+    events.push_back(Event{static_cast<TimeT>(i) * 20, 0,
+                           static_cast<double>(i % 313)});
+  }
+  StreamSession::Options options;
+  options.num_keys = 1;
+  options.adaptive.enabled = true;
+  options.adaptive.check_interval = 256;
+  options.adaptive.rate_alpha = 0.5;
+  options.adaptive.reoptimize_ratio = 2.0;
+  options.adaptive.min_events_between_replans = 1024;
+  StreamSession session(options);
+  uint64_t calls = 0;
+  Result<QueryId> counted = session.AddQuery(example7(), CountInto(&calls));
+  Result<QueryId> silent = session.AddQuery(example7());
+  ASSERT_TRUE(counted.ok() && silent.ok());
+  for (const Event& e : events) ASSERT_TRUE(session.Push(e).ok());
+  ASSERT_TRUE(session.Finish().ok());
+  EXPECT_GE(session.Stats().drift_replans, 1);
+  for (const PlanOperator& op : session.shared_plan()->operators()) {
+    EXPECT_TRUE(op.exposed) << "factor window " << op.label << " survived";
+  }
+
+  // A static session delivers the same number of results.
+  StreamSession oracle;
+  uint64_t oracle_calls = 0;
+  ASSERT_TRUE(oracle.AddQuery(example7(), CountInto(&oracle_calls)).ok());
+  for (const Event& e : events) ASSERT_TRUE(oracle.Push(e).ok());
+  ASSERT_TRUE(oracle.Finish().ok());
+  EXPECT_EQ(calls, oracle_calls);
+  EXPECT_EQ(session.StatsFor(*counted)->results_delivered, calls);
+  EXPECT_EQ(session.StatsFor(*silent)->results_delivered, calls);
 }
 
 TEST(StreamSession, TrackBaselineReportsSavings) {
