@@ -31,9 +31,7 @@ Rules (all in src/ unless noted):
                         CLOCK_MONOTONIC) outside common/clock.h. Even
                         duration-only clocks must flow through the one
                         audited shim: a single call site is what keeps
-                        "no timing feeds results" checkable, and the
-                        telemetry layer's compile-out guarantee depends
-                        on every clock read being greppable.
+                        "no timing feeds results" checkable.
   locale-dependent      setlocale, std::locale, atof/strtod/strtof,
                         sscanf/scanf: numeric parsing that honors the
                         global locale reads "3.14" as 3 under LC_ALL=de.

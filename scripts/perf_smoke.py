@@ -5,11 +5,12 @@ Two modes, both gating on a *geometric mean* of per-benchmark
 items_per_second ratios (single micro-benchmarks are noisy in shared CI
 runners; individual outliers are still printed for triage):
 
-* Telemetry overhead budget (DESIGN.md §13). Compares two result files —
-  one from a default (telemetry ON) build, one from -DFW_TELEMETRY=OFF —
-  and fails if ON falls more than the budget below OFF:
+* Overhead budget (DESIGN.md §13). Compares two result files — one
+  from a default build of the base commit, one from a default build of
+  the change — and fails if the change falls more than the budget below
+  the base, whether the cost comes from telemetry or anything else:
 
-      perf_smoke.py --on on.json --off off.json [--budget 0.03]
+      perf_smoke.py --base base.json --change change.json [--budget 0.03]
 
 * Columnar ingestion floor (DESIGN.md §14). Reads ONE result file and
   pairs every "<name>Columns..." benchmark with its scalar "<name>..."
@@ -118,26 +119,26 @@ def gate(rows, count_label, geomean_floor, fail_message):
 
 
 def run_overhead(opts):
-    on = load_items_per_second(opts.on_path)
-    off = load_items_per_second(opts.off_path)
-    shared = sorted(set(on) & set(off))
+    base = load_items_per_second(opts.base_path)
+    change = load_items_per_second(opts.change_path)
+    shared = sorted(set(base) & set(change))
     if not shared:
         print("perf_smoke: no common benchmarks between %s and %s"
-              % (opts.on_path, opts.off_path))
+              % (opts.base_path, opts.change_path))
         return 2
 
-    print("%-44s %14s %14s %8s" % ("benchmark", "off items/s", "on items/s",
-                                   "ratio"))
+    print("%-44s %14s %14s %8s" % ("benchmark", "base items/s",
+                                   "change items/s", "ratio"))
     rows = []
     for name in shared:
-        ratio = on[name] / off[name] if off[name] > 0 else 1.0
+        ratio = change[name] / base[name] if base[name] > 0 else 1.0
         flag = "  <-- slow" if ratio < 1.0 - opts.budget else ""
         print("%-44s %14.0f %14.0f %7.3fx%s"
-              % (name, off[name], on[name], ratio, flag))
-        rows.append((name, off[name], on[name]))
+              % (name, base[name], change[name], ratio, flag))
+        rows.append((name, base[name], change[name]))
     return gate(rows, "benchmarks", 1.0 - opts.budget,
-                "telemetry overhead exceeds the %.0f%% budget"
-                % (opts.budget * 100))
+                "the change costs more than the %.0f%% budget against "
+                "the base" % (opts.budget * 100))
 
 
 def run_columnar(opts):
@@ -176,10 +177,10 @@ def run_check(paths):
 
 def main(argv):
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument("--on", dest="on_path",
-                        help="benchmark json from the telemetry-ON build")
-    parser.add_argument("--off", dest="off_path",
-                        help="benchmark json from the -DFW_TELEMETRY=OFF build")
+    parser.add_argument("--base", dest="base_path",
+                        help="benchmark json from the base commit's build")
+    parser.add_argument("--change", dest="change_path",
+                        help="benchmark json from the change's build")
     parser.add_argument("--budget", type=float, default=0.03,
                         help="allowed fractional slowdown (default 0.03)")
     parser.add_argument("--columnar", dest="columnar_path",
@@ -195,18 +196,18 @@ def main(argv):
     opts = parser.parse_args(argv)
 
     modes = [bool(opts.check_paths), bool(opts.columnar_path),
-             bool(opts.on_path or opts.off_path)]
+             bool(opts.base_path or opts.change_path)]
     if sum(modes) > 1:
-        print("perf_smoke: --check, --columnar, and --on/--off are "
+        print("perf_smoke: --check, --columnar, and --base/--change are "
               "mutually exclusive")
         return 2
     if opts.check_paths:
         return run_check(opts.check_paths)
     if opts.columnar_path:
         return run_columnar(opts)
-    if not opts.on_path or not opts.off_path:
+    if not opts.base_path or not opts.change_path:
         print("perf_smoke: need --check FILE..., --columnar FILE, or both "
-              "--on and --off")
+              "--base and --change")
         return 2
     return run_overhead(opts)
 

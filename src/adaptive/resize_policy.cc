@@ -15,10 +15,6 @@ ResizePolicy::ResizePolicy(const Options& options) : options_(options) {
 
 bool ResizePolicy::Hot(const ResizeSignal& signal) const {
   if (signal.ring_occupancy >= options_.scale_up_occupancy) return true;
-  if (options_.handoff_p99_budget_ns > 0 &&
-      signal.handoff_p99_ns >= options_.handoff_p99_budget_ns) {
-    return true;
-  }
   if (options_.target_rate_per_shard > 0.0 && signal.rate_valid &&
       signal.observed_rate >
           options_.target_rate_per_shard *
@@ -30,10 +26,6 @@ bool ResizePolicy::Hot(const ResizeSignal& signal) const {
 
 bool ResizePolicy::Cold(const ResizeSignal& signal) const {
   if (signal.ring_occupancy > options_.scale_down_occupancy) return false;
-  if (options_.handoff_p99_budget_ns > 0 &&
-      signal.handoff_p99_ns >= options_.handoff_p99_budget_ns) {
-    return false;
-  }
   if (options_.target_rate_per_shard > 0.0) {
     // The halved topology must still absorb the observed rate; without a
     // valid rate reading the trough is unproven, so hold.

@@ -7,7 +7,7 @@ namespace fw {
 
 /// One sampled observation of the running executor, in the units the
 /// policy decides on. The session fills this from ShardedExecutor and
-/// telemetry; the policy itself touches neither, so its decisions are a
+/// its rate estimator; the policy touches neither, so its decisions are a
 /// pure function of (options, signal, hysteresis state) and can be pinned
 /// by plain unit tests.
 struct ResizeSignal {
@@ -26,36 +26,30 @@ struct ResizeSignal {
   /// Event-time based, so it is deterministic for a given input stream —
   /// unlike a wall-clock events/sec reading, replays reproduce it exactly.
   double observed_rate = 0.0;
-
-  /// Batch hand-off p99 over the last sampling interval, in nanoseconds.
-  /// 0 when telemetry is compiled out or no hand-offs happened.
-  uint64_t handoff_p99_ns = 0;
 };
 
-/// Decides shard-count changes from blended occupancy / throughput /
-/// latency signals, with scale-down hysteresis.
+/// Decides shard-count changes from blended occupancy / throughput
+/// signals, with scale-down hysteresis.
 ///
 /// The legacy monitor was occupancy-only, which has a structural blind
 /// spot: inline mode has no rings, so occupancy reads 0 forever and the
 /// monitor can neither confidently scale *into* 1 shard (0 occupancy
 /// after the switch would look permanently cold) nor ever scale back
-/// out. The blended policy closes the loop with two signals that remain
-/// measurable at 1 shard:
+/// out. The blended policy adds a second signal, the observed event
+/// rate, which stays measurable at 1 shard:
 ///
 ///   scale up    occupancy >= scale_up_occupancy
-///               OR hand-off p99 over budget (handoff_p99_budget_ns)
 ///               OR observed rate > target_rate_per_shard * shards
 ///   scale down  occupancy <= scale_down_occupancy
 ///               AND observed rate <= target_rate_per_shard * (shards/2)
-///               AND hand-off p99 under budget
 ///               for scale_down_checks consecutive samples
 ///
-/// Rate and latency terms only participate when their option is set
-/// (non-zero); with both unset the policy degrades to the legacy
-/// occupancy-only behavior, including its refusal to scale below 2
-/// shards. With a rate target configured, the scale-down floor drops to
-/// max(min_shards, 1): the rate signal can prove a trough is real from
-/// inside inline mode, so entering it is no longer a one-way door.
+/// The rate term only participates when target_rate_per_shard is set
+/// (non-zero); unset, the policy degrades to the legacy occupancy-only
+/// behavior, including its refusal to scale below 2 shards. With a rate
+/// target configured, the scale-down floor drops to max(min_shards, 1):
+/// the rate signal can prove a trough is real from inside inline mode,
+/// so entering it is no longer a one-way door.
 ///
 /// Hysteresis contract: Decide() counts consecutive cold samples and
 /// proposes a halving only once the count reaches scale_down_checks. The
@@ -84,9 +78,6 @@ class ResizePolicy {
     /// Events per event-time unit one shard is expected to absorb.
     /// 0 disables the rate term (legacy occupancy-only behavior).
     double target_rate_per_shard = 0.0;
-
-    /// Hand-off p99 ceiling in nanoseconds. 0 disables the latency term.
-    uint64_t handoff_p99_budget_ns = 0;
   };
 
   explicit ResizePolicy(const Options& options);

@@ -185,12 +185,12 @@ Status DurabilityManager::BeginSnapshot(
   job_->contents = std::move(contents);
   job_->checkpoint = std::move(checkpoint);
   writer_ = std::thread(&DurabilityManager::RunWriter, job_.get());
-  stall_hist_->Record(0, telemetry::NowNanosIfEnabled() - started_ns);
+  stall_hist_->Record(0, MonotonicNanos() - started_ns);
   return Status::OK();
 }
 
 void DurabilityManager::RunWriter(SnapshotJob* job) {
-  const uint64_t started_ns = telemetry::NowNanosIfEnabled();
+  const uint64_t started_ns = MonotonicNanos();
   bool killed = false;
   const auto proceed = [&killed](SnapshotStage stage) {
     killed = KillHook() && KillHook()(stage);
@@ -208,7 +208,7 @@ void DurabilityManager::RunWriter(SnapshotJob* job) {
           Truncate(job->dir, job->contents.meta.covered_seq, proceed);
     }
   }
-  job->write_ns = telemetry::NowNanosIfEnabled() - started_ns;
+  job->write_ns = MonotonicNanos() - started_ns;
   if (killed) {
     // Like a dead process's writer, a killed one never reports done: only
     // a join observes it, so where the session fail-stops does not depend
@@ -247,7 +247,7 @@ Status DurabilityManager::ReapSnapshot() {
 
 Status DurabilityManager::WriteSnapshot(SnapshotContents contents) {
   FW_RETURN_IF_ERROR(BeginSnapshot(std::move(contents), std::nullopt,
-                                   telemetry::NowNanosIfEnabled()));
+                                   MonotonicNanos()));
   return JoinSnapshot();
 }
 

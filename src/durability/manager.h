@@ -89,7 +89,7 @@ class DurabilityManager {
   /// segments, older snapshots and stale temp files. Deletion failures
   /// are non-fatal (counted in truncate_failures) — ReadChangelog skips
   /// segments a snapshot fully covers, so a leftover only costs disk,
-  /// never correctness. `started_ns` is the caller's NowNanosIfEnabled()
+  /// never correctness. `started_ns` is the caller's MonotonicNanos()
   /// stamp from before it took the snapshot, so
   /// durability.snapshot_stall_ns covers the take as well.
   Status BeginSnapshot(SnapshotContents contents,

@@ -5,6 +5,7 @@
 #include <tuple>
 #include <utility>
 
+#include "common/clock.h"
 #include "common/logging.h"
 #include "runtime/partition.h"
 #include "runtime/shard_checkpoint.h"
@@ -16,7 +17,7 @@ namespace {
 /// The SPSC hand-off unit: a producer-built columnar event batch stamped
 /// with its enqueue time, so the consuming worker can record one
 /// enqueue→folded latency sample per batch — zero per-event clock reads.
-/// The stamp is 0 when telemetry is compiled out. Columnar end to end:
+/// Columnar end to end:
 /// the producer appends routed events straight into the columns and the
 /// worker folds them through PlanExecutor::PushColumns, so per-event and
 /// columnar ingestion share one engine-side hot path.
@@ -138,13 +139,9 @@ void ShardedExecutor::BuildTopology() {
       EventBatch batch;
       while (s->queue.Pop(&batch)) {
         s->executor->PushColumns(batch.columns);
-        if (telemetry::kEnabled) {
-          // One sample per batch: time from producer flush to fully
-          // folded. kEnabled is constexpr, so OFF builds drop the whole
-          // block — no clock read on the worker either.
-          s->handoff_hist->Record(
-              s->index, telemetry::NowNanosIfEnabled() - batch.enqueued_ns);
-        }
+        // One sample per batch: time from producer flush to fully folded.
+        s->handoff_hist->Record(s->index,
+                                MonotonicNanos() - batch.enqueued_ns);
         // The release publishes the folded state and its results.
         s->consumed.fetch_add(1, std::memory_order_release);
       }
@@ -180,7 +177,7 @@ void ShardedExecutor::FlushPending(Shard* shard) {
   EventBatch batch;
   batch.columns.Reserve(options_.batch_size);
   batch.columns.Swap(&shard->pending);  // Leaves a fresh reserved buffer.
-  batch.enqueued_ns = telemetry::NowNanosIfEnabled();
+  batch.enqueued_ns = MonotonicNanos();
   shard->queue.Push(std::move(batch));
   ++shard->enqueued;
   // In-flight high-water mark (relaxed read: an undercount by in-flight
@@ -363,7 +360,7 @@ void ShardedExecutor::BufferSink::Clear() {
 }
 
 void ShardedExecutor::DeliverBuffered(uint64_t drain_started_ns) {
-  const uint64_t deliver_started_ns = telemetry::NowNanosIfEnabled();
+  const uint64_t deliver_started_ns = MonotonicNanos();
   drain_wait_hist_->Record(0, deliver_started_ns - drain_started_ns);
   merge_heap_.clear();
   for (auto& shard : shards_) {
@@ -444,14 +441,13 @@ void ShardedExecutor::DeliverBuffered(uint64_t drain_started_ns) {
     shard->worker_role.AssertHeld();  // Still owned (see above).
     shard->buffer.Clear();
   }
-  drain_deliver_hist_->Record(
-      0, telemetry::NowNanosIfEnabled() - deliver_started_ns);
+  drain_deliver_hist_->Record(0, MonotonicNanos() - deliver_started_ns);
 }
 
 void ShardedExecutor::Drain() {
   session_role_.AssertHeld();  // Public entry: session thread only.
   if (inline_executor_) return;
-  const uint64_t drain_started_ns = telemetry::NowNanosIfEnabled();
+  const uint64_t drain_started_ns = MonotonicNanos();
   Quiesce();
   DeliverBuffered(drain_started_ns);
   events_since_drain_ = 0;
@@ -472,7 +468,7 @@ void ShardedExecutor::Finish() {
     inline_executor_->Finish();
     return;
   }
-  const uint64_t drain_started_ns = telemetry::NowNanosIfEnabled();
+  const uint64_t drain_started_ns = MonotonicNanos();
   StopWorkers();
   for (auto& shard : shards_) {
     // Workers are joined: the join published everything they wrote, so
@@ -521,7 +517,7 @@ Result<ExecutorCheckpoint> ShardedExecutor::Checkpoint() {
     }
     return checkpoint;
   }
-  const uint64_t drain_started_ns = telemetry::NowNanosIfEnabled();
+  const uint64_t drain_started_ns = MonotonicNanos();
   Quiesce();
   if (delivered_any_) {
     // Workers are quiesced, so the session thread may drive the engines;
@@ -732,34 +728,6 @@ double ShardedExecutor::RingOccupancy() const {
                    static_cast<double>(shard->queue.capacity() + 1));
   }
   return worst;
-}
-
-void ShardedExecutor::Reset() {
-  session_role_.AssertHeld();  // Public entry: session thread only.
-  for (Reorderer& reorderer : reorderers_) reorderer.Clear();
-  reorder_any_seen_ = false;
-  reorder_max_seen_ = 0;
-  reorder_next_seq_ = 0;
-  late_events_ = 0;
-  reorder_buffer_peak_ = 0;
-  retired_closes_.clear();
-  retired_finalizes_.clear();
-  events_since_wm_advance_ = 0;
-  late_run_ = 0;
-  events_per_shard_.assign(events_per_shard_.size(), 0);
-  delivered_max_ = 0;
-  delivered_any_ = false;
-  if (inline_executor_) {
-    inline_executor_->Reset();
-    return;
-  }
-  Quiesce();
-  for (auto& shard : shards_) {
-    shard->worker_role.AssertHeld();  // Quiesced (see above).
-    shard->executor->Reset();
-    shard->buffer.Clear();
-  }
-  events_since_drain_ = 0;
 }
 
 uint64_t ShardedExecutor::TotalAccumulateOps() const {

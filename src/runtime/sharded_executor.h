@@ -211,9 +211,6 @@ class ShardedExecutor {
   /// after Finish.
   Status Resize(uint32_t new_num_shards);
 
-  /// Clears all shard state, counters, and buffered results.
-  void Reset();
-
   /// Replaces the late-event side output (see Options::late_sink; null
   /// means count-and-drop). Takes effect with the next pushed event; the
   /// sink must outlive the executor. Exists for crossover replans: while

@@ -56,7 +56,6 @@ ResizePolicy::Options PolicyOptionsFrom(
           ? static_cast<uint32_t>(options.scale_down_checks)
           : 1u;
   policy.target_rate_per_shard = std::max(options.target_rate_per_shard, 0.0);
-  policy.handoff_p99_budget_ns = options.handoff_p99_budget_ns;
   return policy;
 }
 
@@ -189,7 +188,6 @@ StreamSession::StreamSession(const Options& options)
       drift_replans_counter_(metrics_.GetCounter("session.drift_replans")),
       observed_eta_gauge_(metrics_.GetGauge("session.observed_eta")),
       throughput_eps_gauge_(metrics_.GetGauge("session.throughput_eps")),
-      handoff_hist_(metrics_.GetHistogram("executor.batch_handoff_ns")),
       resize_policy_(PolicyOptionsFrom(options.auto_resize)),
       rate_(SanitizedRateAlpha(options.adaptive.rate_alpha)) {
   session_role_.AssertHeld();  // Constructing thread is the caller thread.
@@ -571,14 +569,6 @@ void StreamSession::AutoResizeCheck(uint64_t events_at_sample,
     signal.rate_valid = true;
     signal.observed_rate = rate_.rate();
   }
-  if (policy.handoff_p99_budget_ns > 0 && telemetry::kEnabled) {
-    // Per-interval delta, not lifetime percentiles: an old congestion
-    // spike must not block scale-downs forever.
-    telemetry::HistogramSnapshot now = handoff_hist_->Snapshot();
-    signal.handoff_p99_ns = static_cast<uint64_t>(
-        telemetry::Delta(now, last_handoff_snap_).Percentile(0.99));
-    last_handoff_snap_ = now;
-  }
 
   const uint32_t current = signal.current_shards;
   const uint32_t target = resize_policy_.Decide(signal);
@@ -611,7 +601,7 @@ void StreamSession::ObserveRate(uint64_t events_at_sample,
     rate_seeded_ = true;
     rate_last_events_ = events_at_sample;
     rate_last_wm_ = wm_at_sample;
-    rate_last_ns_ = telemetry::NowNanosIfEnabled();
+    rate_last_ns_ = MonotonicNanos();
     return;
   }
   const uint64_t events = events_at_sample - rate_last_events_;
@@ -625,7 +615,7 @@ void StreamSession::ObserveRate(uint64_t events_at_sample,
   }
   // Wall-clock events/sec is export-only (decisions use the event-time
   // rate above, which replays deterministically).
-  const uint64_t now_ns = telemetry::NowNanosIfEnabled();
+  const uint64_t now_ns = MonotonicNanos();
   if (now_ns > rate_last_ns_ && rate_last_ns_ > 0 && events > 0) {
     throughput_eps_gauge_->Set(static_cast<double>(events) * 1e9 /
                                static_cast<double>(now_ns - rate_last_ns_));
@@ -1281,7 +1271,7 @@ void StreamSession::MaybeSnapshot() {
 }
 
 Status StreamSession::BeginDurableSnapshot() {
-  const uint64_t started_ns = telemetry::NowNanosIfEnabled();
+  const uint64_t started_ns = MonotonicNanos();
   durability::SnapshotContents contents;
   std::optional<ExecutorCheckpoint> checkpoint;
   FW_RETURN_IF_ERROR(BuildDurableSnapshot(&contents, &checkpoint));

@@ -162,7 +162,7 @@ class StreamSession {
   /// Load-driven shard re-scaling (see the class comment). The monitor
   /// runs on the Push thread: every check_interval accepted events it
   /// samples the executor and asks the blended ResizePolicy
-  /// (adaptive/resize_policy.h) for a target width. Three signals blend
+  /// (adaptive/resize_policy.h) for a target width. Two signals blend
   /// per sample:
   ///
   ///  * worst-shard SPSC ring occupancy (in-flight batches / ring
@@ -173,11 +173,7 @@ class StreamSession {
   ///    target_rate_per_shard: scale up when η̂ exceeds target × current
   ///    shards, allow a scale-down only when the halved topology would
   ///    still absorb η̂. Event-time based, so the signal replays
-  ///    deterministically;
-  ///  * batch hand-off p99 over the sampling interval (telemetry
-  ///    histogram "executor.batch_handoff_ns"), enabled by a non-zero
-  ///    handoff_p99_budget_ns: over budget triggers scale-up and blocks
-  ///    scale-downs. Inert when telemetry is compiled out.
+  ///    deterministically.
   ///
   /// Occupancy alone cannot see load from inline (1-shard) mode — there
   /// are no rings there — so the occupancy-only monitor never scales
@@ -208,10 +204,6 @@ class StreamSession {
     /// non-zero value turns on the throughput signal (0 keeps the legacy
     /// occupancy-only monitor, which never scales below 2 shards).
     double target_rate_per_shard = 0.0;
-    /// Interval hand-off p99 ceiling in nanoseconds; non-zero turns on
-    /// the latency signal. Wall-clock based, so it steers only *when*
-    /// exact resizes happen — never what the session emits.
-    uint64_t handoff_p99_budget_ns = 0;
   };
 
   /// Runtime-adaptive re-optimization (DESIGN.md §15): the session
@@ -432,11 +424,6 @@ class StreamSession {
   /// histograms, trace ring) and the per-operator breakdown. Render
   /// `telemetry` with telemetry/prometheus.h or telemetry/json.h.
   struct SessionMetrics {
-    /// False when the library was built -DFW_TELEMETRY=OFF: `stats`,
-    /// `operators`, and the *_total counters below stay exact (they come
-    /// from the engine's own counters), while `telemetry` comes back
-    /// empty.
-    bool telemetry_enabled = telemetry::kEnabled;
     SessionStats stats;
     telemetry::MetricsSnapshot telemetry;
     /// Current topology (empty while idle); see OperatorMetrics.
@@ -782,10 +769,6 @@ class StreamSession {
   telemetry::Counter* const drift_replans_counter_;
   telemetry::Gauge* const observed_eta_gauge_;
   telemetry::Gauge* const throughput_eps_gauge_;
-  /// The executors' hand-off latency histogram ("executor.batch_handoff_
-  /// ns" — registry handles are name-stable, so this is the same object
-  /// every executor records into), read by the monitor's latency signal.
-  telemetry::Histogram* const handoff_hist_;
 
   QueryId next_id_ FW_GUARDED_BY(session_role_) = 1;
   /// Plan order.
@@ -864,11 +847,6 @@ class StreamSession {
   uint64_t events_since_drift_check_ FW_GUARDED_BY(session_role_) = 0;
   uint64_t last_drift_replan_events_ FW_GUARDED_BY(session_role_) = 0;
   int drift_replans_ FW_GUARDED_BY(session_role_) = 0;
-
-  /// Previous "executor.batch_handoff_ns" snapshot: the latency signal
-  /// reads the histogram's per-interval delta, not lifetime percentiles.
-  telemetry::HistogramSnapshot last_handoff_snap_
-      FW_GUARDED_BY(session_role_);
 
   /// Durability manager (null unless Options::durability.enabled) and
   /// the sticky first durability failure: once an append or snapshot

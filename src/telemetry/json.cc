@@ -37,10 +37,7 @@ void AppendKey(std::string& out, const std::string& name) {
 }  // namespace
 
 std::string RenderJson(const MetricsSnapshot& snapshot) {
-  std::string out = "{\n  \"enabled\": ";
-  out += snapshot.enabled ? "true" : "false";
-
-  out += ",\n  \"counters\": {";
+  std::string out = "{\n  \"counters\": {";
   bool first = true;
   for (const auto& [name, value] : snapshot.counters) {
     out += first ? "\n    " : ",\n    ";

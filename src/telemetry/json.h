@@ -4,8 +4,7 @@
 /// JSON renderer for metric snapshots — the bench-artifact format
 /// (bench_util.h --metrics-json=PATH). One top-level object:
 ///
-///   { "enabled": bool,
-///     "counters": { name: integer, ... },
+///   { "counters": { name: integer, ... },
 ///     "gauges": { name: float, ... },
 ///     "histograms": { name: { "count", "sum", "mean",
 ///                             "p50", "p90", "p99",

@@ -5,30 +5,17 @@
 namespace fw {
 namespace telemetry {
 
-uint64_t NowNanosIfEnabled() {
-#if FW_TELEMETRY_ENABLED
-  return MonotonicNanos();
-#else
-  return 0;
-#endif
-}
-
-std::vector<uint64_t> MaxGauge::PerCell() const {
-  std::vector<uint64_t> out(kCells, 0);
-#if FW_TELEMETRY_ENABLED
-  for (uint32_t i = 0; i < kCells; ++i) {
-    out[i] = cells_[i].value.load(std::memory_order_relaxed);
-  }
-#endif
-  return out;
-}
-
 double HistogramSnapshot::Percentile(double q) const {
   if (count == 0) return 0.0;
   if (q < 0.0) q = 0.0;
   if (q > 1.0) q = 1.0;
-  // Rank of the target sample, 1-based: ceil(q * count), at least 1.
-  uint64_t rank = static_cast<uint64_t>(q * static_cast<double>(count));
+  // Nearest rank, 1-based: ceil(q * count), at least 1. The product
+  // can overshoot an exact integer (0.07 * 100 == 7.0000000000000009),
+  // so a ceiling only counts once it clears the floor by more than the
+  // product's rounding error.
+  const double exact = q * static_cast<double>(count);
+  uint64_t rank = static_cast<uint64_t>(exact);
+  if (exact - static_cast<double>(rank) > exact * 1e-12) ++rank;
   if (rank < 1) rank = 1;
   if (rank > count) rank = count;
   uint64_t seen = 0;
@@ -51,22 +38,8 @@ double HistogramSnapshot::Percentile(double q) const {
   return static_cast<double>(BucketHigh(kHistogramBuckets - 1));
 }
 
-HistogramSnapshot Delta(const HistogramSnapshot& later,
-                        const HistogramSnapshot& earlier) {
-  HistogramSnapshot delta;
-  delta.count = later.count >= earlier.count ? later.count - earlier.count : 0;
-  delta.sum = later.sum >= earlier.sum ? later.sum - earlier.sum : 0;
-  for (uint32_t b = 0; b < kHistogramBuckets; ++b) {
-    delta.buckets[b] = later.buckets[b] >= earlier.buckets[b]
-                           ? later.buckets[b] - earlier.buckets[b]
-                           : 0;
-  }
-  return delta;
-}
-
 HistogramSnapshot Histogram::Snapshot() const {
   HistogramSnapshot snap;
-#if FW_TELEMETRY_ENABLED
   for (const Shard& shard : shards_) {
     for (uint32_t b = 0; b < kHistogramBuckets; ++b) {
       uint64_t n = shard.buckets[b].load(std::memory_order_relaxed);
@@ -75,7 +48,6 @@ HistogramSnapshot Histogram::Snapshot() const {
     }
     snap.sum += shard.sum.load(std::memory_order_relaxed);
   }
-#endif
   return snap;
 }
 
@@ -105,8 +77,6 @@ const char* TraceKindName(TraceKind kind) {
 
 MetricsRegistry::MetricsRegistry() = default;
 MetricsRegistry::~MetricsRegistry() = default;
-
-#if FW_TELEMETRY_ENABLED
 
 namespace {
 // Resolve-or-create in an ordered map of owned metrics. unique_ptr keeps
@@ -192,33 +162,6 @@ MetricsSnapshot MetricsRegistry::Snapshot() const {
   }
   return snap;
 }
-
-#else  // !FW_TELEMETRY_ENABLED
-
-// Compiled-out registry: getters hand back shared storageless dummies
-// (every mutator on them is an empty inline), traces vanish, snapshots
-// come back empty with enabled=false.
-namespace {
-Counter g_dummy_counter;
-Gauge g_dummy_gauge;
-MaxGauge g_dummy_max_gauge;
-Histogram g_dummy_histogram;
-}  // namespace
-
-Counter* MetricsRegistry::GetCounter(std::string_view) {
-  return &g_dummy_counter;
-}
-Gauge* MetricsRegistry::GetGauge(std::string_view) { return &g_dummy_gauge; }
-MaxGauge* MetricsRegistry::GetMaxGauge(std::string_view) {
-  return &g_dummy_max_gauge;
-}
-Histogram* MetricsRegistry::GetHistogram(std::string_view) {
-  return &g_dummy_histogram;
-}
-void MetricsRegistry::RecordTrace(TraceKind, uint64_t, int64_t, int64_t) {}
-MetricsSnapshot MetricsRegistry::Snapshot() const { return MetricsSnapshot{}; }
-
-#endif  // FW_TELEMETRY_ENABLED
 
 MetricsRegistry* ScratchRegistry() {
   // Leaked: executors outlive no sessions here, but test fixtures create

@@ -5,7 +5,7 @@
 /// of sharded metric cells — relaxed-atomic counters, gauges, and
 /// fixed-bucket log2 latency histograms — plus a bounded trace-event ring
 /// for structural events (replans, resizes, watermark stalls, late-event
-/// bursts). Designed around three constraints:
+/// bursts). Designed around two constraints:
 ///
 ///  * the hot path never takes a lock or shares a cache line across
 ///    shards: every metric is an array of cache-line-aligned cells,
@@ -14,12 +14,8 @@
 ///  * measurement never perturbs results: telemetry reads the clock
 ///    (common/clock.h) and counts, but nothing observable — results,
 ///    watermarks, checkpoints — ever depends on a metric value, so the
-///    bitwise-determinism invariant (fuzz + elasticity suites) holds with
-///    telemetry on or off;
-///  * `-DFW_TELEMETRY=OFF` compiles the layer out: every mutator becomes
-///    an empty inline function, metric objects lose their storage, and
-///    snapshots come back empty with `enabled = false` — call sites stay
-///    unconditional.
+///    bitwise-determinism invariant (fuzz + elasticity suites) holds
+///    whatever the metrics read.
 ///
 /// Registry handles (Counter*, Gauge*, Histogram*) are resolved by name
 /// once, at construction time (plan build / executor build), never per
@@ -43,18 +39,12 @@
 
 #include "common/mutex.h"
 
-#if defined(FW_TELEMETRY_DISABLED)
-#define FW_TELEMETRY_ENABLED 0
-#else
-#define FW_TELEMETRY_ENABLED 1
-#endif
-
 namespace fw {
 namespace telemetry {
 
-/// Compile-time switch mirror, for tests and for callers that want to
-/// skip snapshot plumbing entirely when the layer is compiled out.
-inline constexpr bool kEnabled = FW_TELEMETRY_ENABLED != 0;
+/// Telemetry is always compiled in. Kept only for the benchmark's
+/// run-context block, which still reports it.
+inline constexpr bool kEnabled = true;
 
 /// Cells per metric. Shard i writes cell (i & kCellMask); with more
 /// shards than cells, distant shards share a cell — totals stay exact
@@ -85,18 +75,11 @@ inline constexpr uint64_t BucketHigh(uint32_t bucket) {
              : (uint64_t{1} << bucket) - 1;
 }
 
-/// MonotonicNanos when telemetry is compiled in, 0 otherwise — the stamp
-/// helper for hot-path call sites that only read the clock to feed a
-/// histogram (so OFF builds skip the vDSO call too).
-uint64_t NowNanosIfEnabled();
-
-#if FW_TELEMETRY_ENABLED
 namespace internal {
 struct alignas(64) Cell {
   std::atomic<uint64_t> value{0};
 };
 }  // namespace internal
-#endif
 
 /// Monotonic event count, sharded. Writers pass their shard index; any
 /// index is safe (masked). Total() is a relaxed sum — exact once the
@@ -104,32 +87,21 @@ struct alignas(64) Cell {
 class Counter {
  public:
   void Add(uint32_t cell, uint64_t delta) {
-#if FW_TELEMETRY_ENABLED
     cells_[cell & kCellMask].value.fetch_add(delta,
                                              std::memory_order_relaxed);
-#else
-    (void)cell;
-    (void)delta;
-#endif
   }
   void Increment(uint32_t cell) { Add(cell, 1); }
 
   uint64_t Total() const {
-#if FW_TELEMETRY_ENABLED
     uint64_t total = 0;
     for (const auto& cell : cells_) {
       total += cell.value.load(std::memory_order_relaxed);
     }
     return total;
-#else
-    return 0;
-#endif
   }
 
  private:
-#if FW_TELEMETRY_ENABLED
   std::array<internal::Cell, kCells> cells_{};
-#endif
 };
 
 /// Instantaneous value (one writer at a time; last write wins). Values
@@ -137,25 +109,15 @@ class Counter {
 class Gauge {
  public:
   void Set(double value) {
-#if FW_TELEMETRY_ENABLED
     bits_.store(std::bit_cast<uint64_t>(value), std::memory_order_relaxed);
-#else
-    (void)value;
-#endif
   }
 
   double Value() const {
-#if FW_TELEMETRY_ENABLED
     return std::bit_cast<double>(bits_.load(std::memory_order_relaxed));
-#else
-    return 0.0;
-#endif
   }
 
  private:
-#if FW_TELEMETRY_ENABLED
   std::atomic<uint64_t> bits_{std::bit_cast<uint64_t>(0.0)};
-#endif
 };
 
 /// Sharded high-water mark (e.g. per-shard ring backlog peaks). Each
@@ -163,39 +125,25 @@ class Gauge {
 class MaxGauge {
  public:
   void UpdateMax(uint32_t cell, uint64_t value) {
-#if FW_TELEMETRY_ENABLED
     std::atomic<uint64_t>& slot = cells_[cell & kCellMask].value;
     uint64_t seen = slot.load(std::memory_order_relaxed);
     while (value > seen &&
            !slot.compare_exchange_weak(seen, value,
                                        std::memory_order_relaxed)) {
     }
-#else
-    (void)cell;
-    (void)value;
-#endif
   }
 
   uint64_t Max() const {
-#if FW_TELEMETRY_ENABLED
     uint64_t max = 0;
     for (const auto& cell : cells_) {
       uint64_t v = cell.value.load(std::memory_order_relaxed);
       if (v > max) max = v;
     }
     return max;
-#else
-    return 0;
-#endif
   }
 
-  /// Per-cell view (shard-indexed high-water marks), sized kCells.
-  std::vector<uint64_t> PerCell() const;
-
  private:
-#if FW_TELEMETRY_ENABLED
   std::array<internal::Cell, kCells> cells_{};
-#endif
 };
 
 /// Aggregated histogram state (one consistent read of a Histogram).
@@ -205,8 +153,8 @@ struct HistogramSnapshot {
   std::array<uint64_t, kHistogramBuckets> buckets{};
 
   /// Rank-based percentile estimate (q in [0, 1]): finds the bucket
-  /// containing the q-th ranked sample and interpolates linearly inside
-  /// its [low, high] value range. Exact for bucket 0 (zeros); within a
+  /// containing the nearest-rank sample, rank ceil(q * count), and
+  /// interpolates linearly inside its [low, high] value range. Exact for bucket 0 (zeros); within a
   /// factor-of-two bound otherwise — the contract of log2 buckets.
   double Percentile(double q) const;
   double Mean() const {
@@ -215,41 +163,24 @@ struct HistogramSnapshot {
   }
 };
 
-/// Per-field difference of two snapshots of the *same* histogram —
-/// `later` taken after `earlier`. Histograms are monotone, so the delta
-/// is the distribution of samples recorded in between; interval readers
-/// (the auto-resize monitor's per-sample hand-off p99) use this instead
-/// of lifetime percentiles, which would flatten any recent shift.
-/// Subtraction saturates at 0 per field, so concurrent relaxed writers
-/// (cells read in different orders) can never produce a wrapped count.
-HistogramSnapshot Delta(const HistogramSnapshot& later,
-                        const HistogramSnapshot& earlier);
-
 /// Fixed-bucket log2 latency histogram, sharded like Counter. Record is
 /// a bit_width plus two relaxed adds (bucket count and value sum).
 class Histogram {
  public:
   void Record(uint32_t cell, uint64_t value) {
-#if FW_TELEMETRY_ENABLED
     Shard& shard = shards_[cell & kCellMask];
     shard.buckets[BucketOf(value)].fetch_add(1, std::memory_order_relaxed);
     shard.sum.fetch_add(value, std::memory_order_relaxed);
-#else
-    (void)cell;
-    (void)value;
-#endif
   }
 
   HistogramSnapshot Snapshot() const;
 
  private:
-#if FW_TELEMETRY_ENABLED
   struct alignas(64) Shard {
     std::array<std::atomic<uint64_t>, kHistogramBuckets> buckets{};
     std::atomic<uint64_t> sum{0};
   };
   std::array<Shard, kCells> shards_{};
-#endif
 };
 
 /// Structural runtime events recorded in the trace ring. Values are
@@ -283,7 +214,6 @@ struct TraceEvent {
 /// are ordered by name so snapshot iteration — and therefore every
 /// rendered artifact — is deterministic.
 struct MetricsSnapshot {
-  bool enabled = kEnabled;
   std::map<std::string, uint64_t> counters;
   std::map<std::string, double> gauges;
   std::map<std::string, HistogramSnapshot> histograms;
@@ -326,7 +256,6 @@ class MetricsRegistry {
   static constexpr size_t kTraceCapacity = 256;
 
  private:
-#if FW_TELEMETRY_ENABLED
   mutable Mutex mu_;
   /// Ordered maps: snapshot (and export) order is the name order.
   std::map<std::string, std::unique_ptr<Counter>, std::less<>> counters_
@@ -340,7 +269,6 @@ class MetricsRegistry {
   /// Bounded ring: write cursor wraps; size() = min(next_, capacity).
   std::vector<TraceEvent> trace_ FW_GUARDED_BY(mu_);
   uint64_t trace_next_ FW_GUARDED_BY(mu_) = 0;
-#endif
 };
 
 /// Fallback registry for executors constructed without a session (tests,

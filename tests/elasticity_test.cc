@@ -615,17 +615,13 @@ TEST(StatsLifecycle, RingOccupancyZeroesOnIdleRetireAndFinish) {
   ASSERT_TRUE(session.RemoveQuery(*only).ok());  // Idle-retire swap.
   StreamSession::SessionMetrics idle = session.Metrics();
   EXPECT_EQ(idle.stats.ring_occupancy, 0.0);
-  if (telemetry::kEnabled) {
-    EXPECT_EQ(idle.telemetry.gauges.at("session.ring_occupancy"), 0.0);
-  }
+  EXPECT_EQ(idle.telemetry.gauges.at("session.ring_occupancy"), 0.0);
 
   ASSERT_TRUE(session.AddQuery(PerDevice(20)).ok());  // Revival.
   ASSERT_TRUE(session.Finish().ok());
   StreamSession::SessionMetrics done = session.Metrics();
   EXPECT_EQ(done.stats.ring_occupancy, 0.0);
-  if (telemetry::kEnabled) {
-    EXPECT_EQ(done.telemetry.gauges.at("session.ring_occupancy"), 0.0);
-  }
+  EXPECT_EQ(done.telemetry.gauges.at("session.ring_occupancy"), 0.0);
 }
 
 // --- Observability: per-shard counters and ring occupancy ------------------
@@ -966,10 +962,8 @@ TEST(AdaptiveSession, SparseStreamEvictsFactorWindowsBitwise) {
   EXPECT_EQ(CountFactorOps(*session.shared_plan()), 0);  // Evicted.
   ASSERT_TRUE(session.Finish().ok());
 
-  if (telemetry::kEnabled) {
-    StreamSession::SessionMetrics metrics = session.Metrics();
-    EXPECT_GE(metrics.telemetry.counters.at("session.drift_replans"), 1u);
-  }
+  StreamSession::SessionMetrics metrics = session.Metrics();
+  EXPECT_GE(metrics.telemetry.counters.at("session.drift_replans"), 1u);
 
   StreamSession::Options plain;
   plain.num_keys = 1;

@@ -105,22 +105,6 @@ TEST(ResizePolicy, UnprovenRateBlocksScaleDownsInRateMode) {
   EXPECT_EQ(policy.consecutive_low(), 0u);
 }
 
-// --- Latency (hand-off p99) signal -----------------------------------------
-
-TEST(ResizePolicy, HandoffOverBudgetScalesUpAndBlocksScaleDowns) {
-  ResizePolicy policy({.scale_down_checks = 1,
-                       .handoff_p99_budget_ns = 1000});
-  ResizeSignal slow = At(2, 0.0);
-  slow.handoff_p99_ns = 5000;
-  EXPECT_EQ(policy.Decide(slow), 4u);  // Over budget: hot.
-  policy.OnApplied();
-  slow.current_shards = 4;
-  EXPECT_EQ(policy.Decide(slow), 8u);  // Still over: cold path blocked.
-  policy.OnVetoed();
-  slow.handoff_p99_ns = 10;
-  EXPECT_EQ(policy.Decide(slow), 2u);  // Under budget again: cold wins.
-}
-
 // --- Hysteresis bookkeeping (the saturation regression) --------------------
 
 TEST(ResizePolicy, VetoResetsTheColdStreak) {

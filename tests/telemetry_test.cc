@@ -4,10 +4,6 @@
 // headline merge contract — session counters stay exact across a 1→4→2
 // live resize ramp. Writer/snapshot races run under the `threaded`
 // label, so the ThreadSanitizer CI leg proves snapshots are race-free.
-// Every value assertion is gated on telemetry::kEnabled, so this suite
-// also passes in a -DFW_TELEMETRY=OFF build, where it instead pins the
-// compile-out contract (empty snapshots, enabled=false, zero-cost
-// objects).
 
 #include <gtest/gtest.h>
 
@@ -35,7 +31,7 @@ namespace fw {
 namespace telemetry {
 namespace {
 
-// --- Bucket math (pure functions: hold in ON and OFF builds alike) ----------
+// --- Bucket math ------------------------------------------------------------
 
 TEST(BucketMath, BoundariesRoundTrip) {
   EXPECT_EQ(BucketOf(0), 0u);
@@ -71,10 +67,6 @@ TEST(Histogram, RecordCountsSumAndBuckets) {
   hist.Record(1, 5);
   hist.Record(31, 7);  // Masked down to cell 15.
   HistogramSnapshot snap = hist.Snapshot();
-  if (!kEnabled) {
-    EXPECT_EQ(snap.count, 0u);
-    return;
-  }
   EXPECT_EQ(snap.count, 18u);
   EXPECT_EQ(snap.sum, 10u * 0 + 5u * 1 + 4 + 5 + 7);
   EXPECT_EQ(snap.buckets[0], 10u);
@@ -89,7 +81,6 @@ TEST(Histogram, PercentileRankWalk) {
   for (int i = 0; i < 50; ++i) hist.Record(0, 0);
   for (int i = 0; i < 50; ++i) hist.Record(0, 100);
   HistogramSnapshot snap = hist.Snapshot();
-  if (!kEnabled) return;
   // Ranks <= 50 land in the zero bucket: exact.
   EXPECT_EQ(snap.Percentile(0.25), 0.0);
   // Ranks above land in bucket 7: the interpolated estimate must stay
@@ -100,6 +91,36 @@ TEST(Histogram, PercentileRankWalk) {
   // Percentiles are monotone in q.
   EXPECT_LE(snap.Percentile(0.50), snap.Percentile(0.75));
   EXPECT_LE(snap.Percentile(0.75), snap.Percentile(0.99));
+}
+
+// Nearest rank is ceil(q * count): with four samples, p99 is the 4th
+// (the maximum), not the 3rd.
+TEST(Histogram, PercentileNearestRankReachesTheMaximum) {
+  Histogram hist;
+  for (int i = 0; i < 3; ++i) hist.Record(0, 0);
+  hist.Record(0, 1000);
+  const double p99 = hist.Snapshot().Percentile(0.99);
+  EXPECT_GE(p99, static_cast<double>(BucketLow(BucketOf(1000))));
+  EXPECT_LE(p99, static_cast<double>(BucketHigh(BucketOf(1000))));
+}
+
+// p50 of three samples is the 2nd: rank ceil(1.5) = 2, the value 1
+// (bucket 1 holds exactly 1).
+TEST(Histogram, PercentileMedianOfThreeIsTheMiddleSample) {
+  Histogram hist;
+  hist.Record(0, 0);
+  hist.Record(0, 1);
+  hist.Record(0, 100);
+  EXPECT_EQ(hist.Snapshot().Percentile(0.5), 1.0);
+}
+
+// 0.07 * 100 evaluates to 7.0000000000000009; its plain ceiling, 8,
+// would step past the seventh sample (the last zero) into bucket 7.
+TEST(Histogram, PercentileRankIgnoresFloatingPointOvershoot) {
+  Histogram hist;
+  for (int i = 0; i < 7; ++i) hist.Record(0, 0);
+  for (int i = 0; i < 93; ++i) hist.Record(0, 100);
+  EXPECT_EQ(hist.Snapshot().Percentile(0.07), 0.0);
 }
 
 // --- Counters, gauges, cells -------------------------------------------------
@@ -113,28 +134,22 @@ TEST(Counter, ShardedCellsSumExactly) {
     counter.Add(i, i + 1);
     expected += i + 1;
   }
-  EXPECT_EQ(counter.Total(), kEnabled ? expected : 0u);
+  EXPECT_EQ(counter.Total(), expected);
 }
 
-TEST(MaxGauge, PerCellHighWaterMarks) {
+TEST(MaxGauge, HighWaterMarkIsTheCrossCellMaximum) {
   MaxGauge gauge;
   gauge.UpdateMax(0, 5);
   gauge.UpdateMax(0, 3);  // Lower: must not overwrite.
   gauge.UpdateMax(3, 9);
   gauge.UpdateMax(kCells + 3, 7);  // Aliases cell 3; below its max.
-  EXPECT_EQ(gauge.Max(), kEnabled ? 9u : 0u);
-  if (kEnabled) {
-    std::vector<uint64_t> cells = gauge.PerCell();
-    ASSERT_EQ(cells.size(), kCells);
-    EXPECT_EQ(cells[0], 5u);
-    EXPECT_EQ(cells[3], 9u);
-  }
+  EXPECT_EQ(gauge.Max(), 9u);
 }
 
 TEST(Gauge, SetAndRead) {
   Gauge gauge;
   gauge.Set(0.75);
-  EXPECT_EQ(gauge.Value(), kEnabled ? 0.75 : 0.0);
+  EXPECT_EQ(gauge.Value(), 0.75);
 }
 
 // --- Registry ----------------------------------------------------------------
@@ -147,7 +162,7 @@ TEST(Registry, HandlesAreStableAcrossReResolution) {
   // object and never resets it — the cumulative-across-swaps contract.
   Counter* b = registry.GetCounter("exec.some_counter");
   EXPECT_EQ(a, b);
-  EXPECT_EQ(b->Total(), kEnabled ? 1u : 0u);
+  EXPECT_EQ(b->Total(), 1u);
   EXPECT_EQ(registry.GetHistogram("h"), registry.GetHistogram("h"));
   EXPECT_EQ(registry.GetGauge("g"), registry.GetGauge("g"));
   EXPECT_EQ(registry.GetMaxGauge("m"), registry.GetMaxGauge("m"));
@@ -162,12 +177,6 @@ TEST(Registry, TraceRingBoundsAndOrder) {
                          static_cast<int64_t>(i));
   }
   MetricsSnapshot snap = registry.Snapshot();
-  if (!kEnabled) {
-    EXPECT_FALSE(snap.enabled);
-    EXPECT_TRUE(snap.trace.empty());
-    EXPECT_EQ(snap.trace_dropped, 0u);
-    return;
-  }
   ASSERT_EQ(snap.trace.size(), MetricsRegistry::kTraceCapacity);
   EXPECT_EQ(snap.trace_dropped, extra);
   // Oldest first: the surviving window is [extra, total).
@@ -177,20 +186,6 @@ TEST(Registry, TraceRingBoundsAndOrder) {
       EXPECT_GE(snap.trace[i].at_ns, snap.trace[i - 1].at_ns);
     }
   }
-}
-
-TEST(Registry, CompileOutContract) {
-  if (kEnabled) GTEST_SKIP() << "pins the -DFW_TELEMETRY=OFF build only";
-  // Compiled out, metric objects carry no storage (an empty class, not
-  // 16 cache lines of cells) and snapshots come back empty.
-  EXPECT_LE(sizeof(Counter), sizeof(void*));
-  EXPECT_LE(sizeof(Histogram), sizeof(void*));
-  MetricsRegistry registry;
-  registry.GetCounter("x")->Add(0, 42);
-  MetricsSnapshot snap = registry.Snapshot();
-  EXPECT_FALSE(snap.enabled);
-  EXPECT_TRUE(snap.counters.empty());
-  EXPECT_EQ(NowNanosIfEnabled(), 0u);
 }
 
 // Writers on four threads against one registry while the main thread
@@ -225,10 +220,8 @@ TEST(Registry, SnapshotIsRaceFreeAndExactOnceQuiesced) {
   }
   for (std::thread& w : writers) w.join();
   MetricsSnapshot final_snap = registry.Snapshot();
-  if (kEnabled) {
-    EXPECT_EQ(final_snap.counters["t.counter"], kThreads * kPerThread);
-    EXPECT_EQ(final_snap.histograms["t.hist"].count, kThreads * kPerThread);
-  }
+  EXPECT_EQ(final_snap.counters["t.counter"], kThreads * kPerThread);
+  EXPECT_EQ(final_snap.histograms["t.hist"].count, kThreads * kPerThread);
 }
 
 // --- Renderers ---------------------------------------------------------------
@@ -319,7 +312,7 @@ TEST(ExecutorMetrics, DrainStageRecordsOneSamplePerDrainPoint) {
     ASSERT_TRUE(executor.Restore(*checkpoint).ok());  // 1.
     push(500, events.size());     // 5 periodic.
     executor.Finish();            // 1.
-    const uint64_t expected = kEnabled && shards > 1 ? 19 : 0;
+    const uint64_t expected = shards > 1 ? 19 : 0;
     MetricsSnapshot snap = registry.Snapshot();
     EXPECT_EQ(snap.histograms["executor.drain_wait_ns"].count, expected);
     EXPECT_EQ(snap.histograms["executor.drain_deliver_ns"].count, expected);
@@ -360,11 +353,10 @@ TEST(SessionMetrics, SnapshotTimersRecordOneSamplePerSnapshot) {
   ::rmdir(dir.c_str());
 
   EXPECT_EQ(metrics.stats.snapshots_written, 5u);
-  const uint64_t expected = kEnabled ? 5 : 0;
   EXPECT_EQ(metrics.telemetry.histograms["durability.snapshot_stall_ns"].count,
-            expected);
+            5u);
   EXPECT_EQ(metrics.telemetry.histograms["durability.snapshot_write_ns"].count,
-            expected);
+            5u);
 }
 
 // --- Session integration: merge exactness across a live resize ramp ----------
@@ -402,9 +394,6 @@ void AddDashboards(StreamSession& session, SessionResults* results) {
 //    deterministic (an identical ramp reproduces the totals bit-for-bit,
 //    so the retired-tally banking at each resize loses nothing) and
 //    conserved within [fixed, max_width * fixed].
-//
-// Engine totals come from the engine's own counters, so this holds even
-// in an OFF build.
 TEST(SessionMetrics, CountersMergeExactlyAcrossResizeRamp) {
   const std::vector<Event> events = GenerateSyntheticStream(12'000, 16, 91);
 
@@ -465,23 +454,17 @@ TEST(SessionMetrics, CountersMergeExactlyAcrossResizeRamp) {
               fixed.operators[i].closed_instances)
         << "operator " << i;
   }
-  EXPECT_EQ(ramp.telemetry_enabled, kEnabled);
-  if (kEnabled) {
-    EXPECT_EQ(ramp.telemetry.counters.at("session.events_pushed"),
-              events.size());
-    EXPECT_EQ(ramp.telemetry.counters.at("session.events_pushed"),
-              fixed.telemetry.counters.at("session.events_pushed"));
-    EXPECT_EQ(ramp.telemetry.counters.at("session.resizes"), 2u);
-    // Both resize spans made it into the trace ring.
-    int resizes_traced = 0;
-    for (const TraceEvent& event : ramp.telemetry.trace) {
-      if (event.kind == TraceKind::kResize) ++resizes_traced;
-    }
-    EXPECT_EQ(resizes_traced, 2);
-  } else {
-    EXPECT_FALSE(ramp.telemetry.enabled);
-    EXPECT_TRUE(ramp.telemetry.counters.empty());
+  EXPECT_EQ(ramp.telemetry.counters.at("session.events_pushed"),
+            events.size());
+  EXPECT_EQ(ramp.telemetry.counters.at("session.events_pushed"),
+            fixed.telemetry.counters.at("session.events_pushed"));
+  EXPECT_EQ(ramp.telemetry.counters.at("session.resizes"), 2u);
+  // Both resize spans made it into the trace ring.
+  int resizes_traced = 0;
+  for (const TraceEvent& event : ramp.telemetry.trace) {
+    if (event.kind == TraceKind::kResize) ++resizes_traced;
   }
+  EXPECT_EQ(resizes_traced, 2);
 }
 
 }  // namespace
