@@ -290,23 +290,10 @@ inline void AggAccumulate(AggFn fn, AggState* state, double value) {
 inline void AggMerge(AggFn fn, AggState* state, const AggState& other) {
   fn->merge(state, other);
 }
-/// Batch fold with the derived scalar fallback: uses the function's
-/// `accumulate_batch` kernel when declared, otherwise folds value by
-/// value — identical results either way (the accumulate_batch contract).
-/// Hot paths resolve both pointers once per operator and branch per run
-/// instead (exec/operator.cc).
-inline void AggAccumulateBatch(AggFn fn, AggState* state,
-                               const double* values, size_t count) {
-  if (fn->accumulate_batch != nullptr) {
-    fn->accumulate_batch(state, values, count);
-    return;
-  }
-  for (size_t i = 0; i < count; ++i) fn->accumulate(state, values[i]);
-}
-/// Batch merge with the same fallback: the function's `merge_batch` kernel
-/// when declared, otherwise `merge` key by key — identical results either
-/// way (the merge_batch contract). The engine's sub-aggregate path calls
-/// it once per open instance (exec/operator.cc).
+/// Batch merge with a scalar fallback: the function's `merge_batch`
+/// kernel when declared, otherwise `merge` key by key — identical results
+/// either way (the merge_batch contract). The engine's sub-aggregate path
+/// calls it once per open instance (exec/operator.cc).
 inline void AggMergeBatch(AggFn fn, AggState* states, const AggState* others,
                           const uint32_t* keys, size_t count) {
   if (fn->merge_batch != nullptr) {

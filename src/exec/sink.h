@@ -1,7 +1,6 @@
 #ifndef FW_EXEC_SINK_H_
 #define FW_EXEC_SINK_H_
 
-#include <atomic>
 #include <cstddef>
 #include <cstdint>
 #include <map>
@@ -21,10 +20,10 @@ namespace fw {
 /// The sharded runtime (runtime/ShardedExecutor) invokes its *merge-stage*
 /// sink only from the session thread, so any sink below — including the
 /// unsynchronized CountingSink and CollectingSink — is safe as a
-/// ShardedExecutor or StreamSession sink regardless of shard count. Only a
-/// sink wired *directly* into per-shard executors (one PlanExecutor per
-/// worker thread sharing one sink) must be thread-safe; use
-/// ThreadSafeCountingSink for that, or give each shard its own sink.
+/// ShardedExecutor or StreamSession sink regardless of shard count. A sink
+/// wired *directly* into per-shard executors (one PlanExecutor per worker
+/// thread) would have to be thread-safe, and none below is: give each
+/// shard its own sink instead.
 class ResultSink {
  public:
   virtual ~ResultSink() = default;
@@ -92,29 +91,6 @@ class CountingSink : public ResultSink {
   ThreadRole delivery_role_;
   uint64_t count_ FW_GUARDED_BY(delivery_role_) = 0;
   double checksum_ FW_GUARDED_BY(delivery_role_) = 0.0;
-};
-
-/// CountingSink that may be shared by operators running on several
-/// threads (see the ResultSink thread-safety note): count and checksum
-/// are atomics, so concurrent OnResult calls never lose updates. The
-/// atomic read-modify-writes make this dearer per result than
-/// CountingSink — prefer the unsynchronized sink whenever delivery is
-/// single-threaded.
-class ThreadSafeCountingSink : public ResultSink {
- public:
-  void OnResult(const WindowResult& result) override {
-    count_.fetch_add(1, std::memory_order_relaxed);
-    checksum_.fetch_add(result.value, std::memory_order_relaxed);
-  }
-
-  uint64_t count() const { return count_.load(std::memory_order_relaxed); }
-  double checksum() const {
-    return checksum_.load(std::memory_order_relaxed);
-  }
-
- private:
-  std::atomic<uint64_t> count_{0};
-  std::atomic<double> checksum_{0.0};
 };
 
 /// Collects every result; used by tests, examples, and the verifier.

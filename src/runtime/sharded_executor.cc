@@ -679,23 +679,11 @@ Status ShardedExecutor::Resize(uint32_t new_num_shards) {
   // counters.
   Result<ExecutorCheckpoint> checkpoint = Checkpoint();
   if (!checkpoint.ok()) return checkpoint.status();
-  // Bank the outgoing topology's close/finalize counts: the fresh
-  // engines restart them at zero (they are not checkpoint-carried), and
-  // the getters add these tallies back — which is exactly what makes
-  // PerOperatorCloses/Finalizes cumulative-exact across Resize. Workers
-  // are still quiesced from the Checkpoint above.
-  {
-    const std::vector<uint64_t> closes = LivePerOperatorCloses();
-    const std::vector<uint64_t> finalizes = LivePerOperatorFinalizes();
-    if (retired_closes_.empty()) retired_closes_.assign(closes.size(), 0);
-    if (retired_finalizes_.empty()) {
-      retired_finalizes_.assign(finalizes.size(), 0);
-    }
-    for (size_t i = 0; i < closes.size(); ++i) retired_closes_[i] += closes[i];
-    for (size_t i = 0; i < finalizes.size(); ++i) {
-      retired_finalizes_[i] += finalizes[i];
-    }
-  }
+  // Bank the outgoing topology's closes and finalizes: the fresh engines
+  // restart them at zero, and Counters() adds retired_ back. Counters()
+  // already includes the earlier banks, so it replaces them.
+  retired_ = Counters();
+  for (RuntimeProfile::OperatorProfile& op : retired_) op.accumulate_ops = 0;
   // Tear down the old topology. Workers are joined before their engines
   // are discarded; their queues are already empty from the drain.
   if (!inline_executor_) {
@@ -744,65 +732,35 @@ uint64_t ShardedExecutor::TotalAccumulateOps() const {
   return total;
 }
 
-std::vector<uint64_t> ShardedExecutor::PerOperatorOps() const {
+std::vector<RuntimeProfile::OperatorProfile> ShardedExecutor::Counters()
+    const {
   session_role_.AssertHeld();  // Public entry: session thread only.
-  if (inline_executor_) return inline_executor_->PerOperatorOps();
-  const_cast<ShardedExecutor*>(this)->Quiesce();
-  std::vector<uint64_t> total;
-  for (const auto& shard : shards_) {
-    shard->worker_role.AssertHeld();  // Quiesced (see above).
-    std::vector<uint64_t> ops = shard->executor->PerOperatorOps();
-    if (total.empty()) total.resize(ops.size(), 0);
-    FW_CHECK_EQ(ops.size(), total.size());
-    for (size_t i = 0; i < ops.size(); ++i) total[i] += ops[i];
-  }
-  return total;
-}
-
-std::vector<uint64_t> ShardedExecutor::LivePerOperatorCloses() const {
-  if (inline_executor_) return inline_executor_->PerOperatorCloses();
-  std::vector<uint64_t> total;
-  for (const auto& shard : shards_) {
-    shard->worker_role.AssertHeld();  // Callers quiesced (or joined).
-    std::vector<uint64_t> closes = shard->executor->PerOperatorCloses();
-    if (total.empty()) total.resize(closes.size(), 0);
-    FW_CHECK_EQ(closes.size(), total.size());
-    for (size_t i = 0; i < closes.size(); ++i) total[i] += closes[i];
-  }
-  return total;
-}
-
-std::vector<uint64_t> ShardedExecutor::LivePerOperatorFinalizes() const {
-  if (inline_executor_) return inline_executor_->PerOperatorFinalizes();
-  std::vector<uint64_t> total;
-  for (const auto& shard : shards_) {
-    shard->worker_role.AssertHeld();  // Callers quiesced (or joined).
-    std::vector<uint64_t> finalizes = shard->executor->PerOperatorFinalizes();
-    if (total.empty()) total.resize(finalizes.size(), 0);
-    FW_CHECK_EQ(finalizes.size(), total.size());
-    for (size_t i = 0; i < finalizes.size(); ++i) total[i] += finalizes[i];
-  }
-  return total;
-}
-
-std::vector<uint64_t> ShardedExecutor::PerOperatorCloses() const {
-  session_role_.AssertHeld();  // Public entry: session thread only.
+  // Logically const, like TotalAccumulateOps.
   if (!inline_executor_) const_cast<ShardedExecutor*>(this)->Quiesce();
-  std::vector<uint64_t> total = LivePerOperatorCloses();
-  for (size_t i = 0; i < retired_closes_.size() && i < total.size(); ++i) {
-    total[i] += retired_closes_[i];
+  std::vector<RuntimeProfile::OperatorProfile> counters = retired_;
+  const auto add = [&counters](const PlanExecutor& executor) {
+    const std::vector<uint64_t> ops = executor.PerOperatorOps();
+    const std::vector<uint64_t> closes = executor.PerOperatorCloses();
+    const std::vector<uint64_t> finalizes = executor.PerOperatorFinalizes();
+    if (counters.empty()) {
+      counters.resize(ops.size());
+      for (size_t i = 0; i < ops.size(); ++i) {
+        counters[i].operator_id = static_cast<int>(i);
+      }
+    }
+    FW_CHECK_EQ(ops.size(), counters.size());
+    for (size_t i = 0; i < ops.size(); ++i) {
+      counters[i].accumulate_ops += ops[i];
+      counters[i].closed_instances += closes[i];
+      counters[i].finalized_results += finalizes[i];
+    }
+  };
+  if (inline_executor_) add(*inline_executor_);
+  for (const auto& shard : shards_) {
+    shard->worker_role.AssertHeld();  // Quiesced (or joined) above.
+    add(*shard->executor);
   }
-  return total;
-}
-
-std::vector<uint64_t> ShardedExecutor::PerOperatorFinalizes() const {
-  session_role_.AssertHeld();  // Public entry: session thread only.
-  if (!inline_executor_) const_cast<ShardedExecutor*>(this)->Quiesce();
-  std::vector<uint64_t> total = LivePerOperatorFinalizes();
-  for (size_t i = 0; i < retired_finalizes_.size() && i < total.size(); ++i) {
-    total[i] += retired_finalizes_[i];
-  }
-  return total;
+  return counters;
 }
 
 }  // namespace fw

@@ -8,6 +8,7 @@
 
 #include "common/mutex.h"
 #include "common/status.h"
+#include "cost/runtime_profile.h"
 #include "exec/checkpoint.h"
 #include "exec/columns.h"
 #include "exec/engine.h"
@@ -226,19 +227,14 @@ class ShardedExecutor {
   /// workers (waits until pushed events are processed); logically const.
   uint64_t TotalAccumulateOps() const;
 
-  /// Per-operator ops summed element-wise across shards, indexed like the
-  /// plan's operators.
-  std::vector<uint64_t> PerOperatorOps() const;
-
-  /// Per-operator closed window-instance counts and finalized result
-  /// counts, summed across shards and *cumulative across Resize*: the
-  /// engine counters reset with each topology (they are not carried in
-  /// checkpoints — the serialized format stays untouched), so Resize
-  /// banks the outgoing topology's counts into retired tallies that
-  /// these getters add back. Synchronizes with the workers, like
-  /// PerOperatorOps.
-  std::vector<uint64_t> PerOperatorCloses() const;
-  std::vector<uint64_t> PerOperatorFinalizes() const;
+  /// Per-operator accumulate ops, closed window instances and finalized
+  /// results, summed across shards and indexed like the plan's operators,
+  /// all read under one synchronization with the workers. Cumulative
+  /// across Resize: ops ride inside checkpoints, while closes and
+  /// finalizes reset with each topology (the serialized format does not
+  /// carry them), so Resize banks the outgoing topology's into retired_
+  /// and this adds them back.
+  std::vector<RuntimeProfile::OperatorProfile> Counters() const;
 
   /// Effective shard count (1 in inline mode).
   uint32_t num_shards() const {
@@ -371,13 +367,6 @@ class ShardedExecutor {
 
   /// Hands the shard's pending partial batch, if any, to its queue.
   void FlushPending(Shard* shard) FW_REQUIRES(session_role_);
-  /// Live (current-topology) per-operator closed-instance / finalized-
-  /// result sums; callers add the retired tallies. Requires quiesced (or
-  /// inline/joined) workers.
-  std::vector<uint64_t> LivePerOperatorCloses() const
-      FW_REQUIRES(session_role_);
-  std::vector<uint64_t> LivePerOperatorFinalizes() const
-      FW_REQUIRES(session_role_);
   /// Flushes all pending batches and waits until every worker has consumed
   /// its queue. Afterwards the session thread may read shard state.
   void Quiesce() FW_REQUIRES(session_role_);
@@ -470,13 +459,11 @@ class ShardedExecutor {
   telemetry::Counter* const released_counter_;
   telemetry::Counter* const late_counter_;
 
-  /// Closed-instance / finalized-result counts of topologies retired by
-  /// Resize (the engine counters reset with the topology; accumulate ops
-  /// instead ride inside checkpoints). Sized to the plan's operator
-  /// count on first Resize; element-wise added by PerOperatorCloses/
-  /// Finalizes.
-  std::vector<uint64_t> retired_closes_ FW_GUARDED_BY(session_role_);
-  std::vector<uint64_t> retired_finalizes_ FW_GUARDED_BY(session_role_);
+  /// Closes and finalizes of topologies retired by Resize (their ops stay
+  /// 0: ops ride inside checkpoints); empty until the first Resize, then
+  /// added back by Counters().
+  std::vector<RuntimeProfile::OperatorProfile> retired_
+      FW_GUARDED_BY(session_role_);
 
   /// Trace-event detectors (session thread; plain counters). A watermark
   /// that holds still for kStallTraceThreshold buffered events, then

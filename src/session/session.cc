@@ -151,18 +151,30 @@ class StreamSession::StartGateSink : public ResultSink {
   TimeT max_start_ = std::numeric_limits<TimeT>::max();
 };
 
-/// The outgoing pipeline of a structural drift replan (see session.h).
-/// Members declare in dependency order — executor references gate, gate
-/// references router, router references the shared plan's subscription
-/// table — so the implicit reverse-order destruction is safe.
-struct StreamSession::DriftCrossover {
-  std::unique_ptr<MultiQueryOptimizer::SharedPlan> shared;
-  std::unique_ptr<RoutingSink> router;
-  std::unique_ptr<StartGateSink> gate;
-  std::unique_ptr<ShardedExecutor> executor;
+/// See the declaration in session.h. Members declare in dependency
+/// order — the executor references the gate and the plan, the gate the
+/// router — so the implicit destructor joins the executor first. Held by
+/// pointer: the executor keeps the plan's address for its whole lifetime
+/// (Resize rebuilds engines over it).
+struct StreamSession::Pipeline {
+  Pipeline(MultiQueryOptimizer::SharedPlan plan,
+           const std::vector<StreamQuery>& queries,
+           std::vector<ResultSink*> sinks,
+           const ShardedExecutor::Options& options)
+      : shared(std::move(plan)),
+        lineages(OperatorLineages(shared.plan)),
+        router(shared, queries, std::move(sinks)),
+        gate(&router),
+        executor(shared.plan, options, &gate) {}
+
+  MultiQueryOptimizer::SharedPlan shared;
   std::vector<std::string> lineages;
-  /// End of the last window instance owned by the old pipeline (instance
-  /// starts < cutover): retire once the release watermark reaches it.
+  RoutingSink router;
+  StartGateSink gate;
+  ShardedExecutor executor;
+  /// Outgoing pipeline of a crossover only: the end of the last window
+  /// instance it owns (starts < cutover); it retires once the release
+  /// watermark reaches this.
   TimeT retire_at = 0;
 };
 
@@ -223,13 +235,10 @@ StreamSession::StreamSession(const Options& options)
 
 StreamSession::~StreamSession() {
   session_role_.AssertHeld();  // Destroying thread is the caller thread.
-  // Each pipeline's executor references its gate, the gate its router,
-  // the router the queries' sinks; tear down in dependency order, the
-  // crossover's outgoing pipeline first.
+  // Join the executors before anything else goes, the crossover's
+  // outgoing pipeline first.
   cross_.reset();
-  executor_.reset();
-  gate_.reset();
-  router_.reset();
+  live_.reset();
 }
 
 Status StreamSession::CheckMutable() const {
@@ -362,163 +371,105 @@ Status StreamSession::RemoveQuery(QueryId id) {
   return Status::OK();
 }
 
-Status StreamSession::Rebuild(const std::vector<LiveQuery*>& live) {
-  MonotonicTimer timer;
-
-  if (live.empty()) {
-    // Session went idle: retire the whole pipeline (in-flight windows are
-    // dropped — nobody subscribes to them anymore). Results already
-    // emitted but still buffered in the shards belong to windows that
-    // closed before the removal, so deliver them first, exactly like the
-    // single-threaded path did during Push. During a crossover both
-    // pipelines only *drain* — the idle path never closes windows, so
-    // flush-closing the gated new executor here would emit results a
-    // static-plan session never emits, into callbacks being removed.
-    if (executor_) {
-      if (cross_) cross_->executor->Drain();
-      executor_->Drain();
-      if (cross_) {
-        // The old pipeline is the oracle-visible one: it saw the whole
-        // stream with the session's original clock, so its lates, peak,
-        // and watermark retire as the session's. The new pipeline's
-        // reorder stage is a muted warm-up duplicate — only its real
-        // work (ops) and close tallies bank.
-        retired_ops_ += cross_->executor->TotalAccumulateOps();
-        retired_late_ += cross_->executor->late_events();
-        retired_reorder_peak_ = std::max(
-            retired_reorder_peak_, cross_->executor->reorder_buffer_peak());
-        retired_watermark_ = cross_->executor->current_watermark();
-        for (uint64_t c : cross_->executor->PerOperatorCloses()) {
-          retired_closes_total_ += c;
-        }
-        for (uint64_t f : cross_->executor->PerOperatorFinalizes()) {
-          retired_finalizes_total_ += f;
-        }
-        retired_ops_ += executor_->TotalAccumulateOps();
-        for (uint64_t c : executor_->PerOperatorCloses()) {
-          retired_closes_total_ += c;
-        }
-        for (uint64_t f : executor_->PerOperatorFinalizes()) {
-          retired_finalizes_total_ += f;
-        }
-      } else {
-        retired_ops_ += executor_->TotalAccumulateOps();
-        // The reorder stage retires with the pipeline: its buffered
-        // events belonged to windows nobody subscribes to anymore, its
-        // counters move into the session tallies, and the event-time
-        // clock restarts on revival.
-        retired_late_ += executor_->late_events();
-        retired_reorder_peak_ = std::max(retired_reorder_peak_,
-                                         executor_->reorder_buffer_peak());
-        retired_watermark_ = executor_->current_watermark();
-        for (uint64_t c : executor_->PerOperatorCloses()) {
-          retired_closes_total_ += c;
-        }
-        for (uint64_t f : executor_->PerOperatorFinalizes()) {
-          retired_finalizes_total_ += f;
-        }
-      }
-      metrics_.RecordTrace(telemetry::TraceKind::kIdleRetire);
-    }
-    cross_.reset();
-    executor_.reset();
-    gate_.reset();
-    router_.reset();
-    shared_.reset();
-    lineages_.clear();
-    // A retired pipeline has no hand-off rings: the occupancy gauge must
-    // read 0, not the last live sample (the ring_occupancy staleness
-    // contract, pinned by the stats-lifecycle regression tests).
-    ring_occupancy_gauge_->Set(0.0);
-    ++replans_;
-    replans_counter_->Increment(0);
-    last_migrated_ = 0;
-    last_cold_ = 0;
-    last_replan_seconds_ = timer.ElapsedSeconds();
-    return Status::OK();
-  }
-
-  std::vector<StreamQuery> queries;
+std::unique_ptr<StreamSession::Pipeline> StreamSession::NewPipeline(
+    MultiQueryOptimizer::SharedPlan shared,
+    const std::vector<StreamQuery>& queries,
+    const std::vector<LiveQuery*>& live, EventConsumer* late_sink) {
   std::vector<ResultSink*> sinks;
-  queries.reserve(live.size());
   sinks.reserve(live.size());
-  for (LiveQuery* q : live) {
-    queries.push_back(q->query);
-    sinks.push_back(&q->sink);
-  }
-
-  Result<MultiQueryOptimizer::SharedPlan> shared =
-      MultiQueryOptimizer::Reoptimize(queries, options_.optimizer,
-                                      options_.track_baseline);
-  if (!shared.ok()) return shared.status();
-
-  // A churn replan folds an in-flight crossover back into one pipeline
-  // first: the restored (old) pipeline saw the whole stream, so the
-  // checkpoint below migrates exactly a static pipeline's state. Ordered
-  // after the optimizer run — an optimizer error must leave the session
-  // (including the crossover) untouched.
-  if (cross_) FW_RETURN_IF_ERROR(CancelCrossover());
-
-  // Materialize the owned plan first: the executor keeps a pointer to it
-  // for its whole lifetime (Resize rebuilds engines over it), so it must
-  // live at its final address before any executor is constructed.
-  auto shared_owned = std::make_unique<MultiQueryOptimizer::SharedPlan>(
-      std::move(*shared));
-
-  // Carry surviving operator state across the swap (see class comment for
-  // the migration semantics). ShardedExecutor::Checkpoint drains buffered
-  // results through the old router and merges the shards into the global
-  // view, so the lineage migration below is shard-count agnostic.
-  std::vector<std::string> lineages = OperatorLineages(shared_owned->plan);
-  CheckpointMigration migration;
-  if (executor_) {
-    Result<ExecutorCheckpoint> checkpoint = executor_->Checkpoint();
-    if (!checkpoint.ok()) return checkpoint.status();
-    migration = MigrateCheckpoint(*checkpoint, lineages_, lineages);
-  } else {
-    migration.cold = static_cast<int>(shared_owned->plan.num_operators());
-  }
-
-  auto router = std::make_unique<RoutingSink>(*shared_owned, queries,
-                                              std::move(sinks));
-  auto gate = std::make_unique<StartGateSink>(router.get());
+  for (LiveQuery* q : live) sinks.push_back(&q->sink);
   ShardedExecutor::Options exec_options;
   exec_options.num_keys = options_.num_keys;
   exec_options.num_shards = options_.num_shards;
   exec_options.max_delay = options_.max_delay;
-  exec_options.late_sink = late_sink_.get();
+  exec_options.late_sink = late_sink;
   exec_options.metrics = &metrics_;
-  auto executor = std::make_unique<ShardedExecutor>(shared_owned->plan,
-                                                    exec_options,
-                                                    gate.get());
-  if (executor_) {
-    FW_RETURN_IF_ERROR(executor->Restore(migration.checkpoint));
-    retired_ops_ += executor_->TotalAccumulateOps() - migration.carried_ops;
-    // Close/finalize counts never migrate (they are not in the
-    // checkpoint): the whole outgoing pipeline's tallies retire here,
-    // and the new engines restart at zero.
-    for (uint64_t c : executor_->PerOperatorCloses()) {
-      retired_closes_total_ += c;
-    }
-    for (uint64_t f : executor_->PerOperatorFinalizes()) {
-      retired_finalizes_total_ += f;
-    }
+  return std::make_unique<Pipeline>(std::move(shared), queries,
+                                    std::move(sinks), exec_options);
+}
+
+void StreamSession::BankWork(const ShardedExecutor& executor) {
+  for (const RuntimeProfile::OperatorProfile& op : executor.Counters()) {
+    retired_ops_ += op.accumulate_ops;
+    retired_closes_total_ += op.closed_instances;
+    retired_finalizes_total_ += op.finalized_results;
+  }
+}
+
+Status StreamSession::Rebuild(const std::vector<LiveQuery*>& live) {
+  MonotonicTimer timer;
+
+  std::unique_ptr<Pipeline> next;
+  if (!live.empty()) {
+    std::vector<StreamQuery> queries;
+    queries.reserve(live.size());
+    for (LiveQuery* q : live) queries.push_back(q->query);
+    Result<MultiQueryOptimizer::SharedPlan> shared =
+        MultiQueryOptimizer::Reoptimize(queries, options_.optimizer,
+                                        options_.track_baseline);
+    if (!shared.ok()) return shared.status();
+    next = NewPipeline(std::move(*shared), queries, live, late_sink_.get());
   }
 
-  // Commit; destroy the old executor before the gate and router it
-  // references.
-  executor_ = std::move(executor);
-  gate_ = std::move(gate);
-  router_ = std::move(router);
-  shared_ = std::move(shared_owned);
-  lineages_ = std::move(lineages);
+  // Churn and idle retire both fold an in-flight crossover back into one
+  // pipeline first: the restored (old) pipeline saw the whole stream, so
+  // the checkpoint below covers exactly a static pipeline's state.
+  // Ordered after the optimizer run — an optimizer error must leave the
+  // session (including the crossover) untouched.
+  if (cross_) FW_RETURN_IF_ERROR(CancelCrossover());
+
+  // Carry surviving operator state across the swap (see class comment for
+  // the migration semantics). ShardedExecutor::Checkpoint closes every
+  // window the delivered stream completes, drains buffered results
+  // through the old router and merges the shards into the global view,
+  // so the lineage migration below is shard-count agnostic — and so is
+  // what an idle retire delivers.
+  CheckpointMigration migration;
+  if (live_) {
+    Result<ExecutorCheckpoint> checkpoint = live_->executor.Checkpoint();
+    if (!checkpoint.ok()) return checkpoint.status();
+    if (next) {
+      migration =
+          MigrateCheckpoint(*checkpoint, live_->lineages, next->lineages);
+      FW_RETURN_IF_ERROR(next->executor.Restore(migration.checkpoint));
+    } else {
+      // Idle: in-flight windows are dropped (nobody subscribes to them
+      // anymore), and the reorder stage retires with the pipeline — its
+      // buffered events belonged to those windows, its counters move into
+      // the session tallies, and the event-time clock restarts on
+      // revival.
+      retired_late_ += live_->executor.late_events();
+      retired_reorder_peak_ = std::max(retired_reorder_peak_,
+                                       live_->executor.reorder_buffer_peak());
+      retired_watermark_ = live_->executor.current_watermark();
+      metrics_.RecordTrace(telemetry::TraceKind::kIdleRetire);
+    }
+    // Close/finalize counts never migrate (they are not in the
+    // checkpoint): the whole outgoing pipeline's tallies retire here, less
+    // the ops that carried over into the new executor.
+    BankWork(live_->executor);
+    retired_ops_ -= migration.carried_ops;
+  } else {
+    migration.cold = static_cast<int>(next->shared.plan.num_operators());
+  }
+
+  // Commit; the old pipeline's executor joins before its gate and router
+  // go.
+  live_ = std::move(next);
   ++replans_;
   replans_counter_->Increment(0);
   last_migrated_ = migration.migrated;
   last_cold_ = migration.cold;
   last_replan_seconds_ = timer.ElapsedSeconds();
-  metrics_.RecordTrace(telemetry::TraceKind::kReplan, timer.ElapsedNanos(),
-                       migration.migrated, migration.cold);
+  if (live_) {
+    metrics_.RecordTrace(telemetry::TraceKind::kReplan, timer.ElapsedNanos(),
+                         migration.migrated, migration.cold);
+  } else {
+    // A retired pipeline has no hand-off rings: the occupancy gauge must
+    // read 0, not the last live sample (the ring_occupancy staleness
+    // contract, pinned by the stats-lifecycle regression tests).
+    ring_occupancy_gauge_->Set(0.0);
+  }
   return Status::OK();
 }
 
@@ -530,15 +481,15 @@ Status StreamSession::Resize(uint32_t new_num_shards) {
   }
   MonotonicTimer timer;
   const uint32_t width_before =
-      executor_ ? executor_->num_shards()
-                : EffectiveShards(options_.num_shards, options_.num_keys);
-  if (executor_) {
+      live_ ? live_->executor.num_shards()
+            : EffectiveShards(options_.num_shards, options_.num_keys);
+  if (live_) {
     // In-place exact handoff (runtime/ShardedExecutor::Resize): drains,
     // merges shard checkpoints, rebuilds at the new width, re-splits.
     // Cumulative counters ride inside the checkpoint, so nothing is
     // retired here. During a crossover only the live pipeline re-scales;
     // the outgoing one keeps its width for its bounded remaining life.
-    FW_RETURN_IF_ERROR(executor_->Resize(new_num_shards));
+    FW_RETURN_IF_ERROR(live_->executor.Resize(new_num_shards));
   }
   options_.num_shards = new_num_shards;  // Future replans keep the width.
   ++resize_count_;
@@ -546,9 +497,9 @@ Status StreamSession::Resize(uint32_t new_num_shards) {
   last_resize_ns_ = timer.ElapsedNanos();
   metrics_.RecordTrace(telemetry::TraceKind::kResize, last_resize_ns_,
                        width_before,
-                       executor_ ? executor_->num_shards()
-                                 : EffectiveShards(options_.num_shards,
-                                                   options_.num_keys));
+                       live_ ? live_->executor.num_shards()
+                             : EffectiveShards(options_.num_shards,
+                                               options_.num_keys));
   resize_policy_.OnApplied();
   return Status::OK();
 }
@@ -562,8 +513,8 @@ void StreamSession::AutoResizeCheck(uint64_t events_at_sample,
     ObserveRate(events_at_sample, wm_at_sample);
   }
   ResizeSignal signal;
-  signal.current_shards = executor_->num_shards();
-  signal.ring_occupancy = executor_->RingOccupancy();
+  signal.current_shards = live_->executor.num_shards();
+  signal.ring_occupancy = live_->executor.RingOccupancy();
   ring_occupancy_gauge_->Set(signal.ring_occupancy);
   if (policy.target_rate_per_shard > 0.0 && rate_.has_observations()) {
     signal.rate_valid = true;
@@ -581,9 +532,9 @@ void StreamSession::AutoResizeCheck(uint64_t events_at_sample,
   // the hysteresis streak resets instead of re-firing a hopeless
   // proposal every sample.
   if (EffectiveShards(target, options_.num_keys) == current ||
-      (target > current && shared_ &&
-       shared_->PredictedResizeGain(current, target, options_.num_keys) <=
-           1.0)) {
+      (target > current &&
+       live_->shared.PredictedResizeGain(current, target,
+                                         options_.num_keys) <= 1.0)) {
     resize_policy_.OnVetoed();
     return;
   }
@@ -646,12 +597,12 @@ void StreamSession::DriftCheck(uint64_t events_at_sample,
 void StreamSession::StartDriftReplan(double eta_hat, TimeT wm_at_sample) {
   MonotonicTimer timer;
   std::vector<StreamQuery> queries;
-  std::vector<ResultSink*> sinks;
+  std::vector<LiveQuery*> live;
   queries.reserve(queries_.size());
-  sinks.reserve(queries_.size());
+  live.reserve(queries_.size());
   for (const auto& q : queries_) {
     queries.push_back(q->query);
-    sinks.push_back(&q->sink);
+    live.push_back(q.get());
   }
   OptimizerOptions observed = options_.optimizer;
   observed.eta = eta_hat;
@@ -667,15 +618,13 @@ void StreamSession::StartDriftReplan(double eta_hat, TimeT wm_at_sample) {
   ++drift_replans_;
   drift_replans_counter_->Increment(0);
 
-  auto fresh = std::make_unique<MultiQueryOptimizer::SharedPlan>(
-      std::move(*shared));
-  if (PlansStructurallyEqual(shared_->plan, fresh->plan)) {
+  if (PlansStructurallyEqual(live_->shared.plan, shared->plan)) {
     // Same operators, new pricing: adopt the observed-η costing in place.
     // No executor swap, no state movement — results are trivially
     // unchanged.
-    shared_->shared_cost = fresh->shared_cost;
-    shared_->independent_cost = fresh->independent_cost;
-    shared_->original_cost = fresh->original_cost;
+    live_->shared.shared_cost = shared->shared_cost;
+    live_->shared.independent_cost = shared->independent_cost;
+    live_->shared.original_cost = shared->original_cost;
     metrics_.RecordTrace(telemetry::TraceKind::kDriftReplan,
                          timer.ElapsedNanos(), 0, 0);
     return;
@@ -688,44 +637,20 @@ void StreamSession::StartDriftReplan(double eta_hat, TimeT wm_at_sample) {
   // pipeline owns starts >= C — its slices tile from instance starts, so
   // gating by start keeps its output exact even though it never saw
   // pre-cutover events. retire_at computes on the *old* plan: its last
-  // owned instance starts at C - 1 at the latest.
+  // owned instance starts at C - 1 at the latest. The new pipeline starts
+  // cold by construction — every instance it may emit opens at or after
+  // the cutover, so there is no state worth migrating — and its late
+  // events are muted: its late set is a subset of the old's (a younger
+  // reorder clock only accepts more), so counting or side-outputting
+  // them would duplicate while both run.
   const TimeT cutover = wm_at_sample + 1;
-  const TimeT retire_at = cutover - 1 + MaxRange(shared_->plan);
-  auto router = std::make_unique<RoutingSink>(*fresh, queries,
-                                              std::move(sinks));
-  auto gate = std::make_unique<StartGateSink>(router.get());
-  gate->set_min_start(cutover);
-  ShardedExecutor::Options exec_options;
-  exec_options.num_keys = options_.num_keys;
-  exec_options.num_shards = options_.num_shards;
-  exec_options.max_delay = options_.max_delay;
-  // The new pipeline's late set is a subset of the old's (a younger
-  // reorder clock only accepts more): muted so late counts and side
-  // outputs are not duplicated while both run.
-  exec_options.late_sink = nullptr;
-  exec_options.metrics = &metrics_;
-  auto executor = std::make_unique<ShardedExecutor>(fresh->plan,
-                                                    exec_options,
-                                                    gate.get());
-
-  auto cross = std::make_unique<DriftCrossover>();
-  cross->retire_at = retire_at;
-  gate_->set_max_start(cutover);  // Old pipeline: pre-cutover era only.
-  cross->shared = std::move(shared_);
-  cross->router = std::move(router_);
-  cross->gate = std::move(gate_);
-  cross->executor = std::move(executor_);
-  cross->lineages = std::move(lineages_);
-
-  // The new pipeline starts cold by construction — every instance it may
-  // emit opens at or after the cutover, so there is no state worth
-  // migrating (and lineages changed structurally anyway).
-  executor_ = std::move(executor);
-  gate_ = std::move(gate);
-  router_ = std::move(router);
-  shared_ = std::move(fresh);
-  lineages_ = OperatorLineages(shared_->plan);
-  cross_ = std::move(cross);
+  std::unique_ptr<Pipeline> next =
+      NewPipeline(std::move(*shared), queries, live, nullptr);
+  next->gate.set_min_start(cutover);
+  live_->gate.set_max_start(cutover);  // Old pipeline: pre-cutover era only.
+  live_->retire_at = cutover - 1 + MaxRange(live_->shared.plan);
+  cross_ = std::move(live_);
+  live_ = std::move(next);
   metrics_.RecordTrace(telemetry::TraceKind::kDriftReplan,
                        timer.ElapsedNanos(), 1, 0);
 }
@@ -745,34 +670,27 @@ void StreamSession::MaybeCompleteCrossover(TimeT wm_now) {
 }
 
 void StreamSession::CompleteCrossover() {
-  DriftCrossover& cross = *cross_;
+  ShardedExecutor& old = cross_->executor;
   // Joins workers and delivers anything still buffered. All pre-cutover
   // instances have closed canonically by now (their ends precede the
   // release watermark), and post-cutover flushes are suppressed by the
   // old gate — the new pipeline owns and already emitted that era.
-  cross.executor->Finish();
-  retired_ops_ += cross.executor->TotalAccumulateOps();
+  old.Finish();
+  BankWork(old);
   // The session's late tally must read as one pipeline's: the live
   // executor's counter includes warm-up lates the old pipeline also
   // counted, so bank only the old pipeline's surplus over it. (The new
   // clock starts younger, so its late set — and count — is a subset.)
-  const uint64_t old_late = cross.executor->late_events();
-  const uint64_t new_late = executor_->late_events();
+  const uint64_t old_late = old.late_events();
+  const uint64_t new_late = live_->executor.late_events();
   retired_late_ += old_late > new_late ? old_late - new_late : 0;
   retired_reorder_peak_ =
-      std::max(retired_reorder_peak_, cross.executor->reorder_buffer_peak());
-  for (uint64_t c : cross.executor->PerOperatorCloses()) {
-    retired_closes_total_ += c;
-  }
-  for (uint64_t f : cross.executor->PerOperatorFinalizes()) {
-    retired_finalizes_total_ += f;
-  }
-  metrics_.RecordTrace(
-      telemetry::TraceKind::kCrossoverDone, 0,
-      static_cast<int64_t>(cross.executor->TotalAccumulateOps()));
+      std::max(retired_reorder_peak_, old.reorder_buffer_peak());
+  metrics_.RecordTrace(telemetry::TraceKind::kCrossoverDone, 0,
+                       static_cast<int64_t>(old.TotalAccumulateOps()));
   cross_.reset();
   // The surviving pipeline takes over late accounting and side outputs.
-  executor_->set_late_sink(late_sink_.get());
+  live_->executor.set_late_sink(late_sink_.get());
 }
 
 Status StreamSession::CancelCrossover() {
@@ -781,28 +699,16 @@ Status StreamSession::CancelCrossover() {
   // set provably equals what the old pipeline's gate is suppressing —
   // so delivering it here, before the old pipeline's own checkpoint,
   // keeps the merged output a single static pipeline's (DESIGN.md §15).
-  Result<ExecutorCheckpoint> flushed = executor_->Checkpoint();
+  Result<ExecutorCheckpoint> flushed = live_->executor.Checkpoint();
   if (!flushed.ok()) return flushed.status();
-  retired_ops_ += executor_->TotalAccumulateOps();
-  for (uint64_t c : executor_->PerOperatorCloses()) {
-    retired_closes_total_ += c;
-  }
-  for (uint64_t f : executor_->PerOperatorFinalizes()) {
-    retired_finalizes_total_ += f;
-  }
-  // Restore the old pipeline into the live slots — it ingested the whole
-  // stream, so its state is exactly a static session's. Assignment order
-  // destroys the new pipeline in dependency order (executor, then gate,
-  // then router). The restored gate keeps max_start = cutover: the
-  // caller (a churn Rebuild) checkpoints immediately, and the start >=
-  // cutover closes that checkpoint flushes were already delivered above.
-  executor_ = std::move(cross_->executor);
-  gate_ = std::move(cross_->gate);
-  router_ = std::move(cross_->router);
-  shared_ = std::move(cross_->shared);
-  lineages_ = std::move(cross_->lineages);
-  cross_.reset();
-  executor_->set_late_sink(late_sink_.get());
+  BankWork(live_->executor);
+  // The old pipeline ingested the whole stream, so its state is exactly
+  // a static session's. The move destroys the new pipeline. The restored
+  // gate keeps max_start = cutover: the caller (Rebuild) checkpoints
+  // immediately, and the start >= cutover closes that checkpoint flushes
+  // were already delivered above.
+  live_ = std::move(cross_);
+  live_->executor.set_late_sink(late_sink_.get());
   return Status::OK();
 }
 
@@ -839,15 +745,15 @@ Status StreamSession::Push(const Event& event) {
   // max_delay). Two relaxed adds and a bit_width — no clock read.
   watermark_lag_hist_->Record(
       0, static_cast<uint64_t>(watermark_ - event.timestamp));
-  if (!executor_) {
+  if (!live_) {
     ++events_dropped_;
     events_dropped_counter_->Increment(0);
     return Status::OK();
   }
   // Dual-push during a crossover, outgoing pipeline first (it owns the
   // earlier result era, and both routers feed the same sinks).
-  if (cross_) cross_->executor->Push(event);
-  executor_->Push(event);
+  if (cross_) cross_->executor.Push(event);
+  live_->executor.Push(event);
   if (options_.auto_resize.enabled &&
       ++events_since_resize_check_ >= options_.auto_resize.check_interval) {
     events_since_resize_check_ = 0;
@@ -874,8 +780,10 @@ Status StreamSession::PushColumns(const EventColumns& columns) {
   FW_RETURN_IF_ERROR(CheckMutable());
   FW_RETURN_IF_ERROR(columns.Validate());
   const size_t count = columns.size();
-  push_batch_size_hist_->Record(0, count);
-  if (count == 0) return Status::OK();
+  if (count == 0) {
+    push_batch_size_hist_->Record(0, 0);
+    return Status::OK();
+  }
 
   // In-batch positions where a monitor's cadence crosses. Recording the
   // position *and* the running watermark lets the checks below run with
@@ -890,10 +798,8 @@ Status StreamSession::PushColumns(const EventColumns& columns) {
     uint8_t kinds;  // Bit 0: resize check due. Bit 1: drift check due.
   };
   std::vector<SamplePoint> samples;
-  const bool monitor_resize =
-      executor_ != nullptr && options_.auto_resize.enabled;
-  const bool monitor_drift =
-      executor_ != nullptr && options_.adaptive.enabled;
+  const bool monitor_resize = live_ && options_.auto_resize.enabled;
+  const bool monitor_drift = live_ && options_.adaptive.enabled;
   uint64_t resize_streak = events_since_resize_check_;
   uint64_t drift_streak = events_since_drift_check_;
 
@@ -945,8 +851,12 @@ Status StreamSession::PushColumns(const EventColumns& columns) {
   // resume position is the batch start — consistent with the contract.
   if (options_.durability.enabled && accepted > 0) {
     Status logged = DurableAppendColumns(columns, accepted);
-    if (!logged.ok()) return IngestStopped(0, columns.timestamps[0], logged);
+    if (!logged.ok()) {
+      push_batch_size_hist_->Record(0, 0);
+      return IngestStopped(0, columns.timestamps[0], logged);
+    }
   }
+  push_batch_size_hist_->Record(0, accepted);
 
   // Apply the accepted prefix (possibly the whole batch).
   const uint64_t events_before = events_pushed_;
@@ -955,11 +865,11 @@ Status StreamSession::PushColumns(const EventColumns& columns) {
   events_pushed_counter_->Add(0, accepted);
   if (monitor_resize) events_since_resize_check_ = resize_streak;
   if (monitor_drift) events_since_drift_check_ = drift_streak;
-  if (!executor_) {
+  if (!live_) {
     events_dropped_ += accepted;
     events_dropped_counter_->Add(0, accepted);
   } else if (samples.empty() && !cross_ && accepted == count) {
-    executor_->PushColumns(columns);  // Hot path: one hand-off, no copy.
+    live_->executor.PushColumns(columns);  // Hot path: one hand-off.
   } else if (accepted > 0) {
     // Split the accepted prefix at the sample points: each segment hands
     // off columnar (to both pipelines during a crossover, outgoing
@@ -973,12 +883,12 @@ Status StreamSession::PushColumns(const EventColumns& columns) {
           next_sample < samples.size() ? &samples[next_sample] : nullptr;
       const size_t end = sample ? sample->index + 1 : accepted;
       if (begin == 0 && end == count) {
-        if (cross_) cross_->executor->PushColumns(columns);
-        executor_->PushColumns(columns);
+        if (cross_) cross_->executor.PushColumns(columns);
+        live_->executor.PushColumns(columns);
       } else {
         const EventColumns segment = SliceColumns(columns, begin, end);
-        if (cross_) cross_->executor->PushColumns(segment);
-        executor_->PushColumns(segment);
+        if (cross_) cross_->executor.PushColumns(segment);
+        live_->executor.PushColumns(segment);
       }
       if (sample) {
         const uint64_t events_at = events_before + sample->index + 1;
@@ -993,7 +903,7 @@ Status StreamSession::PushColumns(const EventColumns& columns) {
       begin = end;
     }
   }
-  if (executor_ && accepted > 0) MaybeCompleteCrossover(watermark_);
+  if (live_ && accepted > 0) MaybeCompleteCrossover(watermark_);
   if (durability_) MaybeSnapshot();
   if (accepted == count) return Status::OK();
   return IngestStopped(accepted, columns.timestamps[accepted], cause);
@@ -1008,7 +918,7 @@ Status StreamSession::Finish() {
   // everything from the cutover on — together, one static pipeline's
   // Finish output.
   if (cross_) CompleteCrossover();
-  if (executor_) executor_->Finish();
+  if (live_) live_->executor.Finish();
   // A finished executor's rings are drained and its workers joined; the
   // occupancy gauge reads 0, like the idle-retire path.
   ring_occupancy_gauge_->Set(0.0);
@@ -1026,7 +936,7 @@ Status StreamSession::Finish() {
 
 const QueryPlan* StreamSession::shared_plan() const {
   session_role_.AssertHeld();  // Public entry: caller thread only.
-  return shared_ ? &shared_->plan : nullptr;
+  return live_ ? &live_->shared.plan : nullptr;
 }
 
 Result<std::string> StreamSession::Explain(QueryId id) const {
@@ -1035,21 +945,21 @@ Result<std::string> StreamSession::Explain(QueryId id) const {
   if (index == queries_.size()) {
     return Status::NotFound("no query with id " + std::to_string(id));
   }
-  FW_CHECK(shared_ != nullptr);
+  FW_CHECK(live_ != nullptr);
+  const MultiQueryOptimizer::SharedPlan& shared = live_->shared;
   const LiveQuery& live = *queries_[index];
 
   std::string out = "query " + std::to_string(id) + ": " +
                     live.query.ToSql() + "\nsubscriptions:\n";
-  for (const MultiQueryOptimizer::Subscription& sub :
-       shared_->subscriptions) {
+  for (const MultiQueryOptimizer::Subscription& sub : shared.subscriptions) {
     if (sub.query_index != static_cast<int>(index)) continue;
     out += "  " + sub.window.ToString() + " <- shared operator " +
            std::to_string(sub.plan_operator) + " [" +
-           shared_->plan.op(sub.plan_operator).label + "]\n";
+           shared.plan.op(sub.plan_operator).label + "]\n";
   }
-  out += "shared plan (" + std::to_string(shared_->plan.num_operators()) +
+  out += "shared plan (" + std::to_string(shared.plan.num_operators()) +
          " operators serving " + std::to_string(queries_.size()) +
-         " queries):\n" + ToSummary(shared_->plan);
+         " queries):\n" + ToSummary(shared.plan);
   return out;
 }
 
@@ -1061,23 +971,24 @@ Result<StreamSession::QueryStats> StreamSession::StatsFor(QueryId id) const {
   }
   QueryStats stats;
   stats.results_delivered = queries_[index]->results_delivered;
-  if (executor_) {
-    std::vector<uint64_t> per_op = executor_->PerOperatorOps();
+  if (live_) {
+    const std::vector<RuntimeProfile::OperatorProfile> counters =
+        live_->executor.Counters();
     // Subscribed operators plus everything upstream of them: the whole
     // provider chain works for this query. Chains overlap, so collect
     // before summing.
-    std::vector<bool> attributed(per_op.size(), false);
+    std::vector<bool> attributed(counters.size(), false);
     for (const MultiQueryOptimizer::Subscription& sub :
-         shared_->subscriptions) {
+         live_->shared.subscriptions) {
       if (sub.query_index != static_cast<int>(index)) continue;
       int cursor = sub.plan_operator;
       while (cursor >= 0 && !attributed[static_cast<size_t>(cursor)]) {
         attributed[static_cast<size_t>(cursor)] = true;
-        cursor = shared_->plan.op(cursor).parent;
+        cursor = live_->shared.plan.op(cursor).parent;
       }
     }
-    for (size_t i = 0; i < per_op.size(); ++i) {
-      if (attributed[i]) stats.attributed_ops += per_op[i];
+    for (size_t i = 0; i < counters.size(); ++i) {
+      if (attributed[i]) stats.attributed_ops += counters[i].accumulate_ops;
     }
   }
   return stats;
@@ -1104,44 +1015,45 @@ StreamSession::SessionStats StreamSession::BuildStats() const {
   // Crossover double-processing is real work, so it counts: both
   // pipelines' ops while one is in flight.
   stats.lifetime_ops =
-      retired_ops_ + (executor_ ? executor_->TotalAccumulateOps() : 0) +
-      (cross_ ? cross_->executor->TotalAccumulateOps() : 0);
-  stats.num_shards = executor_
-                         ? executor_->num_shards()
-                         : EffectiveShards(options_.num_shards,
-                                           options_.num_keys);
+      retired_ops_ + (live_ ? live_->executor.TotalAccumulateOps() : 0) +
+      (cross_ ? cross_->executor.TotalAccumulateOps() : 0);
+  stats.num_shards = live_ ? live_->executor.num_shards()
+                           : EffectiveShards(options_.num_shards,
+                                             options_.num_keys);
   stats.resize_count = resize_count_;
   stats.last_resize_ns = last_resize_ns_;
-  if (executor_) {
-    stats.events_per_shard = executor_->EventsPerShard();
-    stats.ring_occupancy = executor_->RingOccupancy();
+  if (live_) {
+    stats.events_per_shard = live_->executor.EventsPerShard();
+    stats.ring_occupancy = live_->executor.RingOccupancy();
   }
   // During a crossover the *old* pipeline carries the session's
   // event-time identity: it runs the original reorder clock, so its
   // lates, buffer depth, and watermark are what a static session
   // reports; the new pipeline's reorder stage is a muted warm-up.
-  const ShardedExecutor* clock =
-      cross_ ? cross_->executor.get() : executor_.get();
-  stats.late_events = retired_late_ + (clock ? clock->late_events() : 0);
-  stats.reorder_buffered = clock ? clock->reorder_buffered() : 0;
-  stats.reorder_buffer_peak = std::max(
-      retired_reorder_peak_, clock ? clock->reorder_buffer_peak() : 0);
+  const Pipeline* clock = cross_ ? cross_.get() : live_.get();
+  stats.late_events =
+      retired_late_ + (clock ? clock->executor.late_events() : 0);
+  stats.reorder_buffered = clock ? clock->executor.reorder_buffered() : 0;
+  stats.reorder_buffer_peak =
+      std::max(retired_reorder_peak_,
+               clock ? clock->executor.reorder_buffer_peak() : 0);
   if (options_.max_delay == 0) {
     stats.current_watermark = watermark_;
   } else {
     stats.current_watermark =
-        clock ? clock->current_watermark() : retired_watermark_;
+        clock ? clock->executor.current_watermark() : retired_watermark_;
   }
-  if (shared_) {
-    stats.shared_cost = shared_->shared_cost;
-    stats.original_cost = shared_->original_cost;
-    stats.independent_cost = shared_->independent_cost;
-    stats.predicted_boost = shared_->PredictedBoost();
-    stats.predicted_savings = shared_->PredictedSavings();
+  if (live_) {
+    const MultiQueryOptimizer::SharedPlan& shared = live_->shared;
+    stats.shared_cost = shared.shared_cost;
+    stats.original_cost = shared.original_cost;
+    stats.independent_cost = shared.independent_cost;
+    stats.predicted_boost = shared.PredictedBoost();
+    stats.predicted_savings = shared.PredictedSavings();
     stats.predicted_shard_boost =
-        shared_->PredictedShardBoost(options_.num_shards, options_.num_keys);
+        shared.PredictedShardBoost(options_.num_shards, options_.num_keys);
     stats.sharded_cost =
-        shared_->ShardedCost(options_.num_shards, options_.num_keys);
+        shared.ShardedCost(options_.num_shards, options_.num_keys);
   }
   stats.observed_eta = rate_.has_observations() ? rate_.rate() : 0.0;
   stats.planned_eta = planned_eta_;
@@ -1167,35 +1079,22 @@ StreamSession::SessionMetrics StreamSession::Metrics() const {
   metrics.stats = BuildStats();
 
   // Per-operator breakdown of the current topology — during a crossover,
-  // the live (new-plan) pipeline. The executor getters quiesce, so the
-  // counts are exact at this instant; they are cumulative across Resize
-  // (executor-banked retired tallies) but restart at each replan (new
-  // plan, new operators).
+  // the live (new-plan) pipeline — plus the session totals, which also
+  // count the outgoing pipeline's. Each executor synchronizes once, so
+  // the counts are exact at this instant; they are cumulative across
+  // Resize but restart at each replan (new plan, new operators).
   uint64_t closes_total = retired_closes_total_;
   uint64_t finalizes_total = retired_finalizes_total_;
-  if (cross_) {
-    for (uint64_t c : cross_->executor->PerOperatorCloses()) {
-      closes_total += c;
-    }
-    for (uint64_t f : cross_->executor->PerOperatorFinalizes()) {
-      finalizes_total += f;
-    }
-  }
-  if (executor_ && shared_) {
-    const std::vector<uint64_t> ops = executor_->PerOperatorOps();
-    const std::vector<uint64_t> closes = executor_->PerOperatorCloses();
-    const std::vector<uint64_t> finalizes = executor_->PerOperatorFinalizes();
-    metrics.operators.reserve(ops.size());
-    for (size_t i = 0; i < ops.size(); ++i) {
-      OperatorMetrics op;
-      op.operator_id = static_cast<int>(i);
-      op.label = shared_->plan.op(static_cast<int>(i)).label;
-      op.accumulate_ops = ops[i];
-      op.closed_instances = i < closes.size() ? closes[i] : 0;
-      op.finalized_results = i < finalizes.size() ? finalizes[i] : 0;
+  for (const Pipeline* pipeline : {cross_.get(), live_.get()}) {
+    if (pipeline == nullptr) continue;
+    for (const RuntimeProfile::OperatorProfile& op :
+         pipeline->executor.Counters()) {
       closes_total += op.closed_instances;
       finalizes_total += op.finalized_results;
-      metrics.operators.push_back(std::move(op));
+      if (pipeline == live_.get()) {
+        metrics.operators.push_back(
+            {op, live_->shared.plan.op(op.operator_id).label});
+      }
     }
   }
   metrics.closed_instances_total = closes_total;
@@ -1311,11 +1210,11 @@ Status StreamSession::BuildDurableSnapshot(
   for (const auto& q : queries_) {
     contents.queries.push_back({q->id, q->query});
   }
-  if (executor_ && !finished_) {
+  if (live_ && !finished_) {
     // Canonical merged checkpoint: CloseThrough-canonicalized, shard
     // counts merged into the global view — a pure function of the
     // delivered stream, which is what makes recovery bitwise exact.
-    Result<ExecutorCheckpoint> taken = executor_->Checkpoint();
+    Result<ExecutorCheckpoint> taken = live_->executor.Checkpoint();
     if (!taken.ok()) return taken.status();
     metrics_.RecordTrace(telemetry::TraceKind::kCheckpoint,
                          timer.ElapsedNanos(),
@@ -1425,7 +1324,7 @@ Result<StreamSession::RecoveryInfo> StreamSession::Recover(
       FW_CHECK_EQ(*added, snap_query.id);
     }
     if (loaded->contents.has_checkpoint) {
-      if (session->executor_ == nullptr) {
+      if (session->live_ == nullptr) {
         return Status::InvalidArgument(
             "snapshot carries an executor checkpoint but no queries");
       }
@@ -1436,7 +1335,7 @@ Result<StreamSession::RecoveryInfo> StreamSession::Recover(
                       "snapshot checkpoint rejected: " +
                           checkpoint.status().message());
       }
-      Status restored = session->executor_->Restore(*checkpoint);
+      Status restored = session->live_->executor.Restore(*checkpoint);
       if (!restored.ok()) {
         return Status(restored.code(), "snapshot checkpoint rejected: " +
                                            restored.message());
@@ -1522,8 +1421,8 @@ RuntimeProfile StreamSession::Profile() const {
   session_role_.AssertHeld();  // Public entry: caller thread only.
   RuntimeProfile profile;
   if (rate_.has_observations()) profile.observed_eta = rate_.rate();
-  if (executor_) {
-    const std::vector<uint64_t> per_shard = executor_->EventsPerShard();
+  if (live_) {
+    const std::vector<uint64_t> per_shard = live_->executor.EventsPerShard();
     uint64_t total = 0;
     uint64_t peak = 0;
     for (uint64_t events : per_shard) {
@@ -1535,18 +1434,7 @@ RuntimeProfile StreamSession::Profile() const {
           static_cast<double>(peak) /
           (static_cast<double>(total) / static_cast<double>(per_shard.size()));
     }
-    const std::vector<uint64_t> ops = executor_->PerOperatorOps();
-    const std::vector<uint64_t> closes = executor_->PerOperatorCloses();
-    const std::vector<uint64_t> finalizes = executor_->PerOperatorFinalizes();
-    profile.operators.reserve(ops.size());
-    for (size_t i = 0; i < ops.size(); ++i) {
-      RuntimeProfile::OperatorProfile op;
-      op.operator_id = static_cast<int>(i);
-      op.accumulate_ops = ops[i];
-      op.closed_instances = i < closes.size() ? closes[i] : 0;
-      op.finalized_results = i < finalizes.size() ? finalizes[i] : 0;
-      profile.operators.push_back(op);
-    }
+    profile.operators = live_->executor.Counters();
   }
   return profile;
 }

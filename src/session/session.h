@@ -70,12 +70,15 @@ using QueryId = uint64_t;
 ///    post-swap events, so results for windows straddling the swap are
 ///    partial. Windows opening at or after the swap are exact.
 ///
-/// Removing a query immediately drops its subscriptions; its in-flight
+/// Removing a query immediately drops its subscriptions: every window the
+/// stream has already completed still delivers (the swap checkpoints the
+/// outgoing executor, which closes them at any shard count), its in-flight
 /// windows never emit. State of operators still serving other queries is
-/// retained. All queries of a session must read the same source stream and
-/// use the same shareable (non-holistic) aggregate — the IoT-dashboard
-/// shape the multi-query optimizer supports; holistic queries (MEDIAN) are
-/// rejected at AddQuery.
+/// retained. Removing the last query retires the pipeline the same way.
+/// All queries of a session must read the same source stream and use the
+/// same shareable (non-holistic) aggregate — the IoT-dashboard shape the
+/// multi-query optimizer supports; holistic queries (MEDIAN) are rejected
+/// at AddQuery.
 ///
 /// ## Sharded parallel execution
 ///
@@ -221,8 +224,8 @@ class StreamSession {
   /// result-gated to instances opening at or after it — warms up on the
   /// same events, and the old pipeline retires once the watermark passes
   /// the last straddling instance. Later query churn keeps working (a
-  /// churn replan first folds an in-flight crossover back into one
-  /// pipeline, exactly). Drift replans count in
+  /// churn replan or idle retire first folds an in-flight crossover back
+  /// into one pipeline, exactly). Drift replans count in
   /// SessionStats::drift_replans, never in `replans`.
   struct AdaptiveOptions {
     bool enabled = false;
@@ -293,10 +296,10 @@ class StreamSession {
     /// been delivered (see AddQuery).
     uint64_t results_delivered = 0;
     /// Engine accumulate/merge ops of the shared-plan operators this query
-    /// subscribes to — the per-query attribution of PerOperatorOps. An
-    /// operator shared by several queries counts fully for each, so the
-    /// sum over queries can exceed total ops (that overlap *is* the
-    /// sharing).
+    /// subscribes to — the per-query attribution of the executor's
+    /// per-operator ops (ShardedExecutor::Counters). An operator shared
+    /// by several queries counts fully for each, so the sum over queries
+    /// can exceed total ops (that overlap *is* the sharing).
     uint64_t attributed_ops = 0;
   };
 
@@ -402,20 +405,17 @@ class StreamSession {
     uint64_t truncate_failures = 0;
   };
 
-  /// Per-operator observability of the *current* shared plan: identity,
-  /// cost (accumulate/merge ops), slice-close rate (window instances
-  /// closed), and selectivity (finalized per-key results; 0 for
-  /// unexposed factor windows). Ops and close/finalize counts are
-  /// cumulative across Resize (the executor banks retired-topology
-  /// tallies); a churn replan builds a new plan, so the vector describes
-  /// the operators alive since the last replan only — session-lifetime
-  /// totals live in SessionMetrics::closed_instances_total.
-  struct OperatorMetrics {
-    int operator_id = 0;
+  /// Per-operator observability of the *current* shared plan: the
+  /// executor's counter record (RuntimeProfile::OperatorProfile — cost in
+  /// accumulate/merge ops, slice-close rate in window instances closed,
+  /// selectivity in finalized per-key results, 0 for unexposed factor
+  /// windows) plus the operator's label. The counts are cumulative across
+  /// Resize (the executor banks retired-topology tallies); a churn replan
+  /// builds a new plan, so the vector describes the operators alive since
+  /// the last replan only — session-lifetime totals live in
+  /// SessionMetrics::closed_instances_total.
+  struct OperatorMetrics : RuntimeProfile::OperatorProfile {
     std::string label;
-    uint64_t accumulate_ops = 0;
-    uint64_t closed_instances = 0;
-    uint64_t finalized_results = 0;
   };
 
   /// The structured telemetry snapshot (DESIGN.md §13) — a superset of
@@ -454,8 +454,10 @@ class StreamSession {
   Result<QueryId> AddQuery(const QueryBuilder& builder,
                            ResultCallback callback = nullptr);
 
-  /// Unsubscribes a query and replans. In-flight windows of the removed
-  /// query never emit; state shared with surviving queries is retained.
+  /// Unsubscribes a query and replans. Windows the stream has completed
+  /// deliver first, at any shard count, also when the last query goes;
+  /// in-flight windows of the removed query never emit; state shared with
+  /// surviving queries is retained.
   Status RemoveQuery(QueryId id);
 
   /// Re-scales the session to min(new_num_shards, num_keys) worker
@@ -571,15 +573,19 @@ class StreamSession {
   /// The full telemetry snapshot; see SessionMetrics. Publishes the
   /// instantaneous session gauges (ring occupancy, live queries, engine
   /// totals) into the registry first, so the returned snapshot — and any
-  /// Prometheus/JSON rendering of it — is self-contained. Never waits for
-  /// a snapshot write: durability tallies are as of the last completed
-  /// one.
+  /// Prometheus/JSON rendering of it — is self-contained. Reads each
+  /// executor's counters once (ShardedExecutor::Counters), so a sharded
+  /// session synchronizes with its workers twice: once for the stats'
+  /// lifetime ops, once for the per-operator record (per pipeline during
+  /// a drift crossover). Never waits for a snapshot write: durability
+  /// tallies are as of the last completed one.
   SessionMetrics Metrics() const;
 
   /// Observed runtime statistics in the cost model's vocabulary
   /// (cost/runtime_profile.h): the measured η̂, per-shard load skew, and
-  /// per-operator accumulate/close/finalize counters of the current
-  /// topology — the same feedback the drift detector hands back to the
+  /// the live executor's per-operator counter record
+  /// (ShardedExecutor::Counters, cumulative across Resize, restarted by a
+  /// replan) — the same feedback the drift detector hands back to the
   /// optimizer, exposed for callers costing plans themselves
   /// (CostModel's RuntimeProfile constructor).
   RuntimeProfile Profile() const;
@@ -624,24 +630,39 @@ class StreamSession {
 
   /// Result gate between the executor and the router: forwards only
   /// results whose window *start* falls in [min_start, max_start). Every
-  /// live pipeline is built with one (open by default — a gate cannot be
+  /// pipeline is built with one (open by default — a gate cannot be
   /// inserted after construction, the executor's sink is fixed); drift
   /// crossovers then narrow the two pipelines to disjoint eras. Defined
   /// in session.cc.
   class StartGateSink;
 
-  /// The outgoing pipeline of an in-flight structural drift replan: it
-  /// keeps ingesting every event (dual-push) and owns all window
-  /// instances that opened before the cutover, while the gated new
-  /// pipeline in the live slots owns instances from the cutover on.
-  /// Retired — Finish, bank counters, destroy — once the watermark
-  /// passes retire_at, the end of the last pre-cutover instance.
-  struct DriftCrossover;
+  /// One executing pipeline: the shared plan and its operator lineages,
+  /// the router to the queries' sinks, the start gate in front of the
+  /// router, and the executor feeding the gate. The session runs one
+  /// (live_); during a structural drift replan the outgoing one runs
+  /// beside it (cross_), ingesting every event (dual-push) and owning the
+  /// window instances that opened before the cutover, until the release
+  /// watermark passes its retire_at. Defined in session.cc.
+  struct Pipeline;
+
+  /// Builds a pipeline executing `shared` for `live` (whose queries are
+  /// `queries`), handing late events to `late_sink`.
+  std::unique_ptr<Pipeline> NewPipeline(
+      MultiQueryOptimizer::SharedPlan shared,
+      const std::vector<StreamQuery>& queries,
+      const std::vector<LiveQuery*>& live, EventConsumer* late_sink)
+      FW_REQUIRES(session_role_);
+
+  /// Adds an outgoing executor's ops, closes and finalizes to the
+  /// session's retired tallies.
+  void BankWork(const ShardedExecutor& executor) FW_REQUIRES(session_role_);
 
   /// Re-optimizes over `live`, migrates executor state by lineage, and
-  /// commits the new pipeline. On error the session is unchanged. An
-  /// in-flight crossover is first folded back into one pipeline
-  /// (CancelCrossover), so churn and drift compose.
+  /// commits the new pipeline; with `live` empty, retires the pipeline
+  /// instead. Either way the outgoing pipeline is checkpointed first, so
+  /// every window it can close delivers. On error the session is
+  /// unchanged. An in-flight crossover is first folded back into one
+  /// pipeline (CancelCrossover), so churn and drift compose.
   Status Rebuild(const std::vector<LiveQuery*>& live)
       FW_REQUIRES(session_role_);
 
@@ -682,10 +703,10 @@ class StreamSession {
   void CompleteCrossover() FW_REQUIRES(session_role_);
 
   /// Folds an in-flight crossover back into one pipeline for a churn
-  /// replan: flushes the new executor's canonical closes (its gated era
-  /// was already emitted by it alone), banks its counters, and restores
-  /// the old pipeline — which saw the whole stream, so its state is
-  /// exactly a single static pipeline's — into the live slots.
+  /// replan or an idle retire: flushes the new executor's canonical
+  /// closes (its gated era was already emitted by it alone), banks its
+  /// counters, and makes the old pipeline — which saw the whole stream,
+  /// so its state is exactly a single static pipeline's — live again.
   Status CancelCrossover() FW_REQUIRES(session_role_);
 
   /// Position of `id` in queries_, or queries_.size() when unknown.
@@ -744,7 +765,8 @@ class StreamSession {
   /// distribution otherwise; late events land past max_delay.
   telemetry::Histogram* const watermark_lag_hist_;
   /// Accepted events per PushBatch/PushColumns call (the ingestion batch
-  /// size distribution — how much amortization the columnar path gets).
+  /// size distribution — how much amortization the columnar path gets):
+  /// the applied prefix, 0 when the changelog append refuses the batch.
   /// Per-event Push does not record here.
   telemetry::Histogram* const push_batch_size_hist_;
   telemetry::Counter* const events_pushed_counter_;
@@ -779,22 +801,12 @@ class StreamSession {
   /// executor's side-output sink, so it must outlive every executor.
   std::unique_ptr<EventConsumer> late_sink_ FW_GUARDED_BY(session_role_);
 
-  /// Current pipeline; all null while no query is live. The executor
-  /// references the gate, the gate the router, the router the queries'
-  /// sinks — members declare in dependency order so destruction (reverse
-  /// order) tears down referencers first.
-  std::unique_ptr<MultiQueryOptimizer::SharedPlan> shared_
-      FW_GUARDED_BY(session_role_);
-  std::unique_ptr<RoutingSink> router_ FW_GUARDED_BY(session_role_);
-  std::unique_ptr<StartGateSink> gate_ FW_GUARDED_BY(session_role_);
-  std::unique_ptr<ShardedExecutor> executor_ FW_GUARDED_BY(session_role_);
-  /// Of the current plan's operators.
-  std::vector<std::string> lineages_ FW_GUARDED_BY(session_role_);
-
-  /// In-flight structural drift replan (see DriftCrossover); null almost
-  /// always. Declared after queries_ and late_sink_ — its router and
-  /// executor reference them.
-  std::unique_ptr<DriftCrossover> cross_ FW_GUARDED_BY(session_role_);
+  /// The live pipeline (null while no query is live) and the outgoing
+  /// pipeline of an in-flight drift crossover (null almost always).
+  /// Declared after queries_ and late_sink_, which their routers and
+  /// executors reference.
+  std::unique_ptr<Pipeline> live_ FW_GUARDED_BY(session_role_);
+  std::unique_ptr<Pipeline> cross_ FW_GUARDED_BY(session_role_);
 
   bool finished_ FW_GUARDED_BY(session_role_) = false;
   /// Newest timestamp accepted; strict (max_delay = 0) sessions reject

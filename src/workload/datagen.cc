@@ -55,18 +55,6 @@ std::vector<Event> GenerateDebsLikeStream(size_t num_events,
   return events;
 }
 
-EventColumns GenerateSyntheticColumns(size_t num_events, uint32_t num_keys,
-                                      uint64_t seed) {
-  return EventColumns::FromEvents(
-      GenerateSyntheticStream(num_events, num_keys, seed));
-}
-
-EventColumns GenerateDebsLikeColumns(size_t num_events, uint32_t num_keys,
-                                     uint64_t seed) {
-  return EventColumns::FromEvents(
-      GenerateDebsLikeStream(num_events, num_keys, seed));
-}
-
 std::vector<EventColumns> SplitIntoColumns(const std::vector<Event>& events,
                                            size_t batch_size) {
   std::vector<EventColumns> chunks;

@@ -25,15 +25,6 @@ std::vector<Event> GenerateSyntheticStream(size_t num_events,
 std::vector<Event> GenerateDebsLikeStream(size_t num_events,
                                           uint32_t num_keys, uint64_t seed);
 
-/// Columnar (SoA) forms of the generators above, for feeding the
-/// PushColumns ingestion path without a row detour. Deterministically
-/// equal to EventColumns::FromEvents of the row generator with the same
-/// arguments — same RNG stream, element for element.
-EventColumns GenerateSyntheticColumns(size_t num_events, uint32_t num_keys,
-                                      uint64_t seed);
-EventColumns GenerateDebsLikeColumns(size_t num_events, uint32_t num_keys,
-                                     uint64_t seed);
-
 /// Splits a row stream into batch-sized columnar chunks (the last chunk
 /// may be short). batch_size 0 means one chunk holding the whole stream.
 /// Benches use this to pre-transpose outside the timed region.

@@ -397,6 +397,12 @@ TEST(ColumnarSession, KeyRangeRejectionSharesContract) {
   EXPECT_EQ(session.Stats().events_pushed, 1u);
   // Resumable past the bad event, like PushBatch always was.
   EXPECT_TRUE(session.Push({.timestamp = 2, .key = 3, .value = 2.0}).ok());
+  // The batch-size histogram counts the applied prefix, and per-event
+  // Push records nothing there.
+  const telemetry::HistogramSnapshot batches =
+      session.Metrics().telemetry.histograms.at("session.push_batch_size");
+  EXPECT_EQ(batches.count, 1u);
+  EXPECT_EQ(batches.sum, 1u);
 }
 
 TEST(ColumnarSession, RaggedColumnsRejectedUpFrontNothingApplied) {

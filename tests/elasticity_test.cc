@@ -975,6 +975,272 @@ TEST(AdaptiveSession, SparseStreamEvictsFactorWindowsBitwise) {
   ExpectSameResults(results, expected, "drift replan vs static plan");
 }
 
+// --- Crossover exits --------------------------------------------------------
+
+// Every call that ends a drift crossover early, made on the event where
+// the plan loses its factor window (the crossover retires two events
+// later, once the watermark passes the old plan's last T(40) instance).
+enum class CrossoverExit {
+  kAddQuery,
+  kRemoveOneOfTwo,
+  kRemoveOnlyThenReAdd,
+  kMetricsAndStats,
+  kFinish,
+};
+
+const char* ExitName(CrossoverExit exit) {
+  switch (exit) {
+    case CrossoverExit::kAddQuery: return "AddQuery";
+    case CrossoverExit::kRemoveOneOfTwo: return "RemoveQuery of one of two";
+    case CrossoverExit::kRemoveOnlyThenReAdd: return "RemoveQuery of the only";
+    case CrossoverExit::kMetricsAndStats: return "Metrics and Stats";
+    case CrossoverExit::kFinish: return "Finish";
+  }
+  return "?";
+}
+
+struct ExitRun {
+  SessionResults results;
+  uint64_t delivered = 0;
+  StreamSession::SessionStats stats;
+  uint64_t finalized_total = 0;
+  /// Index of the event the exit call followed.
+  size_t acted_at = 0;
+  /// Timestamps of the churn calls (removal/addition, then re-addition).
+  std::vector<TimeT> churn_at;
+  /// The trace as of the exit call's completion (kMetricsAndStats) or of
+  /// the end of the run (every other exit).
+  std::vector<telemetry::TraceEvent> trace;
+};
+
+constexpr size_t kActOnFlip = static_cast<size_t>(-1);
+
+// The η = 0.05 stream of SparseStreamEvictsFactorWindowsBitwise over 4
+// keys. With act_at = kActOnFlip (adaptive sessions) the exit call follows
+// the first event after which the plan holds no factor window; otherwise
+// it follows event act_at.
+ExitRun RunCrossoverExit(CrossoverExit exit, uint32_t shards, bool adaptive,
+                         size_t act_at) {
+  constexpr uint32_t kKeys = 4;
+  constexpr size_t kReAddAfter = 500;
+  auto example7 = [] {
+    return Query().Sum("v").From("s").PerKey("k").Tumbling(20).Tumbling(30)
+        .Tumbling(40);
+  };
+  std::vector<Event> events;
+  for (int i = 0; i < 4000; ++i) {
+    events.push_back(Event{static_cast<TimeT>(i) * 20,
+                           static_cast<uint32_t>(i) % kKeys,
+                           static_cast<double>(i % 313)});
+  }
+  StreamSession::Options options;
+  options.num_keys = kKeys;
+  options.num_shards = shards;
+  options.adaptive.enabled = adaptive;
+  options.adaptive.check_interval = 256;
+  options.adaptive.rate_alpha = 0.5;
+  options.adaptive.reoptimize_ratio = 2.0;
+  options.adaptive.min_events_between_replans = 1024;
+  StreamSession session(options);
+
+  ExitRun run;
+  auto callback = [&run](int tag) {
+    StreamSession::ResultCallback tagged = Tagged(&run.results, tag);
+    return [&run, tagged](const WindowResult& r) {
+      ++run.delivered;
+      tagged(r);
+    };
+  };
+  Result<QueryId> first = session.AddQuery(example7(), callback(0));
+  EXPECT_TRUE(first.ok());
+  Result<QueryId> second = Status::NotFound("no second query");
+  if (exit == CrossoverExit::kRemoveOneOfTwo) {
+    second = session.AddQuery(
+        Query().Sum("v").From("s").PerKey("k").Tumbling(60).Tumbling(80),
+        callback(1));
+    EXPECT_TRUE(second.ok());
+  }
+  EXPECT_EQ(CountFactorOps(*session.shared_plan()), 1);  // Planned at η=1.
+
+  bool acted = false;
+  for (size_t i = 0; i < events.size(); ++i) {
+    EXPECT_TRUE(session.Push(events[i]).ok());
+    if (!acted) {
+      const bool flipped = CountFactorOps(*session.shared_plan()) == 0;
+      if (act_at == kActOnFlip ? !flipped : i != act_at) continue;
+      acted = true;
+      run.acted_at = i;
+      const TimeT now = events[i].timestamp;
+      switch (exit) {
+        case CrossoverExit::kAddQuery:
+          EXPECT_TRUE(session
+                          .AddQuery(Query().Sum("v").From("s").PerKey("k")
+                                        .Tumbling(60).Tumbling(80),
+                                    callback(1))
+                          .ok());
+          run.churn_at.push_back(now);
+          break;
+        case CrossoverExit::kRemoveOneOfTwo:
+          EXPECT_TRUE(session.RemoveQuery(*second).ok());
+          run.churn_at.push_back(now);
+          break;
+        case CrossoverExit::kRemoveOnlyThenReAdd:
+          EXPECT_TRUE(session.RemoveQuery(*first).ok());
+          run.churn_at.push_back(now);
+          break;
+        case CrossoverExit::kMetricsAndStats: {
+          StreamSession::SessionMetrics metrics = session.Metrics();
+          StreamSession::SessionStats stats = session.Stats();
+          EXPECT_EQ(metrics.stats.lifetime_ops, stats.lifetime_ops);
+          EXPECT_EQ(metrics.stats.events_pushed, i + 1);
+          EXPECT_EQ(metrics.operators.size(),
+                    session.shared_plan()->num_operators());
+          run.trace = metrics.telemetry.trace;
+          break;
+        }
+        case CrossoverExit::kFinish:
+          EXPECT_TRUE(session.Finish().ok());
+          break;
+      }
+      if (exit == CrossoverExit::kFinish) break;
+      continue;
+    }
+    if (exit == CrossoverExit::kRemoveOnlyThenReAdd &&
+        i == run.acted_at + kReAddAfter) {
+      EXPECT_TRUE(session.AddQuery(example7(), callback(2)).ok());
+      run.churn_at.push_back(events[i].timestamp);
+    }
+  }
+  EXPECT_TRUE(acted) << "the plan never lost its factor window";
+  EXPECT_TRUE(session.Finish().ok());
+  run.stats = session.Stats();
+  StreamSession::SessionMetrics metrics = session.Metrics();
+  run.finalized_total = metrics.finalized_results_total;
+  if (exit != CrossoverExit::kMetricsAndStats) {
+    run.trace = metrics.telemetry.trace;
+  }
+  return run;
+}
+
+// Drops the results of windows open across a churn call: operators the
+// two plans do not share start cold there.
+SessionResults WithoutStraddlers(const SessionResults& results,
+                                 const std::vector<TimeT>& churn_at) {
+  SessionResults kept;
+  for (const auto& [key, value] : results) {
+    const TimeT start = std::get<2>(key);
+    const TimeT end = std::get<3>(key);
+    bool straddles = false;
+    for (TimeT t : churn_at) straddles |= start <= t && t < end;
+    if (!straddles) kept.emplace(key, value);
+  }
+  return kept;
+}
+
+// True when the first structural drift replan in `trace` is followed by
+// `kind` before the crossover it started completed.
+bool ExitedMidCrossover(const std::vector<telemetry::TraceEvent>& trace,
+                        telemetry::TraceKind kind) {
+  bool in_flight = false;
+  for (const telemetry::TraceEvent& event : trace) {
+    if (event.kind == telemetry::TraceKind::kDriftReplan && event.a == 1) {
+      in_flight = true;
+    } else if (in_flight && event.kind == kind) {
+      return true;
+    } else if (event.kind == telemetry::TraceKind::kCrossoverDone) {
+      return false;
+    }
+  }
+  return in_flight && kind == telemetry::TraceKind::kDriftReplan;
+}
+
+// Each early exit of a crossover folds it back into the one pipeline a
+// static-plan session runs: results match that session's bitwise (but for
+// windows open across a churn call), the session counters agree with it,
+// and the work and finalize tallies do not depend on the shard count.
+TEST(CrossoverExit, EveryExitMatchesAStaticSessionAtOneAndTwoShards) {
+  for (CrossoverExit exit :
+       {CrossoverExit::kAddQuery, CrossoverExit::kRemoveOneOfTwo,
+        CrossoverExit::kRemoveOnlyThenReAdd, CrossoverExit::kMetricsAndStats,
+        CrossoverExit::kFinish}) {
+    SCOPED_TRACE(ExitName(exit));
+    std::vector<ExitRun> drifted;
+    for (uint32_t shards : {1u, 2u}) {
+      SCOPED_TRACE(std::to_string(shards) + " shards");
+      drifted.push_back(RunCrossoverExit(exit, shards, true, kActOnFlip));
+      const ExitRun& run = drifted.back();
+      const ExitRun oracle =
+          RunCrossoverExit(exit, shards, false, run.acted_at);
+      ASSERT_EQ(run.churn_at, oracle.churn_at);
+      ExpectSameResults(WithoutStraddlers(run.results, run.churn_at),
+                        WithoutStraddlers(oracle.results, oracle.churn_at),
+                        "crossover exit vs static session");
+      EXPECT_GT(run.delivered, 0u);
+      EXPECT_EQ(run.stats.events_pushed, oracle.stats.events_pushed);
+      EXPECT_EQ(run.stats.events_dropped, oracle.stats.events_dropped);
+      EXPECT_EQ(run.stats.late_events, oracle.stats.late_events);
+      EXPECT_EQ(run.stats.replans, oracle.stats.replans);
+      EXPECT_GE(run.stats.drift_replans, 1);
+      switch (exit) {
+        case CrossoverExit::kAddQuery:
+        case CrossoverExit::kRemoveOneOfTwo:
+          EXPECT_TRUE(ExitedMidCrossover(run.trace,
+                                         telemetry::TraceKind::kReplan));
+          break;
+        case CrossoverExit::kRemoveOnlyThenReAdd:
+          EXPECT_TRUE(ExitedMidCrossover(run.trace,
+                                         telemetry::TraceKind::kIdleRetire));
+          EXPECT_EQ(run.stats.events_dropped, 500u);
+          break;
+        case CrossoverExit::kMetricsAndStats:
+          EXPECT_TRUE(ExitedMidCrossover(run.trace,
+                                         telemetry::TraceKind::kDriftReplan));
+          break;
+        case CrossoverExit::kFinish:
+          EXPECT_EQ(run.stats.events_pushed, run.acted_at + 1);
+          break;
+      }
+    }
+    ASSERT_EQ(drifted.size(), 2u);
+    EXPECT_EQ(drifted[0].acted_at, drifted[1].acted_at);
+    EXPECT_EQ(drifted[0].stats.lifetime_ops, drifted[1].stats.lifetime_ops);
+    EXPECT_EQ(drifted[0].finalized_total, drifted[1].finalized_total);
+    EXPECT_EQ(drifted[0].delivered, drifted[1].delivered);
+  }
+}
+
+// Removing the last query retires the pipeline the way churn does: its
+// checkpoint closes every complete window, so delivery cannot depend on
+// the shard count. (A shard's engine closes an instance only when the
+// next event for one of its own keys arrives; here keys 1–3 fall silent
+// at t = 100, and only key 0 runs on to t = 129.)
+TEST(IdleRetire, DeliversEveryCompleteWindowAtAnyWidth) {
+  for (TimeT max_delay : {TimeT{0}, TimeT{8}}) {
+    for (uint32_t shards : {1u, 2u, 4u}) {
+      SCOPED_TRACE("max_delay " + std::to_string(max_delay) + ", " +
+                   std::to_string(shards) + " shards");
+      StreamSession::Options options;
+      options.num_keys = 4;
+      options.num_shards = shards;
+      options.max_delay = max_delay;
+      StreamSession session(options);
+      SessionResults results;
+      Result<QueryId> only = session.AddQuery(PerDevice(20),
+                                              Tagged(&results, 0));
+      ASSERT_TRUE(only.ok());
+      for (TimeT t = 0; t < 130; ++t) {
+        const uint32_t key = t < 100 ? static_cast<uint32_t>(t % 4) : 0;
+        ASSERT_TRUE(
+            session.Push({.timestamp = t, .key = key, .value = 1.0}).ok());
+      }
+      ASSERT_TRUE(session.RemoveQuery(*only).ok());
+      // Five windows of [0, 100) per key, plus key 0's [100, 120).
+      EXPECT_EQ(results.size(), 21u);
+      EXPECT_EQ(session.Metrics().finalized_results_total, 21u);
+    }
+  }
+}
+
 TEST(AdaptiveSession, RecostOnlyDriftAdoptsTheObservedRateInPlace) {
   // A single-window plan has no sharing decision to flip: drift still
   // replans (the costs self-correct to the observed η) but the

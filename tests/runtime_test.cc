@@ -1191,29 +1191,5 @@ TEST(ShardedSession, StatsReportShardCountAndPredictedBoost) {
   EXPECT_DOUBLE_EQ(stats.predicted_shard_boost, stats.predicted_boost * 4);
 }
 
-// --- ThreadSafeCountingSink ------------------------------------------------
-
-TEST(ThreadSafeCountingSink, CountsUnderConcurrentDelivery) {
-  constexpr int kThreads = 4;
-  constexpr int kPerThread = 10000;
-  ThreadSafeCountingSink sink;
-  std::vector<std::thread> writers;
-  writers.reserve(kThreads);
-  for (int t = 0; t < kThreads; ++t) {
-    writers.emplace_back([&sink] {
-      for (int i = 0; i < kPerThread; ++i) {
-        sink.OnResult({.operator_id = 0,
-                       .start = 0,
-                       .end = 1,
-                       .key = 0,
-                       .value = 1.0});
-      }
-    });
-  }
-  for (std::thread& w : writers) w.join();
-  EXPECT_EQ(sink.count(), uint64_t{kThreads} * kPerThread);
-  EXPECT_DOUBLE_EQ(sink.checksum(), double{kThreads} * kPerThread);
-}
-
 }  // namespace
 }  // namespace fw
