@@ -8,7 +8,8 @@
 namespace fw {
 
 PlanExecutor::PlanExecutor(const QueryPlan& plan, const Options& options,
-                           ResultSink* sink) {
+                           ResultSink* sink)
+    : num_keys_(options.num_keys) {
   FW_CHECK_GT(plan.num_operators(), 0u);
   holistic_ = ClassOf(plan.agg()) == AggClass::kHolistic;
 
@@ -103,7 +104,8 @@ void PlanExecutor::PushColumns(const EventColumns& columns) {
   // Multiple raw readers (an original plan's Multicast): run boundaries
   // must be global — the minimum over all readers — so that each reader's
   // close/open emissions interleave with the folds exactly as the
-  // per-event multicast would.
+  // per-event multicast would. The key grouping depends only on the span,
+  // so each run is grouped (and its keys checked) once for every reader.
   const TimeT* ts = columns.timestamps.data();
   size_t i = 0;
   while (i < n) {
@@ -114,10 +116,9 @@ void PlanExecutor::PushColumns(const EventColumns& columns) {
     }
     size_t j = i + 1;
     while (j < n && ts[j] < boundary) ++j;
-    for (WindowAggregateOperator* op : raw_readers_) {
-      op->AccumulateRun(columns.keys.data() + i, columns.values.data() + i,
-                        j - i);
-    }
+    run_.Assign(columns.keys.data() + i, columns.values.data() + i, j - i,
+                num_keys_);
+    for (WindowAggregateOperator* op : raw_readers_) op->AccumulateRun(run_);
     i = j;
   }
 }

@@ -16,7 +16,11 @@ namespace fw {
 /// single-threaded, event-time engine. The source loop multicasts each
 /// event to every operator that reads the raw stream; rewritten plans
 /// forward sub-aggregates along the operator tree; exposed operators feed
-/// the shared sink (the plan's Union).
+/// the shared sink (the plan's Union). Timestamps must be ≥ 0: window
+/// instance m spans [m·slide, m·slide + range) from m = 0, so an event
+/// before 0 falls in no instance (StreamSession rejects them at
+/// admission). Every instance is delivered during the first event at or
+/// past its end, factor-fed ones included (DESIGN.md §4).
 class PlanExecutor {
  public:
   struct Options {
@@ -31,7 +35,8 @@ class PlanExecutor {
   PlanExecutor(const PlanExecutor&) = delete;
   PlanExecutor& operator=(const PlanExecutor&) = delete;
 
-  /// Pushes one event through the plan. Events must be timestamp-ordered.
+  /// Pushes one event through the plan. Events must be timestamp-ordered,
+  /// with timestamps ≥ 0.
   void Push(const Event& event);
 
   /// Pushes a timestamp-ordered columnar batch through the plan. Exactly
@@ -101,6 +106,9 @@ class PlanExecutor {
   std::vector<HolisticWindowOperator*> holistic_raw_readers_;
   /// Operator indices, parents before children.
   std::vector<int> topological_order_;
+  uint32_t num_keys_;
+  /// PushColumns' grouping scratch for multi-reader runs.
+  KeyGroups run_;
 };
 
 /// Convenience: executes `plan` over `events` and returns the measured

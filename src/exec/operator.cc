@@ -60,8 +60,21 @@ TimeT WindowAggregateOperator::PrepareRun(TimeT t) {
   // Instances with end <= t can no longer contain t.
   CloseBefore(t + 1);
   // Open every instance whose span [m*s, m*s + r) contains t: start <= t
-  // and end > t, i.e. end_floor = t + 1.
-  OpenThrough(/*start_limit=*/t, /*end_floor=*/t + 1);
+  // and end > t, i.e. end_floor = t + 1. A skipped instance got no event,
+  // so it never hands the children the sub-aggregate that would retire
+  // their instances ending with it (MergeSubAggregates). Close those
+  // here: every instance this operator closes from now on ends after t,
+  // so no descendant instance ending at or before t can receive more.
+  // Dense streams skip nothing and never take this branch. Until t
+  // reaches the next instance's start there is nothing to open or skip:
+  // the guard keeps that common case one compare.
+  if (next_open_start_ <= t) {
+    // Ends rise with m, so OpenThrough skips some instance exactly when
+    // it skips the next one: when that one ends at or before t.
+    const bool skips = InstanceEnd(next_m_) <= t;
+    OpenThrough(/*start_limit=*/t, /*end_floor=*/t + 1);
+    if (skips) CloseDescendantsBefore(t + 1);
+  }
   // The open set next changes when the oldest instance's end passes (a
   // close) or when the next unopened instance's span begins (an open).
   // Both bounds are > t here: OpenThrough just advanced next_open_start_
@@ -75,71 +88,31 @@ TimeT WindowAggregateOperator::PrepareRun(TimeT t) {
   return boundary;
 }
 
-void WindowAggregateOperator::AccumulateRun(const uint32_t* keys,
-                                            const double* values,
-                                            size_t count) {
-  if (count == 0) return;
-  if (open_.empty()) {
-    // Nothing to fold into (a data gap no instance spans); the per-event
-    // path would also do zero accumulate ops here, but keys must still
-    // validate.
-    for (size_t i = 0; i < count; ++i) FW_CHECK_LT(keys[i], config_.num_keys);
-    return;
-  }
-  if (count == 1) {
-    FW_CHECK_LT(keys[0], config_.num_keys);
+void WindowAggregateOperator::AccumulateRun(const KeyGroups& run) {
+  const uint32_t* keys = run.keys();
+  if (run.count() == 1) {
     for (Instance& instance : open_) {
-      accumulate_(instance.StateFor(keys[0]), values[0]);
+      accumulate_(instance.StateFor(keys[0]), run.values()[0]);
     }
     accumulate_ops_ += open_.size();
     return;
   }
-  // Stable counting-sort grouping by key: within a key, values keep their
-  // stream order, so folding a group with one batch-kernel call is
-  // bitwise identical to the per-event folds (order-sensitive functions
-  // like FIRST/LAST included).
-  if (group_counts_.size() < config_.num_keys) {
-    group_counts_.assign(config_.num_keys, 0);
-    group_cursors_.assign(config_.num_keys, 0);
-  }
-  run_keys_.clear();
-  for (size_t i = 0; i < count; ++i) {
-    const uint32_t key = keys[i];
-    FW_CHECK_LT(key, config_.num_keys);
-    if (group_counts_[key]++ == 0) run_keys_.push_back(key);
-  }
-  const double* grouped = values;
-  if (run_keys_.size() > 1) {
-    // Scatter values into per-key segments, laid out in first-appearance
-    // key order.
-    uint32_t base = 0;
-    for (const uint32_t key : run_keys_) {
-      group_cursors_[key] = base;
-      base += group_counts_[key];
-    }
-    run_values_.resize(count);
-    for (size_t i = 0; i < count; ++i) {
-      run_values_[group_cursors_[keys[i]]++] = values[i];
-    }
-    grouped = run_values_.data();
-  }
-  // Single-key runs (num_keys == 1, or a key-clustered stream) skip the
-  // scatter: the input span is already one group in stream order.
+  const size_t groups = run.num_groups();
+  const uint32_t* lengths = run.lengths();
   for (Instance& instance : open_) {
-    const double* segment = grouped;
-    for (const uint32_t key : run_keys_) {
-      const size_t len = group_counts_[key];
-      AggState* state = instance.StateFor(key);
+    const double* segment = run.values();
+    for (size_t group = 0; group < groups; ++group) {
+      const uint32_t len = lengths[group];
+      AggState* state = instance.StateFor(keys[group]);
       if (accumulate_batch_ != nullptr) {
         accumulate_batch_(state, segment, len);
       } else {
-        for (size_t i = 0; i < len; ++i) accumulate_(state, segment[i]);
+        for (uint32_t i = 0; i < len; ++i) accumulate_(state, segment[i]);
       }
       segment += len;
     }
   }
-  accumulate_ops_ += static_cast<uint64_t>(count) * open_.size();
-  for (const uint32_t key : run_keys_) group_counts_[key] = 0;
+  accumulate_ops_ += static_cast<uint64_t>(run.count()) * open_.size();
 }
 
 void WindowAggregateOperator::OnEvents(const EventColumns& columns) {
@@ -150,14 +123,16 @@ void WindowAggregateOperator::OnEvents(const EventColumns& columns) {
     const TimeT boundary = PrepareRun(ts[i]);
     size_t j = i + 1;
     while (j < n && ts[j] < boundary) ++j;
-    AccumulateRun(columns.keys.data() + i, columns.values.data() + i, j - i);
+    run_.Assign(columns.keys.data() + i, columns.values.data() + i, j - i,
+                config_.num_keys);
+    AccumulateRun(run_);
     i = j;
   }
 }
 
 void WindowAggregateOperator::MergeSubAggregates(
     const std::vector<AggState>& states, const std::vector<uint32_t>& keys,
-    const std::vector<KeyMask>& masks) {
+    const std::vector<KeyMask>& masks, TimeT end) {
   for (Instance& instance : open_) {
     AggMergeBatch(config_.agg, instance.states.data(), states.data(),
                   keys.data(), keys.size());
@@ -166,6 +141,10 @@ void WindowAggregateOperator::MergeSubAggregates(
     for (const KeyMask& mask : masks) instance.touched[mask.word] |= mask.bits;
   }
   accumulate_ops_ += static_cast<uint64_t>(keys.size()) * open_.size();
+  // The instance ending with the parent's has merged its last input; the
+  // parent's next close would retire it before merging. `<= end`, not
+  // `< end + 1`: no bound overflows.
+  while (!open_.empty() && InstanceEnd(open_.front().m) <= end) RetireFront();
 }
 
 void WindowAggregateOperator::Flush() { CloseBefore(/*watermark=*/INT64_MAX); }
@@ -272,8 +251,19 @@ Status WindowAggregateOperator::Restore(const OperatorCheckpoint& checkpoint) {
 
 void WindowAggregateOperator::CloseBefore(TimeT watermark) {
   while (!open_.empty() && InstanceEnd(open_.front().m) < watermark) {
-    EmitInstance(&open_.front());
-    open_.pop_front();
+    RetireFront();
+  }
+}
+
+void WindowAggregateOperator::RetireFront() {
+  EmitInstance(&open_.front());
+  open_.pop_front();
+}
+
+void WindowAggregateOperator::CloseDescendantsBefore(TimeT watermark) {
+  for (WindowAggregateOperator* child : children_) {
+    child->CloseBefore(watermark);
+    child->CloseDescendantsBefore(watermark);
   }
 }
 
@@ -355,7 +345,8 @@ void WindowAggregateOperator::EmitInstance(Instance* instance) {
                      emit_values_.data() + head, count - head);
     }
     for (WindowAggregateOperator* child : children_) {
-      child->MergeSubAggregates(instance->states, emit_keys_, emit_masks_);
+      child->MergeSubAggregates(instance->states, emit_keys_, emit_masks_,
+                                end);
     }
   }
   for (const uint32_t key : emit_keys_) {

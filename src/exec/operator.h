@@ -40,12 +40,19 @@ namespace fw {
 /// frontier once to the instance (closing — and recursively delivering —
 /// whatever ends before it, opening whatever covers it); then the
 /// remaining keys' results go out as one block; then every child merges
-/// all the non-empty states into its open instances. A childless operator
-/// has nothing to order between the two, so it delivers each instance as
-/// one block. Handing the children one key at a time would deliver the
-/// same sequence: only the first key could close or open anything, merges
-/// emit nothing, and sibling subtrees share no state. An instance with no
-/// data reaches neither the sink nor any child.
+/// all the non-empty states into its open instances and retires (closes,
+/// delivering recursively) the instance that ends with this one, which
+/// has just merged its last sub-aggregate. A childless operator has
+/// nothing to order between the two blocks, so it delivers each instance
+/// as one block. Handing the children one key at a time would deliver the
+/// same sequence: only the first key could close or open anything, only
+/// the last merge could retire anything, and sibling subtrees share no
+/// state. An instance with no data reaches neither the sink nor any
+/// child, so no merge retires the child instances ending with it; an
+/// empty raw instance is one the reader skips, and an event that makes
+/// it skip one closes every descendant instance ending at or before that
+/// event (PrepareRun). So a factor-fed instance, like a raw one, is
+/// delivered during the first event at or past its end.
 ///
 /// Emission order: from construction, Reset or Restore on, the operator's
 /// results reach the sink in strictly increasing (end, start, key) order
@@ -99,18 +106,19 @@ class WindowAggregateOperator {
   /// open-instance set would change again. Every event with timestamp in
   /// [t, boundary) folds into the current open set with no close or open
   /// work, so a caller may fold such a span via AccumulateRun without
-  /// revisiting the frontier. Always returns a value > t.
+  /// revisiting the frontier. Always returns a value > t. When it skips
+  /// an instance no event reached, it also closes every descendant
+  /// instance that ends at or before `t` (see the class comment).
   TimeT PrepareRun(TimeT t);
 
-  /// Folds `count` events (parallel key/value columns, all with
-  /// timestamps inside the current run) into every open instance.
-  /// Pre-aggregates per key — a stable counting-sort groups the values so
-  /// each (instance, key) state takes one batch-kernel call (or the
-  /// derived scalar-loop fallback) over its values in stream order, which
-  /// keeps results bitwise identical to per-event folding. Counts one
-  /// accumulate op per (event × instance), exactly like OnEvent.
-  void AccumulateRun(const uint32_t* keys, const double* values,
-                     size_t count);
+  /// Folds one run's events (all with timestamps inside the current run,
+  /// grouped by KeyGroups::Assign against this operator's num_keys) into
+  /// every open instance: each (instance, key) state takes one
+  /// batch-kernel call (or the derived scalar-loop fallback) over its
+  /// values in stream order, which keeps results bitwise identical to
+  /// per-event folding. Counts one accumulate op per (event × instance),
+  /// exactly like OnEvent.
+  void AccumulateRun(const KeyGroups& run);
 
   /// Closes every open instance (end of stream). Children are NOT flushed;
   /// the executor flushes in topological order so tail sub-aggregates
@@ -178,6 +186,16 @@ class WindowAggregateOperator {
   /// Closes (emits + pops) open instances whose end precedes `watermark`.
   void CloseBefore(TimeT watermark);
 
+  /// Emits and pops the oldest open instance. Out of line, so the checks
+  /// that call it (CloseBefore, the retire step of MergeSubAggregates)
+  /// stay small enough to inline where they usually find nothing to do.
+  [[gnu::noinline]] void RetireFront();
+
+  /// CloseBefore(watermark) on every operator below this one, parents
+  /// before their children. Kept out of line: dense streams never call
+  /// it, so it stays out of the hot raw path's code.
+  [[gnu::noinline]] void CloseDescendantsBefore(TimeT watermark);
+
   /// Opens every instance whose interval starts at or before `start_limit`
   /// and ends at or after `end_floor`; instances before that are skipped
   /// (their span has passed — they can no longer receive data). Amortized
@@ -200,10 +218,13 @@ class WindowAggregateOperator {
   /// AggMergeBatch call per instance (the merge_batch kernel, or its
   /// per-key fallback) — and ORs `masks`, the same keys as bitmap words,
   /// into each instance's touched bits. The parent has already advanced
-  /// this operator's frontier to that instance.
+  /// this operator's frontier to that instance. Then retires every open
+  /// instance that ends at or before `end`, the parent instance's end:
+  /// each later parent instance ends after it, and the frontier move it
+  /// brings would close such an instance before merging anything.
   void MergeSubAggregates(const std::vector<AggState>& states,
                           const std::vector<uint32_t>& keys,
-                          const std::vector<KeyMask>& masks);
+                          const std::vector<KeyMask>& masks, TimeT end);
 
   /// Appends instance m to open_, with zeroed states and bitmap taken
   /// from the pool (or allocated).
@@ -232,14 +253,8 @@ class WindowAggregateOperator {
   std::vector<uint32_t> emit_keys_;
   std::vector<KeyMask> emit_masks_;
   std::vector<double> emit_values_;
-  /// AccumulateRun scratch (counting-sort grouping). group_counts_ and
-  /// group_cursors_ are key-indexed and kept zeroed between runs via
-  /// run_keys_, the touched-key list, so a run costs O(count + touched)
-  /// regardless of num_keys.
-  std::vector<uint32_t> group_counts_;
-  std::vector<uint32_t> group_cursors_;
-  std::vector<uint32_t> run_keys_;
-  std::vector<double> run_values_;
+  /// OnEvents' grouping scratch, one run at a time.
+  KeyGroups run_;
   uint64_t accumulate_ops_ = 0;
   uint64_t closed_instances_ = 0;
   uint64_t finalized_results_ = 0;

@@ -28,6 +28,13 @@ Status IngestStopped(size_t index, TimeT timestamp, const Status& cause) {
                     "): " + cause.message());
 }
 
+/// The cause for an event before time 0. Window instances start at 0, so
+/// the engine would fold such an event into no window at all.
+Status NegativeTimestamp(TimeT timestamp) {
+  return Status::OutOfRange("timestamp " + std::to_string(timestamp) +
+                            " is negative: event time starts at 0");
+}
+
 /// The recovery-side analogue of IngestStopped — the same stop-position
 /// contract, worded in changelog coordinates: the segment (by base
 /// sequence) and record index where replay had to stop, with the cause
@@ -715,6 +722,10 @@ Status StreamSession::CancelCrossover() {
 Status StreamSession::Push(const Event& event) {
   session_role_.AssertHeld();  // Public entry: caller thread only.
   FW_RETURN_IF_ERROR(CheckMutable());
+  if (event.timestamp < 0) {
+    return IngestStopped(0, event.timestamp,
+                         NegativeTimestamp(event.timestamp));
+  }
   if (options_.max_delay == 0 && event.timestamp < watermark_) {
     return IngestStopped(
         0, event.timestamp,
@@ -813,6 +824,11 @@ Status StreamSession::PushColumns(const EventColumns& columns) {
   TimeT advanced = watermark_;
   for (size_t i = 0; i < count; ++i) {
     const TimeT timestamp = columns.timestamps[i];
+    if (timestamp < 0) {
+      cause = NegativeTimestamp(timestamp);
+      accepted = i;
+      break;
+    }
     if (options_.max_delay == 0 && timestamp < advanced) {
       cause = Status::InvalidArgument(
           "out-of-order event: timestamp " + std::to_string(timestamp) +
@@ -1000,7 +1016,15 @@ StreamSession::SessionStats StreamSession::Stats() const {
   // (and the files) are exact. A write failure stays with the manager
   // until the next mutation latches it.
   if (durability_) (void)durability_->JoinSnapshot();
-  return BuildStats();
+  SessionStats stats = BuildStats();
+  // Crossover double-processing is real work, so it counts: both
+  // pipelines' ops while one is in flight.
+  stats.lifetime_ops = retired_ops_;
+  for (const Pipeline* pipeline : {cross_.get(), live_.get()}) {
+    if (pipeline == nullptr) continue;
+    stats.lifetime_ops += pipeline->executor.TotalAccumulateOps();
+  }
+  return stats;
 }
 
 StreamSession::SessionStats StreamSession::BuildStats() const {
@@ -1012,11 +1036,6 @@ StreamSession::SessionStats StreamSession::BuildStats() const {
   stats.operators_migrated = last_migrated_;
   stats.operators_cold = last_cold_;
   stats.last_replan_seconds = last_replan_seconds_;
-  // Crossover double-processing is real work, so it counts: both
-  // pipelines' ops while one is in flight.
-  stats.lifetime_ops =
-      retired_ops_ + (live_ ? live_->executor.TotalAccumulateOps() : 0) +
-      (cross_ ? cross_->executor.TotalAccumulateOps() : 0);
   stats.num_shards = live_ ? live_->executor.num_shards()
                            : EffectiveShards(options_.num_shards,
                                              options_.num_keys);
@@ -1080,15 +1099,18 @@ StreamSession::SessionMetrics StreamSession::Metrics() const {
 
   // Per-operator breakdown of the current topology — during a crossover,
   // the live (new-plan) pipeline — plus the session totals, which also
-  // count the outgoing pipeline's. Each executor synchronizes once, so
-  // the counts are exact at this instant; they are cumulative across
-  // Resize but restart at each replan (new plan, new operators).
+  // count the outgoing pipeline's (its ops too, as Stats() does). Each
+  // executor synchronizes once, so the counts are exact at this instant;
+  // they are cumulative across Resize but restart at each replan (new
+  // plan, new operators).
+  metrics.stats.lifetime_ops = retired_ops_;
   uint64_t closes_total = retired_closes_total_;
   uint64_t finalizes_total = retired_finalizes_total_;
   for (const Pipeline* pipeline : {cross_.get(), live_.get()}) {
     if (pipeline == nullptr) continue;
     for (const RuntimeProfile::OperatorProfile& op :
          pipeline->executor.Counters()) {
+      metrics.stats.lifetime_ops += op.accumulate_ops;
       closes_total += op.closed_instances;
       finalizes_total += op.finalized_results;
       if (pipeline == live_.get()) {

@@ -471,8 +471,9 @@ class StreamSession {
   /// Pushes one event through the shared plan. With max_delay = 0 events
   /// must be timestamp-ordered and out-of-order events are rejected; with
   /// max_delay > 0 disorder within the bound is reordered and deeper
-  /// regressions follow the late policy (always OK). Events pushed while
-  /// no query is live are counted and discarded.
+  /// regressions follow the late policy (always OK). Event time starts at
+  /// 0: a negative timestamp is rejected (OutOfRange) in either mode.
+  /// Events pushed while no query is live are counted and discarded.
   ///
   /// All three ingestion entry points (Push, PushBatch, PushColumns)
   /// share one error contract: a rejection reports the first rejected
@@ -564,7 +565,8 @@ class StreamSession {
 
   Result<QueryStats> StatsFor(QueryId id) const;
   /// The classic pull-only counter view — now a thin view over the same
-  /// state Metrics() reports (both build from one BuildStats helper), so
+  /// state Metrics() reports (both build from one BuildStats helper and
+  /// add lifetime_ops from the executors' op counts), so
   /// the cumulative/instantaneous/topology-scoped contracts above stay
   /// pinned by the existing elasticity regression tests. A durable
   /// session joins its in-flight snapshot write first, so the durability
@@ -575,9 +577,9 @@ class StreamSession {
   /// totals) into the registry first, so the returned snapshot — and any
   /// Prometheus/JSON rendering of it — is self-contained. Reads each
   /// executor's counters once (ShardedExecutor::Counters), so a sharded
-  /// session synchronizes with its workers twice: once for the stats'
-  /// lifetime ops, once for the per-operator record (per pipeline during
-  /// a drift crossover). Never waits for a snapshot write: durability
+  /// session synchronizes with its workers once per pipeline (two during
+  /// a drift crossover): the stats' lifetime ops come from the same
+  /// per-operator record. Never waits for a snapshot write: durability
   /// tallies are as of the last completed one.
   SessionMetrics Metrics() const;
 
@@ -743,7 +745,9 @@ class StreamSession {
                       const CallbackFactory& callbacks)
       FW_REQUIRES(session_role_);
 
-  /// The one SessionStats builder both Stats() and Metrics() share.
+  /// The one SessionStats builder both Stats() and Metrics() share; each
+  /// caller fills lifetime_ops from its own read of the executors, so a
+  /// sharded Metrics() quiesces once per pipeline.
   SessionStats BuildStats() const FW_REQUIRES(session_role_);
 
   /// The caller thread's role: sessions are driven from one thread (see

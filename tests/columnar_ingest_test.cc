@@ -78,6 +78,26 @@ TEST(EventColumns, ValidateRejectsRaggedColumns) {
 
 // --- Engine-level differential ---------------------------------------------
 
+// The delivered sequence, bit for bit: same results in the same order.
+void ExpectSameSequence(const std::vector<WindowResult>& got,
+                        const std::vector<WindowResult>& want) {
+  ASSERT_EQ(got.size(), want.size());
+  for (size_t i = 0; i < got.size(); ++i) {
+    const WindowResult& a = got[i];
+    const WindowResult& b = want[i];
+    if (a.operator_id != b.operator_id || a.start != b.start ||
+        a.end != b.end || a.key != b.key ||
+        std::bit_cast<uint64_t>(a.value) != std::bit_cast<uint64_t>(b.value)) {
+      ADD_FAILURE() << "result " << i << " differs: operator " << a.operator_id
+                    << " [" << a.start << ", " << a.end << ") key " << a.key
+                    << " = " << a.value << ", want operator " << b.operator_id
+                    << " [" << b.start << ", " << b.end << ") key " << b.key
+                    << " = " << b.value;
+      return;
+    }
+  }
+}
+
 // Every shareable builtin — tight batch kernel or derived scalar
 // fallback (P99 / DISTINCT_COUNT declare none) — through an Original
 // multi-root plan: the hardest engine shape, because run boundaries must
@@ -107,6 +127,9 @@ TEST(ColumnarEngine, EveryBuiltinBitwiseEqualOnMultiRootPlan) {
     columnar.Finish();
 
     EXPECT_EQ(columnar_sink.ToMap(), scalar_sink.ToMap());
+    // Each run is grouped once for all three readers; the delivered
+    // sequence, not only the result map, is the per-event one.
+    ExpectSameSequence(columnar_sink.results(), scalar_sink.results());
     // The drift-hazard regression: both paths count one op per
     // (event x open instance), so the counters must agree exactly.
     EXPECT_EQ(columnar.TotalAccumulateOps(), scalar.TotalAccumulateOps());
@@ -122,26 +145,6 @@ AggFn WithoutMergeBatch(AggFn fn) {
   clone.name = name;
   clone.merge_batch = nullptr;
   return AggregateRegistry::Global().Register(std::move(clone)).value();
-}
-
-// The delivered sequence, bit for bit: same results in the same order.
-void ExpectSameSequence(const std::vector<WindowResult>& got,
-                        const std::vector<WindowResult>& want) {
-  ASSERT_EQ(got.size(), want.size());
-  for (size_t i = 0; i < got.size(); ++i) {
-    const WindowResult& a = got[i];
-    const WindowResult& b = want[i];
-    if (a.operator_id != b.operator_id || a.start != b.start ||
-        a.end != b.end || a.key != b.key ||
-        std::bit_cast<uint64_t>(a.value) != std::bit_cast<uint64_t>(b.value)) {
-      ADD_FAILURE() << "result " << i << " differs: operator " << a.operator_id
-                    << " [" << a.start << ", " << a.end << ") key " << a.key
-                    << " = " << a.value << ", want operator " << b.operator_id
-                    << " [" << b.start << ", " << b.end << ") key " << b.key
-                    << " = " << b.value;
-      return;
-    }
-  }
 }
 
 // The rewritten (shared factor-window) plan: single raw root feeding a
@@ -377,6 +380,71 @@ TEST(ColumnarSession, ErrorWordingIdenticalAcrossEntryPoints) {
         << status.message();
     EXPECT_NE(status.message().find("timestamp 6"), std::string::npos);
   }
+}
+
+// Event time starts at 0: a negative timestamp would fold into no window
+// instance and vanish. Every entry point rejects it under the shared
+// contract, strict or not, and applies nothing from it on.
+TEST(ColumnarSession, NegativeTimestampRejectedAcrossEntryPoints) {
+  const std::vector<Event> events = {
+      {.timestamp = 5, .key = 0, .value = 1.0},
+      {.timestamp = 7, .key = 0, .value = 2.0},
+      {.timestamp = -3, .key = 0, .value = 3.0},  // Before time 0.
+      {.timestamp = 8, .key = 0, .value = 4.0},
+  };
+  for (const TimeT max_delay : {TimeT{0}, TimeT{16}}) {
+    SCOPED_TRACE("max_delay " + std::to_string(max_delay));
+    StreamSession::Options options;
+    options.max_delay = max_delay;
+    std::vector<Status> statuses;
+    std::vector<uint64_t> pushed;
+    for (const int entry : {0, 1, 2}) {  // PushBatch, PushColumns, Push.
+      StreamSession session(options);
+      ASSERT_TRUE(
+          session.AddQuery(Query().Sum("v").From("t").Tumbling(10)).ok());
+      Status status;
+      if (entry == 0) {
+        status = session.PushBatch(events);
+      } else if (entry == 1) {
+        status = session.PushColumns(EventColumns::FromEvents(events));
+      } else {
+        for (size_t i = 0; i < events.size() && status.ok(); ++i) {
+          status = session.Push(events[i]);
+        }
+      }
+      statuses.push_back(status);
+      pushed.push_back(session.Stats().events_pushed);
+    }
+    EXPECT_EQ(statuses[0].code(), StatusCode::kOutOfRange);
+    EXPECT_EQ(statuses[0].message(),
+              "ingest stopped at event 2 (timestamp -3): timestamp -3 is "
+              "negative: event time starts at 0");
+    EXPECT_EQ(statuses[1].code(), statuses[0].code());
+    EXPECT_EQ(statuses[1].message(), statuses[0].message());
+    // Per-event Push reports index 0, with the same cause.
+    EXPECT_EQ(statuses[2].code(), StatusCode::kOutOfRange);
+    EXPECT_EQ(statuses[2].message(),
+              "ingest stopped at event 0 (timestamp -3): timestamp -3 is "
+              "negative: event time starts at 0");
+    EXPECT_EQ(pushed, (std::vector<uint64_t>{2, 2, 2}));
+  }
+
+  // The stream that used to vanish: 50 events before time 0 into a SUM
+  // over T(10) returned OK everywhere and delivered nothing.
+  ResultMap results;
+  StreamSession session;
+  ASSERT_TRUE(session
+                  .AddQuery(Query().Sum("v").From("t").Tumbling(10),
+                            CollectInto(&results))
+                  .ok());
+  EXPECT_EQ(session.Push({.timestamp = -1000, .key = 0, .value = 1.0}).code(),
+            StatusCode::kOutOfRange);
+  for (TimeT t = 0; t < 50; ++t) {
+    ASSERT_TRUE(session.Push({.timestamp = t, .key = 0, .value = 1.0}).ok());
+  }
+  ASSERT_TRUE(session.Finish().ok());
+  EXPECT_EQ(results.size(), 5u);
+  EXPECT_EQ(session.Stats().events_pushed, 50u);
 }
 
 TEST(ColumnarSession, KeyRangeRejectionSharesContract) {

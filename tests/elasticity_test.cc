@@ -1089,6 +1089,7 @@ ExitRun RunCrossoverExit(CrossoverExit exit, uint32_t shards, bool adaptive,
           run.churn_at.push_back(now);
           break;
         case CrossoverExit::kMetricsAndStats: {
+          // Mid-crossover: both pipelines' ops, read once per pipeline.
           StreamSession::SessionMetrics metrics = session.Metrics();
           StreamSession::SessionStats stats = session.Stats();
           EXPECT_EQ(metrics.stats.lifetime_ops, stats.lifetime_ops);
@@ -1115,6 +1116,9 @@ ExitRun RunCrossoverExit(CrossoverExit exit, uint32_t shards, bool adaptive,
   EXPECT_TRUE(session.Finish().ok());
   run.stats = session.Stats();
   StreamSession::SessionMetrics metrics = session.Metrics();
+  // Metrics() takes lifetime_ops from its per-operator read, Stats() from
+  // the executors' totals: the two must agree.
+  EXPECT_EQ(metrics.stats.lifetime_ops, run.stats.lifetime_ops);
   run.finalized_total = metrics.finalized_results_total;
   if (exit != CrossoverExit::kMetricsAndStats) {
     run.trace = metrics.telemetry.trace;

@@ -2,8 +2,10 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstring>
 #include <iterator>
+#include <limits>
 #include <map>
 #include <memory>
 #include <set>
@@ -13,6 +15,8 @@
 #include "common/rng.h"
 #include "cost/min_cost.h"
 #include "factor/optimizer.h"
+#include "harness/experiments.h"
+#include "multi/multi_query.h"
 #include "workload/datagen.h"
 
 namespace fw {
@@ -151,34 +155,44 @@ TEST(Engine, ExecutePlanHelperReportsThroughputAndOps) {
   EXPECT_EQ(ops, 10000u);
 }
 
-// Order-sensitive FNV-1a over every result field in delivery order.
+// Order-sensitive FNV-1a over every result field in delivery order, and
+// an order-insensitive content hash: the XOR of each result's own FNV-1a
+// over the same fields, which only the delivered multiset moves.
 class SequenceHashSink : public ResultSink {
  public:
   void OnResult(const WindowResult& r) override {
     ++count_;
-    Mix(static_cast<uint64_t>(r.operator_id));
-    Mix(static_cast<uint64_t>(r.start));
-    Mix(static_cast<uint64_t>(r.end));
-    Mix(r.key);
     uint64_t bits = 0;
     static_assert(sizeof(bits) == sizeof(r.value));
     std::memcpy(&bits, &r.value, sizeof(bits));
-    Mix(bits);
+    uint64_t own = kFnvBasis;
+    for (const uint64_t v :
+         {static_cast<uint64_t>(r.operator_id), static_cast<uint64_t>(r.start),
+          static_cast<uint64_t>(r.end), static_cast<uint64_t>(r.key), bits}) {
+      hash_ = Mix(hash_, v);
+      own = Mix(own, v);
+    }
+    content_ ^= own;
   }
 
   uint64_t count() const { return count_; }
   uint64_t hash() const { return hash_; }
+  uint64_t content() const { return content_; }
 
  private:
-  void Mix(uint64_t v) {
+  static constexpr uint64_t kFnvBasis = 0xcbf29ce484222325ull;
+
+  static uint64_t Mix(uint64_t hash, uint64_t v) {
     for (int i = 0; i < 8; ++i) {
-      hash_ ^= (v >> (i * 8)) & 0xff;
-      hash_ *= 0x100000001b3ull;
+      hash ^= (v >> (i * 8)) & 0xff;
+      hash *= 0x100000001b3ull;
     }
+    return hash;
   }
 
   uint64_t count_ = 0;
-  uint64_t hash_ = 0xcbf29ce484222325ull;
+  uint64_t hash_ = kFnvBasis;
+  uint64_t content_ = 0;
 };
 
 // A self-contained splitmix64, so the stream (and the pinned constants
@@ -225,7 +239,9 @@ TEST(Engine, TwoLevelFactorPlanDeliverySequenceIsPinned) {
   // Hopping and tumbling windows over a T(6) factor root, with T(36) a
   // second, unexposed factor under T(18). The constants pin the order in
   // which results are delivered, every value bit, the op counts and the
-  // closes (DESIGN.md §4 states the delivery-order rule).
+  // closes (DESIGN.md §4 states the delivery-order rule). The content
+  // hash pins the delivered multiset alone, which no change of delivery
+  // order may move.
   WindowSet set =
       WindowSet::Parse("{T(12), T(18), W(36, 18), W(72, 36), W(60, 30)}")
           .value();
@@ -259,7 +275,8 @@ TEST(Engine, TwoLevelFactorPlanDeliverySequenceIsPinned) {
     }
     SCOPED_TRACE(columnar ? "PushColumns" : "Push");
     EXPECT_EQ(sink.count(), 21094u);
-    EXPECT_EQ(sink.hash(), 4451557757294197549u);
+    EXPECT_EQ(sink.content(), 5642620942726501372u);
+    EXPECT_EQ(sink.hash(), 7896047183029666745u);
     EXPECT_EQ(executor.TotalAccumulateOps(), 40847u);
     EXPECT_EQ(executor.PerOperatorCloses(), expected_closes);
   }
@@ -338,7 +355,8 @@ TEST(Engine, TwoLevelFactorPlanDeliversEachCloseAsPinnedBlocks) {
     }
     // Flattened, the blocks are the golden per-result sequence.
     EXPECT_EQ(sink.flat.count(), 21094u);
-    EXPECT_EQ(sink.flat.hash(), 4451557757294197549u);
+    EXPECT_EQ(sink.flat.content(), 5642620942726501372u);
+    EXPECT_EQ(sink.flat.hash(), 7896047183029666745u);
 
     // Index of each instance's first block; an instance whose first block
     // is still open for a second one maps to true in `split`.
@@ -382,7 +400,7 @@ TEST(Engine, TwoLevelFactorPlanDeliversEachCloseAsPinnedBlocks) {
     }
     EXPECT_EQ(sink.blocks.size(), 1964u);
     EXPECT_EQ(second_blocks, 342u);
-    EXPECT_EQ(shape, 16120626983944497327u);
+    EXPECT_EQ(shape, 498189832495474115u);
   }
 
   // MEDIAN: one block per instance with data.
@@ -399,6 +417,136 @@ TEST(Engine, TwoLevelFactorPlanDeliversEachCloseAsPinnedBlocks) {
   }
   EXPECT_EQ(results, executor.PerOperatorFinalizes());
   EXPECT_EQ(sink.blocks.size(), 1622u);
+}
+
+// Records each delivered block's window end and result count, and
+// `position`, which the test loop sets to the index of the event (Push)
+// or chunk (PushColumns) it is about to push, and to kAtFinish before
+// Finish.
+class TriggerSink : public ResultSink {
+ public:
+  static constexpr size_t kAtFinish = std::numeric_limits<size_t>::max();
+
+  struct Block {
+    TimeT end;
+    size_t position;
+    size_t count;
+  };
+
+  void OnResult(const WindowResult& r) override {
+    blocks.push_back({r.end, position, 1});
+  }
+  void OnBlock(int, TimeT, TimeT end, const uint32_t*, const double*,
+               size_t count) override {
+    blocks.push_back({end, position, count});
+  }
+
+  size_t position = 0;
+  std::vector<Block> blocks;
+};
+
+// Runs `plan` over the ordered `events`, per event and in 97-event
+// PushColumns chunks, and expects every block to arrive with its trigger
+// event — the first event at or past the window's end: during that
+// event's Push, or the PushColumns of the chunk holding it. A block whose
+// window no event reaches past arrives at Finish.
+void ExpectDeliveryAtTrigger(const QueryPlan& plan,
+                             const std::vector<Event>& events,
+                             uint32_t num_keys) {
+  constexpr size_t kChunk = 97;
+  for (const bool columnar : {false, true}) {
+    SCOPED_TRACE(columnar ? "PushColumns" : "Push");
+    TriggerSink sink;
+    PlanExecutor executor(plan, {.num_keys = num_keys}, &sink);
+    if (columnar) {
+      const std::vector<EventColumns> chunks = SplitIntoColumns(events, kChunk);
+      for (size_t c = 0; c < chunks.size(); ++c) {
+        sink.position = c;
+        executor.PushColumns(chunks[c]);
+      }
+    } else {
+      for (size_t i = 0; i < events.size(); ++i) {
+        sink.position = i;
+        executor.Push(events[i]);
+      }
+    }
+    sink.position = TriggerSink::kAtFinish;
+    executor.Finish();
+
+    uint64_t results = 0;
+    uint64_t off_trigger = 0;
+    for (const TriggerSink::Block& b : sink.blocks) {
+      results += b.count;
+      const auto trigger = std::lower_bound(
+          events.begin(), events.end(), b.end,
+          [](const Event& e, TimeT end) { return e.timestamp < end; });
+      size_t expected = TriggerSink::kAtFinish;
+      if (trigger != events.end()) {
+        const auto index = static_cast<size_t>(trigger - events.begin());
+        expected = columnar ? index / kChunk : index;
+      }
+      if (b.position != expected) {
+        if (off_trigger == 0) {
+          ADD_FAILURE() << "first off-trigger block: end " << b.end
+                        << " arrived at " << b.position << ", trigger at "
+                        << expected;
+        }
+        off_trigger += b.count;
+      }
+    }
+    EXPECT_GT(results, 0u);
+    EXPECT_EQ(off_trigger, 0u) << "of " << results << " results";
+  }
+}
+
+TEST(Engine, FactorFedInstancesDeliverAtTheirTriggerEvent) {
+  // A factor-fed instance is complete once it merges the sub-aggregate of
+  // the parent instance that ends with it, or once a raw reader skips
+  // that instance for want of data: either way during the first event at
+  // or past its end, when a raw instance ending there closes too.
+  {
+    SCOPED_TRACE("two-level SUM plan over a sparse stream with gaps");
+    const WindowSet set =
+        WindowSet::Parse("{T(12), T(18), W(36, 18), W(72, 36), W(60, 30)}")
+            .value();
+    const QueryPlan plan = QueryPlan::FromMinCostWcg(
+        OptimizeWithFactorWindows(set, CoverageSemantics::kPartitionedBy),
+        Agg("SUM"));
+    ExpectDeliveryAtTrigger(plan, SparseKeyedStream(), 300);
+  }
+  {
+    // The repo benchmark's dash_fw plan: eight hopping 5-window MIN
+    // dashboards from the seed-42 panel, optimized jointly.
+    SCOPED_TRACE("dashboard panel plan over a dense stream");
+    PanelConfig panel;
+    panel.tumbling = false;
+    panel.set_size = 5;
+    panel.num_sets = 8;
+    panel.seed = 42;
+    std::vector<StreamQuery> queries;
+    for (WindowSet& windows : GeneratePanelWindowSets(panel)) {
+      StreamQuery query;
+      query.source = "s";
+      query.agg = Agg("MIN");
+      query.value_column = "v";
+      query.per_key = true;
+      query.key_column = "k";
+      query.windows = std::move(windows);
+      queries.push_back(std::move(query));
+    }
+    const Result<MultiQueryOptimizer::SharedPlan> shared =
+        MultiQueryOptimizer::Optimize(queries);
+    ASSERT_TRUE(shared.ok()) << shared.status().ToString();
+    const QueryPlan& plan = shared->plan;
+    ASSERT_EQ(plan.num_operators(), 38u);
+    std::vector<std::string> roots;
+    for (const PlanOperator& op : plan.operators()) {
+      if (op.parent >= 0) continue;
+      roots.push_back(op.label + (op.exposed ? "" : " factor"));
+    }
+    ASSERT_EQ(roots, std::vector<std::string>{"T(5) factor"});
+    ExpectDeliveryAtTrigger(plan, GenerateSyntheticStream(20000, 16, 1), 16);
+  }
 }
 
 // Checks the emission-order contract (DESIGN.md §4) as results arrive:

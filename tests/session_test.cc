@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <limits>
 #include <map>
 #include <string>
@@ -9,6 +10,7 @@
 #include <vector>
 
 #include "exec/engine.h"
+#include "harness/experiments.h"
 #include "workload/datagen.h"
 
 namespace fw {
@@ -532,6 +534,62 @@ TEST(StreamSession, TrackBaselineReportsSavings) {
   EXPECT_GT(stats.shared_cost, 0.0);
   EXPECT_GT(stats.independent_cost, stats.shared_cost);
   EXPECT_GT(stats.predicted_savings, 1.0);
+}
+
+// Every result reaches its query's callback during the push of its
+// trigger event, the first event at or past the window's end, or at
+// Finish when no event reaches past it: factor-fed windows close as
+// promptly as raw ones. The plan is the repo benchmark's dash_fw one:
+// eight hopping 5-window MIN dashboards from the seed-42 panel, served by
+// one T(5) factor root.
+TEST(StreamSession, InlineDeliveryArrivesWithTheTriggerEvent) {
+  constexpr size_t kAtFinish = std::numeric_limits<size_t>::max();
+  const std::vector<Event> events = GenerateSyntheticStream(20000, 16, 1);
+  PanelConfig panel;
+  panel.tumbling = false;
+  panel.set_size = 5;
+  panel.num_sets = 8;
+  panel.seed = 42;
+
+  StreamSession session({.num_keys = 16});
+  size_t position = 0;
+  uint64_t results = 0;
+  uint64_t off_trigger = 0;
+  auto check = [&](const WindowResult& r) {
+    ++results;
+    const auto trigger = std::lower_bound(
+        events.begin(), events.end(), r.end,
+        [](const Event& e, TimeT end) { return e.timestamp < end; });
+    const size_t expected =
+        trigger == events.end()
+            ? kAtFinish
+            : static_cast<size_t>(trigger - events.begin());
+    if (position != expected && off_trigger++ == 0) {
+      ADD_FAILURE() << "first off-trigger result: end " << r.end
+                    << " arrived at " << position << ", trigger at "
+                    << expected;
+    }
+  };
+  for (WindowSet& windows : GeneratePanelWindowSets(panel)) {
+    StreamQuery query;
+    query.source = "s";
+    query.agg = Agg("MIN");
+    query.value_column = "v";
+    query.per_key = true;
+    query.key_column = "k";
+    query.windows = std::move(windows);
+    ASSERT_TRUE(session.AddQuery(query, check).ok());
+  }
+  const QueryPlan* plan = session.shared_plan();
+  ASSERT_NE(plan, nullptr);
+  ASSERT_EQ(plan->num_operators(), 38u);
+  for (; position < events.size(); ++position) {
+    ASSERT_TRUE(session.Push(events[position]).ok());
+  }
+  position = kAtFinish;
+  ASSERT_TRUE(session.Finish().ok());
+  EXPECT_GT(results, 0u);
+  EXPECT_EQ(off_trigger, 0u) << "of " << results << " results";
 }
 
 // --- Out-of-order ingestion (Options::max_delay) ---------------------------
