@@ -1,6 +1,7 @@
 #include "runtime/sharded_executor.h"
 
 #include <algorithm>
+#include <atomic>
 #include <thread>
 #include <tuple>
 #include <utility>
@@ -24,7 +25,17 @@ namespace {
 struct EventBatch {
   EventColumns columns;
   uint64_t enqueued_ns = 0;
+  /// The epoch the events were pushed in: selects the run set the
+  /// worker's BufferSink writes while folding them.
+  uint64_t epoch = 0;
 };
+
+/// Waits until a worker has folded `target` batches; the acquire load
+/// pairs with the worker's release after each one.
+void AwaitConsumed(const std::atomic<uint64_t>& consumed, uint64_t target) {
+  SpinBackoff backoff;
+  while (consumed.load(std::memory_order_acquire) < target) backoff.Pause();
+}
 }  // namespace
 
 /// One worker shard. The members split into three ownership classes,
@@ -34,10 +45,13 @@ struct EventBatch {
 ///    worker folds batches into them; the session thread reclaims them
 ///    only across a quiesce (`consumed == enqueued`, whose acquire load
 ///    pairs with the worker's release increment) or after joining the
-///    worker, and every such site asserts the role naming that edge;
-///  * session-owned (`pending`, `enqueued`, `worker`): guarded by the
-///    executor's session role (held here by pointer, since a capability
-///    expression must name a member reachable from the shard);
+///    worker, and reads one closed epoch's run set of `buffer` once
+///    `consumed` reaches `epoch_enqueued`; every such site asserts the
+///    role naming that edge;
+///  * session-owned (`pending`, `enqueued`, `epoch_enqueued`, `worker`):
+///    guarded by the executor's session role (held here by pointer,
+///    since a capability expression must name a member reachable from
+///    the shard);
 ///  * the synchronization fabric itself (`queue`, `consumed`): the SPSC
 ///    ring and the quiesce counter are the primitives that *create* the
 ///    handoff edges, so they are intentionally unguarded — their safety
@@ -68,6 +82,10 @@ struct ShardedExecutor::Shard {
   EventColumns pending FW_GUARDED_BY(session_role);
   /// Batches handed off so far; session thread only.
   uint64_t enqueued FW_GUARDED_BY(session_role) = 0;
+  /// `enqueued` at the last periodic drain point: once `consumed`
+  /// reaches it, the worker has folded every epoch before the current
+  /// one.
+  uint64_t epoch_enqueued FW_GUARDED_BY(session_role) = 0;
   /// Batches fully processed; written by the worker (release) and read by
   /// the session thread (acquire) — equality with `enqueued` is the
   /// quiesce point that publishes the shard's executor/buffer state.
@@ -138,6 +156,7 @@ void ShardedExecutor::BuildTopology() {
       s->worker_role.AssertHeld();
       EventBatch batch;
       while (s->queue.Pop(&batch)) {
+        s->buffer.set_epoch(batch.epoch);
         s->executor->PushColumns(batch.columns);
         // One sample per batch: time from producer flush to fully folded.
         s->handoff_hist->Record(s->index,
@@ -178,6 +197,7 @@ void ShardedExecutor::FlushPending(Shard* shard) {
   batch.columns.Reserve(options_.batch_size);
   batch.columns.Swap(&shard->pending);  // Leaves a fresh reserved buffer.
   batch.enqueued_ns = MonotonicNanos();
+  batch.epoch = epoch_;
   shard->queue.Push(std::move(batch));
   ++shard->enqueued;
   // In-flight high-water mark (relaxed read: an undercount by in-flight
@@ -213,7 +233,7 @@ void ShardedExecutor::DeliverToShard(uint32_t shard_index,
   shard->session_role->AssertHeld();  // Producer side: session thread.
   shard->pending.Append(event);
   if (shard->pending.size() >= options_.batch_size) FlushPending(shard);
-  if (++events_since_drain_ >= options_.drain_interval) Drain();
+  if (++events_since_drain_ >= options_.drain_interval) CloseEpoch();
 }
 
 void ShardedExecutor::PushColumns(const EventColumns& columns) {
@@ -258,7 +278,7 @@ void ShardedExecutor::PushColumns(const EventColumns& columns) {
     shard->pending.Append(columns.timestamps[i], columns.keys[i],
                           columns.values[i]);
     if (shard->pending.size() >= options_.batch_size) FlushPending(shard);
-    if (++events_since_drain_ >= options_.drain_interval) Drain();
+    if (++events_since_drain_ >= options_.drain_interval) CloseEpoch();
   }
 }
 
@@ -326,11 +346,7 @@ void ShardedExecutor::Quiesce() {
   for (auto& shard : shards_) FlushPending(shard.get());
   for (auto& shard : shards_) {
     shard->session_role->AssertHeld();  // `enqueued` is producer-side.
-    SpinBackoff backoff;
-    while (shard->consumed.load(std::memory_order_acquire) <
-           shard->enqueued) {
-      backoff.Pause();
-    }
+    AwaitConsumed(shard->consumed, shard->enqueued);
   }
 }
 
@@ -338,7 +354,7 @@ void ShardedExecutor::BufferSink::OnBlock(int operator_id, TimeT start,
                                           TimeT end, const uint32_t* keys,
                                           const double* values,
                                           size_t count) {
-  Run& run = runs_[static_cast<size_t>(operator_id)];
+  Run& run = runs_[parity_][static_cast<size_t>(operator_id)];
   // Within one run equal (start, end) means the same instance: this is
   // the second block of a close.
   if (!run.blocks.empty() && run.blocks.back().start == start &&
@@ -351,36 +367,43 @@ void ShardedExecutor::BufferSink::OnBlock(int operator_id, TimeT start,
   run.values.insert(run.values.end(), values, values + count);
 }
 
-void ShardedExecutor::BufferSink::Clear() {
-  for (Run& run : runs_) {
+void ShardedExecutor::BufferSink::Clear(uint64_t epoch) {
+  for (Run& run : runs_[epoch & 1]) {
     run.blocks.clear();
     run.keys.clear();
     run.values.clear();
   }
 }
 
-void ShardedExecutor::DeliverBuffered(uint64_t drain_started_ns) {
+void ShardedExecutor::DeliverBuffered(uint64_t drain_started_ns,
+                                      uint64_t end) {
   const uint64_t deliver_started_ns = MonotonicNanos();
   drain_wait_hist_->Record(0, deliver_started_ns - drain_started_ns);
   merge_heap_.clear();
   for (auto& shard : shards_) {
-    // Callers quiesced (or joined) this shard's worker first: the
-    // consumed/enqueued acquire-release pair published the buffer and the
-    // worker is parked on an empty ring, so the session thread owns it.
+    // The session thread owns the run sets of epochs [undelivered_, end):
+    // at a full drain point the caller quiesced (or joined) the worker;
+    // at a periodic one it waited for consumed >= epoch_enqueued, the
+    // acquire that pairs with the worker's release after the epoch's
+    // last batch. The worker writes those run sets again only for
+    // batches of later epochs, enqueued after this returns.
     shard->worker_role.AssertHeld();
-    const std::vector<BufferSink::Run>& runs = shard->buffer.runs();
-    for (size_t op = 0; op < runs.size(); ++op) {
-      const std::vector<BufferSink::Block>& blocks = runs[op].blocks;
-      if (blocks.empty()) continue;
-      merge_heap_.push_back({&runs[op], blocks.data(),
-                             blocks.data() + blocks.size(),
-                             static_cast<int>(op), 0});
+    for (uint64_t epoch = undelivered_; epoch < end; ++epoch) {
+      const std::vector<BufferSink::Run>& runs = shard->buffer.runs(epoch);
+      for (size_t op = 0; op < runs.size(); ++op) {
+        const std::vector<BufferSink::Block>& blocks = runs[op].blocks;
+        if (blocks.empty()) continue;
+        merge_heap_.push_back({&runs[op], blocks.data(),
+                               blocks.data() + blocks.size(),
+                               static_cast<int>(op), 0});
+      }
     }
   }
   // Each run's blocks are strictly increasing in (end, start), so ordering
   // the runs by their head block's (end, start, operator) delivers
   // instances in merge order; the min-heap takes one step per run holding
-  // the instance.
+  // the instance. A shard closes an instance once, so at a full drain
+  // point its older epoch's run and its current one never share one.
   const auto later = [](const RunCursor& a, const RunCursor& b) {
     return std::tie(b.next->end, b.next->start, b.operator_id) <
            std::tie(a.next->end, a.next->start, a.operator_id);
@@ -439,9 +462,28 @@ void ShardedExecutor::DeliverBuffered(uint64_t drain_started_ns) {
   }
   for (auto& shard : shards_) {
     shard->worker_role.AssertHeld();  // Still owned (see above).
-    shard->buffer.Clear();
+    for (uint64_t epoch = undelivered_; epoch < end; ++epoch) {
+      shard->buffer.Clear(epoch);
+    }
   }
   drain_deliver_hist_->Record(0, MonotonicNanos() - deliver_started_ns);
+  undelivered_ = end;
+  ++epoch_;
+  events_since_drain_ = 0;
+}
+
+void ShardedExecutor::CloseEpoch() {
+  const uint64_t drain_started_ns = MonotonicNanos();
+  for (auto& shard : shards_) FlushPending(shard.get());
+  for (auto& shard : shards_) {
+    shard->session_role->AssertHeld();  // `enqueued` is producer-side.
+    // Only the outstanding epoch, which in steady state the worker folded
+    // while the session thread pushed the one closing now. With none
+    // outstanding (after a full drain point) this returns at once.
+    AwaitConsumed(shard->consumed, shard->epoch_enqueued);
+    shard->epoch_enqueued = shard->enqueued;
+  }
+  DeliverBuffered(drain_started_ns, epoch_);
 }
 
 void ShardedExecutor::Drain() {
@@ -449,8 +491,7 @@ void ShardedExecutor::Drain() {
   if (inline_executor_) return;
   const uint64_t drain_started_ns = MonotonicNanos();
   Quiesce();
-  DeliverBuffered(drain_started_ns);
-  events_since_drain_ = 0;
+  DeliverBuffered(drain_started_ns, epoch_ + 1);
 }
 
 void ShardedExecutor::Finish() {
@@ -474,9 +515,10 @@ void ShardedExecutor::Finish() {
     // Workers are joined: the join published everything they wrote, so
     // flushing the shard plans from this thread is safe.
     shard->worker_role.AssertHeld();
+    shard->buffer.set_epoch(epoch_);
     shard->executor->Finish();
   }
-  DeliverBuffered(drain_started_ns);
+  DeliverBuffered(drain_started_ns, epoch_ + 1);
 }
 
 ReorderCheckpoint ShardedExecutor::ReorderMeta() const {
@@ -521,14 +563,14 @@ Result<ExecutorCheckpoint> ShardedExecutor::Checkpoint() {
   Quiesce();
   if (delivered_any_) {
     // Workers are quiesced, so the session thread may drive the engines;
-    // close results extend the same per-operator runs.
+    // close results extend the current epoch's per-operator runs.
     for (auto& shard : shards_) {
       shard->worker_role.AssertHeld();  // Quiesced (see above).
+      shard->buffer.set_epoch(epoch_);
       shard->executor->CloseThrough(close_frontier);
     }
   }
-  DeliverBuffered(drain_started_ns);
-  events_since_drain_ = 0;
+  DeliverBuffered(drain_started_ns, epoch_ + 1);
   std::vector<ExecutorCheckpoint> parts;
   parts.reserve(shards_.size());
   for (uint32_t i = 0; i < num_shards(); ++i) {
@@ -693,7 +735,6 @@ Status ShardedExecutor::Resize(uint32_t new_num_shards) {
   inline_executor_.reset();
   shards_.clear();
   options_.num_shards = new_num_shards;
-  events_since_drain_ = 0;
   // Rebuild at the new width and split the snapshot across it. Restore
   // re-buffers in-flight reorder events by the new key partitioning and
   // cannot fail: the checkpoint came from this very executor (same plan,

@@ -1,6 +1,7 @@
 #ifndef FW_RUNTIME_SHARDED_EXECUTOR_H_
 #define FW_RUNTIME_SHARDED_EXECUTOR_H_
 
+#include <array>
 #include <cstdint>
 #include <limits>
 #include <memory>
@@ -53,18 +54,24 @@ namespace fw {
 ///    a bare PlanExecutor. This keeps the default StreamSession path
 ///    byte-identical to the pre-sharding engine.
 ///  * With N > 1 shards, results are buffered per shard and delivered in
-///    chunks at *drain points*: every Options::drain_interval pushed
-///    events, and on Drain/Finish/Checkpoint/Restore (Resize checkpoints
-///    and restores, so it is one too). Each chunk is the union of the
-///    shards' results since the previous drain point, in (window end,
-///    start, operator, key) order — a total order over one executor's
-///    results, so a chunk is fully determined by its content. Drain
-///    points depend only on the pushed sequence and the API calls made,
-///    so delivery order is deterministic run-to-run. An executor
-///    destroyed without Finish discards still-buffered results.
-///  * Nobody sorts. Each shard buffers one result run per plan operator,
-///    and the engine appends to every run in strictly increasing (end,
-///    start, key) order (the emission-order contract on
+///    chunks at *drain points*; the pushed events between two drain
+///    points form an *epoch*. A periodic drain point (every
+///    Options::drain_interval pushed events) closes the current epoch e
+///    and delivers the previous one: the workers fold epoch e while the
+///    session thread merges and delivers epoch e − 1, and the drain point
+///    waits only until every worker has folded epoch e − 1. The full
+///    drain points — Drain/Finish/Checkpoint/Restore (Resize checkpoints
+///    and restores, so it is one too) — quiesce the workers and deliver
+///    the outstanding epoch and the current one as one chunk. Each chunk
+///    is in (window end, start, operator, key) order — a total order over
+///    one executor's results, so a chunk is fully determined by its
+///    content. Epochs and drain points depend only on the pushed sequence
+///    and the API calls made, so delivery order is deterministic
+///    run-to-run. An executor destroyed without Finish discards
+///    still-buffered results.
+///  * Nobody sorts. Each shard buffers one result run per plan operator
+///    and epoch parity, and the engine appends to every run in strictly
+///    increasing (end, start, key) order (the emission-order contract on
 ///    WindowAggregateOperator). At a drain point the session thread
 ///    merges the shards × operators runs one closed instance at a time:
 ///    a heap picks the smallest head (end, start, operator), the at most
@@ -72,10 +79,11 @@ namespace fw {
 ///    by key, and the sink gets the instance as one OnBlock call. The
 ///    workers have nothing to do at a drain point beyond folding what
 ///    they were handed.
-///  * Latency: a result waits at most about one drain interval of pushed
-///    events (4096 by default) plus the time the workers need to fold
-///    them. Across chunks delivery is not globally sorted — see
-///    DESIGN.md §8.
+///  * Latency: a result produced while its shard folds epoch e is
+///    delivered at the drain point that closes epoch e + 1, so it waits
+///    at most two drain intervals of pushed events (2 × 512 by default)
+///    after the event that produced it. Across chunks delivery is not
+///    globally sorted — see DESIGN.md §8.
 ///
 /// ## Bounded-lateness ingestion (Options::max_delay > 0)
 ///
@@ -122,9 +130,11 @@ class ShardedExecutor {
     /// Ring capacity per shard, in batches; the producer blocks when a
     /// shard falls this far behind (backpressure).
     size_t queue_capacity = 64;
-    /// Deliver buffered results at least every this many pushed events;
-    /// bounds result latency and buffer memory (see the class comment).
-    uint64_t drain_interval = 4096;
+    /// Pushed events per epoch: a periodic drain point every this many
+    /// pushed events delivers the previous epoch's results, so a result
+    /// waits at most two intervals and each shard buffers at most two
+    /// epochs of results (see the class comment).
+    uint64_t drain_interval = 512;
     /// Bounded event-time disorder (see the class comment): events may
     /// arrive up to this many time units behind the stream's maximum
     /// timestamp. 0 (default) requires strictly ordered input — the
@@ -292,16 +302,20 @@ class ShardedExecutor {
   double RingOccupancy() const;
 
  private:
-  /// Shard-local result buffer: one run per plan operator, indexed by
-  /// operator id. The engine's emission-order contract keeps every run
-  /// strictly increasing in (end, start, key), so a run is a sequence of
-  /// blocks, one per closed instance, each held as a Block header over
-  /// the run's parallel key and value arrays (12 bytes per result). The
-  /// engine's two OnBlock calls for one close extend one header. Written
-  /// only by the shard's worker while a batch is in flight, read by the
-  /// session thread only after a quiesce. The guard lives on the owning
-  /// member (Shard::buffer is FW_GUARDED_BY(worker_role)) rather than in
-  /// here, because the capability is per shard, not per sink.
+  /// Shard-local result buffer: two run sets, one per epoch parity, each
+  /// holding one run per plan operator, indexed by operator id. OnBlock
+  /// appends to the run set of the epoch selected by set_epoch — the
+  /// worker selects each batch's epoch before folding it. The engine's
+  /// emission-order contract keeps every run strictly increasing in
+  /// (end, start, key), so a run is a sequence of blocks, one per closed
+  /// instance, each held as a Block header over the run's parallel key
+  /// and value arrays (12 bytes per result). The engine's two OnBlock
+  /// calls for one close extend one header. Written only by the shard's
+  /// worker while a batch is in flight; the session thread reads an
+  /// epoch's run set once every worker has folded that epoch (see
+  /// DeliverBuffered). The guard lives on the owning member
+  /// (Shard::buffer is FW_GUARDED_BY(worker_role)) rather than in here,
+  /// because the capability is per shard, not per sink.
   class BufferSink : public ResultSink {
    public:
     /// One closed instance's results: keys[offset, offset + count) of the
@@ -318,7 +332,9 @@ class ShardedExecutor {
       std::vector<double> values;
     };
 
-    explicit BufferSink(size_t num_operators) : runs_(num_operators) {}
+    explicit BufferSink(size_t num_operators)
+        : runs_{std::vector<Run>(num_operators),
+                std::vector<Run>(num_operators)} {}
     void OnResult(const WindowResult& result) override {
       OnBlock(result.operator_id, result.start, result.end, &result.key,
               &result.value, 1);
@@ -326,11 +342,16 @@ class ShardedExecutor {
     void OnBlock(int operator_id, TimeT start, TimeT end,
                  const uint32_t* keys, const double* values,
                  size_t count) override;
-    const std::vector<Run>& runs() const { return runs_; }
-    void Clear();
+    /// Routes the following OnBlock calls into `epoch`'s run set.
+    void set_epoch(uint64_t epoch) { parity_ = epoch & 1; }
+    const std::vector<Run>& runs(uint64_t epoch) const {
+      return runs_[epoch & 1];
+    }
+    void Clear(uint64_t epoch);
 
    private:
-    std::vector<Run> runs_;
+    std::array<std::vector<Run>, 2> runs_;
+    uint64_t parity_ = 0;
   };
 
   /// DeliverBuffered's cursor over one (shard, operator) run: `next` is
@@ -365,18 +386,26 @@ class ShardedExecutor {
   /// The reorder stage's clock and counters, for checkpointing.
   ReorderCheckpoint ReorderMeta() const FW_REQUIRES(session_role_);
 
-  /// Hands the shard's pending partial batch, if any, to its queue.
+  /// Hands the shard's pending partial batch, if any, to its queue, tagged
+  /// with the current epoch.
   void FlushPending(Shard* shard) FW_REQUIRES(session_role_);
   /// Flushes all pending batches and waits until every worker has consumed
   /// its queue. Afterwards the session thread may read shard state.
   void Quiesce() FW_REQUIRES(session_role_);
-  /// Delivers the merge of every shard's per-operator runs into the sink
-  /// (see the class comment) and clears them. Requires quiesced (or
-  /// joined) workers. The tail of a drain point: records one
-  /// executor.drain_wait_ns sample (from `drain_started_ns`, the clock
-  /// read before the drain flushed, to now) and one
-  /// executor.drain_deliver_ns sample (the merge and the callbacks).
-  void DeliverBuffered(uint64_t drain_started_ns) FW_REQUIRES(session_role_);
+  /// The periodic drain point: hands over the current epoch's pending
+  /// batches, waits until every worker has folded the outstanding epoch
+  /// (the current one's predecessor, if undelivered) and delivers it.
+  void CloseEpoch() FW_REQUIRES(session_role_);
+  /// The tail of every drain point: delivers the merge of every shard's
+  /// per-operator runs of the undelivered epochs before `end` into the
+  /// sink as one chunk (see the class comment), clears them, and opens
+  /// the next epoch. Callers first make sure every worker has folded
+  /// those epochs. Records one executor.drain_wait_ns sample (from
+  /// `drain_started_ns`, the clock read before the drain point flushed,
+  /// to now) and one executor.drain_deliver_ns sample (the merge and the
+  /// callbacks).
+  void DeliverBuffered(uint64_t drain_started_ns, uint64_t end)
+      FW_REQUIRES(session_role_);
   void StopWorkers() FW_REQUIRES(session_role_);
 
   /// Capability of the one thread driving the public API (the class
@@ -403,6 +432,12 @@ class ShardedExecutor {
   /// Threaded mode.
   std::vector<std::unique_ptr<Shard>> shards_ FW_GUARDED_BY(session_role_);
   uint64_t events_since_drain_ FW_GUARDED_BY(session_role_) = 0;
+  /// The epoch pushed events join (every drain point opens a new one),
+  /// and the oldest epoch whose results are not yet delivered: epoch_ − 1
+  /// after a periodic drain point, epoch_ after a full one. Hand-off
+  /// batches carry their epoch; a shard buffers results by its parity.
+  uint64_t epoch_ FW_GUARDED_BY(session_role_) = 0;
+  uint64_t undelivered_ FW_GUARDED_BY(session_role_) = 0;
   bool stopped_ FW_GUARDED_BY(session_role_) = false;
   /// PushColumns scratch: the batch's per-event shard assignment, computed
   /// in one pass over the key column (grown once, reused per batch).

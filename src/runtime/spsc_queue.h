@@ -56,10 +56,10 @@ struct SpinBackoff {
 template <typename T>
 class SpscQueue {
   // Slots are handed across threads by move; a throwing move would tear a
-  // slot mid-hand-off with the cursor already published. The built-in
-  // element type (std::vector<Event>) is not trivially copyable, so the
-  // enforceable contract is nothrow movability; trivially-copyable
-  // elements satisfy it for free.
+  // slot mid-hand-off with the cursor already published. The runtime's
+  // element type (ShardedExecutor's EventBatch, a columnar batch) is not
+  // trivially copyable, so the enforceable contract is nothrow
+  // movability; trivially-copyable elements satisfy it for free.
   static_assert(std::is_nothrow_move_constructible_v<T>,
                 "SpscQueue elements must be nothrow-move-constructible");
   static_assert(std::is_nothrow_move_assignable_v<T>,

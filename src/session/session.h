@@ -89,12 +89,15 @@ using QueryId = uint64_t;
 /// the caller's thread, so callbacks never run concurrently — in
 /// deterministic (window end, start, operator, key) order. The delivered
 /// result multiset is bitwise identical to a num_shards = 1 session
-/// across churn, replans, and Finish; only delivery timing changes
-/// (buffered results arrive at drain points: periodically, and on every
-/// replan and Finish — stats reads synchronize the counters but deliver
-/// nothing). Replans stay state-preserving: shard checkpoints
-/// merge into the global view, migrate by lineage as below, and split
-/// back across shards. The shard count is capped at num_keys — a keyless
+/// across churn, replans, and Finish; only delivery timing changes.
+/// Buffered results arrive at drain points: every 512 pushed events a
+/// periodic one delivers what the workers produced from the 512 events
+/// before those, so a result reaches its callback at most 1,024 pushed
+/// events after the event that produced it; every replan and Finish
+/// delivers everything. Stats reads synchronize the counters but deliver
+/// nothing. Replans stay state-preserving: shard checkpoints merge into
+/// the global view, migrate by lineage as below, and split back across
+/// shards. The shard count is capped at num_keys — a keyless
 /// session cannot parallelize — and the default (1) runs the
 /// single-threaded engine inline, exactly as before.
 ///

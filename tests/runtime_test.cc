@@ -3,7 +3,9 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <array>
 #include <atomic>
+#include <chrono>
 #include <cstdint>
 #include <map>
 #include <memory>
@@ -529,7 +531,7 @@ TEST(ShardedExecutor, EveryDrainChunkIsTheSortedUnionOfItsEpoch) {
   constexpr uint32_t kKeys = 8;
   constexpr uint32_t kShards = 2;
   constexpr uint64_t kDrainInterval = 500;
-  // Not a multiple of the interval, so Finish delivers its own chunk.
+  // Not a multiple of the interval, so the last epoch is a partial one.
   std::vector<Event> events = GenerateSyntheticStream(6100, kKeys, 25);
   QueryPlan plan = SharedTestPlan();
 
@@ -547,8 +549,10 @@ TEST(ShardedExecutor, EveryDrainChunkIsTheSortedUnionOfItsEpoch) {
   executor.Finish();
   ExpectChunksSorted(delivered.log);
 
-  // Reference: one bare engine per shard over the same key slice. Each
-  // epoch's chunk is the sorted union of what they emitted during it.
+  // Reference: one bare engine per shard over the same key slice. The
+  // chunk at periodic drain point n is the sorted union of what they
+  // emitted during epoch n − 1 (drain point n closes epoch n), and Finish
+  // delivers the last two epochs as one sorted chunk.
   std::vector<CollectingSink> shard_sinks(kShards);
   std::vector<std::unique_ptr<PlanExecutor>> engines;
   PlanExecutor::Options exec_options;
@@ -558,26 +562,36 @@ TEST(ShardedExecutor, EveryDrainChunkIsTheSortedUnionOfItsEpoch) {
   }
   std::vector<Delivery> expected;
   std::vector<size_t> taken(kShards, 0);
-  auto close_epoch = [&](uint64_t position) {
-    std::vector<WindowResult> chunk;
+  std::vector<WindowResult> outstanding;  // The previous epoch's output.
+  auto take_epoch = [&] {
     for (uint32_t s = 0; s < kShards; ++s) {
       const std::vector<WindowResult>& results = shard_sinks[s].results();
-      chunk.insert(chunk.end(), results.begin() + taken[s], results.end());
+      outstanding.insert(outstanding.end(), results.begin() + taken[s],
+                         results.end());
       taken[s] = results.size();
     }
-    std::sort(chunk.begin(), chunk.end(),
+  };
+  auto deliver = [&](uint64_t position) {
+    std::sort(outstanding.begin(), outstanding.end(),
               [](const WindowResult& a, const WindowResult& b) {
                 return std::tie(a.end, a.start, a.operator_id, a.key) <
                        std::tie(b.end, b.start, b.operator_id, b.key);
               });
-    for (const WindowResult& r : chunk) expected.push_back(Flatten(position, r));
+    for (const WindowResult& r : outstanding) {
+      expected.push_back(Flatten(position, r));
+    }
+    outstanding.clear();
   };
   for (size_t i = 0; i < events.size(); ++i) {
     engines[ShardForKey(events[i].key, kShards)]->Push(events[i]);
-    if ((i + 1) % kDrainInterval == 0) close_epoch(i + 1);
+    if ((i + 1) % kDrainInterval == 0) {
+      deliver(i + 1);
+      take_epoch();
+    }
   }
   for (auto& engine : engines) engine->Finish();
-  close_epoch(events.size());
+  take_epoch();
+  deliver(events.size());
   ASSERT_GT(expected.size(), 0u);
   EXPECT_EQ(delivered.log, expected);
 }
@@ -866,6 +880,82 @@ TEST(ShardedExecutor, RingOccupancyStaysWithinUnitRangeWhenSaturated) {
   EXPECT_EQ(executor.RingOccupancy(), 0.0);
   ASSERT_EQ(sink.results().size(), 1u);
   EXPECT_EQ(sink.results()[0].value, total);
+}
+
+// A periodic drain point waits for the epoch it delivers, never for the
+// one it closes: with both workers parked on their first batch of epoch
+// 1, the drain point closing epoch 1 still returns, with epoch 0's
+// results in the sink.
+TEST(ShardedExecutor, PeriodicDrainPointDoesNotWaitForTheEpochItCloses) {
+  constexpr uint32_t kKeys = 4;
+  constexpr uint32_t kShards = 2;
+  constexpr uint64_t kEpoch = 8;
+  WindowSet windows;
+  ASSERT_TRUE(windows.Add(Window::Tumbling(10)).ok());
+  const QueryPlan plan = QueryPlan::Original(windows, RegisterHeldSumOnce());
+  // Events alternate between a key of each shard, so both shards see an
+  // event at t >= 10 during epoch 0 and close [0, 10) in it.
+  std::array<uint32_t, kShards> shard_key{};
+  std::array<bool, kShards> found{};
+  for (uint32_t key = 0; key < kKeys; ++key) {
+    const uint32_t shard = ShardForKey(key, kShards);
+    if (!found[shard]) shard_key[shard] = key;
+    found[shard] = true;
+  }
+  ASSERT_TRUE(found[0] && found[1]);
+  std::vector<Event> events;
+  for (uint64_t i = 0; i < 2 * kEpoch; ++i) {
+    events.push_back({.timestamp = static_cast<TimeT>(2 * i),
+                      .key = shard_key[i % kShards],
+                      .value = static_cast<double>(i + 1)});
+  }
+  PlanExecutor::Options exec_options;
+  exec_options.num_keys = kKeys;
+  CollectingSink epoch0;  // What a bare engine emits during epoch 0.
+  PlanExecutor bare(plan, exec_options, &epoch0);
+  for (uint64_t i = 0; i < kEpoch; ++i) bare.Push(events[i]);
+  ASSERT_EQ(epoch0.results().size(), 2u);
+  CollectingSink reference;
+  ExecutePlan(plan, events, kKeys, &reference, nullptr, nullptr);
+
+  ShardedExecutor::Options options;
+  options.num_keys = kKeys;
+  options.num_shards = kShards;
+  options.batch_size = 1;
+  options.drain_interval = kEpoch;
+  CollectingSink sink;
+  ShardedExecutor executor(plan, options, &sink);
+  for (uint64_t i = 0; i < kEpoch; ++i) executor.Push(events[i]);
+  executor.Counters();  // Quiesce: both workers have folded epoch 0.
+  EXPECT_TRUE(sink.results().empty()) << "epoch 0 delivered as it closed";
+
+  hold_accumulate.store(true, std::memory_order_release);
+  std::atomic<bool> drain_returned{false};
+  std::atomic<bool> watchdog_fired{false};
+  std::thread watchdog([&] {
+    // A drain point that waits for the parked workers fails the test
+    // after 2 s instead of hanging it.
+    for (int ms = 0; ms < 2000 && !drain_returned.load(); ++ms) {
+      std::this_thread::sleep_for(std::chrono::milliseconds(1));
+    }
+    if (!drain_returned.load()) {
+      watchdog_fired.store(true);
+      hold_accumulate.store(false, std::memory_order_release);
+    }
+  });
+  // Each push hands its batch over at once; the 16th is the drain point.
+  for (uint64_t i = kEpoch; i < 2 * kEpoch; ++i) executor.Push(events[i]);
+  const bool parked = executor.RingOccupancy() > 0.0;
+  drain_returned.store(true);
+  const std::map<CollectingSink::ResultKey, double> delivered = sink.ToMap();
+  hold_accumulate.store(false, std::memory_order_release);
+  watchdog.join();
+  EXPECT_FALSE(watchdog_fired.load()) << "the drain point waited for epoch 1";
+  EXPECT_TRUE(parked);
+  EXPECT_EQ(delivered, epoch0.ToMap());
+
+  executor.Finish();
+  EXPECT_EQ(sink.ToMap(), reference.ToMap());
 }
 
 TEST(ShardedExecutor, CheckpointRestoresAcrossShardCounts) {
@@ -1175,6 +1265,75 @@ TEST(ShardedSession, KeylessSessionCollapsesToOneShard) {
   ASSERT_TRUE(session.Finish().ok());
   EXPECT_EQ(session.Stats().num_shards, 1u);
   EXPECT_FALSE(results.empty());
+}
+
+// A result reaches its callback no earlier than its trigger event — the
+// first arrival at or past its window end plus max_delay — and at most
+// two drain intervals plus one round of the keys after it: a shard closes
+// an instance on the next event of its own keys, and the result then
+// waits for the drain point closing the epoch after that event's.
+TEST(ShardedSession, DeliveryLagIsBoundedByTwoDrainIntervals) {
+  constexpr uint32_t kKeys = 16;
+  const std::vector<Event> events = GenerateSyntheticStream(40000, kKeys, 28);
+  const uint64_t bound = 2 * ShardedExecutor::Options{}.drain_interval + kKeys;
+  // (pushed events when delivered, window end) per delivered result.
+  using Arrivals = std::vector<std::pair<uint64_t, TimeT>>;
+  const auto run = [&](uint32_t shards, TimeT max_delay, Arrivals* arrivals) {
+    StreamSession::Options options;
+    options.num_keys = kKeys;
+    options.num_shards = shards;
+    options.max_delay = max_delay;
+    StreamSession session(options);
+    SessionResults results;
+    uint64_t pushed = 0;
+    const std::vector<QueryBuilder> queries = {
+        PerDevice(20).Hopping(60, 20), PerDevice(40), PerDevice(120)};
+    for (size_t tag = 0; tag < queries.size(); ++tag) {
+      const StreamSession::ResultCallback tagged =
+          Tagged(&results, static_cast<int>(tag));
+      EXPECT_TRUE(session
+                      .AddQuery(queries[tag],
+                                [&, tagged](const WindowResult& r) {
+                                  tagged(r);
+                                  arrivals->emplace_back(pushed, r.end);
+                                })
+                      .ok());
+    }
+    for (const Event& event : events) {
+      ++pushed;
+      EXPECT_TRUE(session.Push(event).ok());
+    }
+    ++pushed;  // Finish's deliveries come after the last event.
+    EXPECT_TRUE(session.Finish().ok());
+    return results;
+  };
+
+  for (const TimeT max_delay : {TimeT{0}, TimeT{64}}) {
+    SessionResults baseline;
+    for (const uint32_t shards : {1u, 2u, 4u}) {
+      SCOPED_TRACE(std::to_string(shards) + " shards, max_delay " +
+                   std::to_string(max_delay));
+      Arrivals arrivals;
+      const SessionResults results = run(shards, max_delay, &arrivals);
+      if (shards == 1) {
+        baseline = results;
+        ASSERT_FALSE(baseline.empty());
+      } else {
+        EXPECT_EQ(results, baseline);
+      }
+      size_t checked = 0;
+      for (const auto& [position, end] : arrivals) {
+        if (position > events.size()) continue;  // Delivered by Finish.
+        // Timestamps equal indices (η = 1), so the trigger is the event
+        // at end + max_delay, pushed as number end + max_delay + 1.
+        const uint64_t trigger = static_cast<uint64_t>(end + max_delay) + 1;
+        ASSERT_GE(position, trigger) << "window end " << end;
+        ASSERT_LE(position, trigger + bound) << "window end " << end;
+        ++checked;
+      }
+      EXPECT_GT(checked, arrivals.size() / 2);
+    }
+  }
 }
 
 TEST(ShardedSession, StatsReportShardCountAndPredictedBoost) {
