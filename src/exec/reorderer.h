@@ -12,23 +12,23 @@
 
 namespace fw {
 
-/// One shard's bounded-disorder buffer in the event-time pipeline
-/// (DESIGN.md §9): holds events whose timestamps are still ahead of the
-/// watermark and releases them, once the watermark passes, in
-/// (timestamp, arrival sequence) order.
+/// The bounded-disorder buffer of the event-time pipeline (DESIGN.md §9):
+/// holds events whose timestamps are still ahead of the watermark and
+/// releases them, once the watermark passes, in (timestamp, arrival
+/// sequence) order.
 ///
 /// The ordering is *stable*: equal-timestamp events of one key always
 /// release in arrival order because arrival sequence numbers are assigned
-/// globally by the session thread before partitioning. This is what keeps
-/// a key's fold order — and therefore every result, bit for bit —
-/// identical across shard counts.
+/// by the session thread before partitioning. This is what keeps a key's
+/// fold order — and therefore every result, bit for bit — identical
+/// across shard counts.
 ///
-/// The watermark is external: ShardedExecutor drives every shard's
-/// Reorderer from one global event-time clock (the maximum timestamp seen
-/// across the whole stream minus max_delay), so lateness and release
-/// decisions never depend on how keys were partitioned. Classifying an
-/// event as late (below the watermark) is the caller's job; a Reorderer
-/// only ever holds events at or above it.
+/// The watermark is external: ShardedExecutor drives its one Reorderer,
+/// ahead of partitioning, from one event-time clock (the maximum
+/// timestamp seen across the whole stream minus max_delay), so lateness
+/// and release decisions never depend on how keys are partitioned.
+/// Classifying an event as late (below the watermark) is the caller's
+/// job; a Reorderer only ever holds events at or above it.
 class Reorderer {
  public:
   /// Buffers one event under its global arrival sequence number.

@@ -68,44 +68,14 @@ Result<ExecutorCheckpoint> MergeShardCheckpoints(
     }
     merged.operators.push_back(std::move(op));
   }
-  for (const ExecutorCheckpoint& shard : shards) {
-    const ReorderCheckpoint& part = shard.reorder;
-    if (part.any_seen) {
-      merged.reorder.max_seen = merged.reorder.any_seen
-                                    ? std::max(merged.reorder.max_seen,
-                                               part.max_seen)
-                                    : part.max_seen;
-      merged.reorder.any_seen = true;
-    }
-    merged.reorder.max_delay =
-        std::max(merged.reorder.max_delay, part.max_delay);
-    merged.reorder.next_seq =
-        std::max(merged.reorder.next_seq, part.next_seq);
-    merged.reorder.late_events += part.late_events;
-    merged.reorder.buffer_peak =
-        std::max(merged.reorder.buffer_peak, part.buffer_peak);
-    merged.reorder.events.insert(merged.reorder.events.end(),
-                                 part.events.begin(), part.events.end());
-  }
-  std::sort(merged.reorder.events.begin(), merged.reorder.events.end(),
-            [](const BufferedEvent& a, const BufferedEvent& b) {
-              return a.seq < b.seq;
-            });
-  for (size_t i = 1; i < merged.reorder.events.size(); ++i) {
-    if (merged.reorder.events[i].seq == merged.reorder.events[i - 1].seq) {
-      return Status::Internal(
-          "buffered event seq " +
-          std::to_string(merged.reorder.events[i].seq) +
-          " held on two shards (partitioning invariant violated)");
-    }
-  }
   return merged;
 }
 
 ExecutorCheckpoint ExtractShardCheckpoint(const ExecutorCheckpoint& global,
                                           uint32_t shard,
                                           uint32_t num_shards) {
-  ExecutorCheckpoint out = global;
+  ExecutorCheckpoint out;
+  out.operators = global.operators;
   for (OperatorCheckpoint& op : out.operators) {
     if (shard != 0) op.accumulate_ops = 0;
     for (InstanceCheckpoint& inst : op.open_instances) {
@@ -116,19 +86,6 @@ ExecutorCheckpoint ExtractShardCheckpoint(const ExecutorCheckpoint& global,
       }
     }
   }
-  if (shard != 0) {
-    // The reorder clock and counters ride on shard 0, like
-    // accumulate_ops; every shard keeps its own keys' buffered events.
-    out.reorder.any_seen = false;
-    out.reorder.max_seen = 0;
-    out.reorder.max_delay = 0;
-    out.reorder.next_seq = 0;
-    out.reorder.late_events = 0;
-    out.reorder.buffer_peak = 0;
-  }
-  std::erase_if(out.reorder.events, [&](const BufferedEvent& buffered) {
-    return ShardForKey(buffered.event.key, num_shards) != shard;
-  });
   return out;
 }
 

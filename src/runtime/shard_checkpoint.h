@@ -10,11 +10,14 @@
 namespace fw {
 
 /// Conversions between per-shard executor checkpoints and the global
-/// (single-threaded) checkpoint view. They are what makes checkpoints —
-/// and therefore StreamSession's lineage-migrating replans — shard-aware
-/// *and* shard-count portable: a checkpoint merged from a 4-shard run
-/// restores into a 1- or 8-shard executor over the same plan, because all
-/// operator state is per-key and shards own disjoint key slices.
+/// (single-threaded) checkpoint view, operator state only: the reorder
+/// section belongs to ShardedExecutor's one reorder stage ahead of
+/// partitioning, which attaches and restores it whole. They are what
+/// makes checkpoints — and therefore StreamSession's lineage-migrating
+/// replans — shard-aware *and* shard-count portable: a checkpoint merged
+/// from a 4-shard run restores into a 1- or 8-shard executor over the
+/// same plan, because all operator state is per-key and shards own
+/// disjoint key slices.
 ///
 /// Soundness of the merge rests on the session-wide ordering invariant
 /// (events arrive in non-decreasing timestamp order across the *whole*
@@ -39,22 +42,18 @@ namespace fw {
 /// global view: per operator, cursors advance to the furthest shard
 /// (max next_m), op counters sum, and open instances union by instance
 /// number with per-key states taken from the owning shard. The reorder
-/// sections merge too: buffered events union into global arrival (seq)
-/// order, the event-time clock takes the furthest shard, late counters
-/// sum, and the buffer peak takes the max. Errors if the checkpoints
-/// disagree on plan shape, if two shards both hold state for one key, or
-/// if two shards both buffered one arrival sequence number (both are
-/// partitioning-invariant violations).
+/// section is left empty. Errors if the checkpoints disagree on plan
+/// shape, or if two shards both hold state for one key (a
+/// partitioning-invariant violation).
 Result<ExecutorCheckpoint> MergeShardCheckpoints(
     const std::vector<ExecutorCheckpoint>& shards);
 
-/// Projects a global checkpoint onto shard `shard` of `num_shards`: every
-/// per-key state whose key hashes elsewhere (ShardForKey) is cleared to
-/// empty, instances and cursors are kept as-is (an all-empty instance
-/// emits nothing and closes silently), and buffered reorder events are
-/// kept only for owned keys. Accumulate-op counters — and the reorder
-/// clock and counters — are carried on shard 0 only, so merging over
-/// shards preserves the global values.
+/// Projects a global checkpoint's operator state onto shard `shard` of
+/// `num_shards`: every per-key state whose key hashes elsewhere
+/// (ShardForKey) is cleared to empty, and instances and cursors are kept
+/// as-is (an all-empty instance emits nothing and closes silently).
+/// Accumulate-op counters are carried on shard 0 only, so merging over
+/// shards preserves the global values. The reorder section is dropped.
 ExecutorCheckpoint ExtractShardCheckpoint(const ExecutorCheckpoint& global,
                                           uint32_t shard,
                                           uint32_t num_shards);

@@ -121,8 +121,6 @@ void ShardedExecutor::BuildTopology() {
   FW_CHECK(!inline_executor_ && shards_.empty());
   const uint32_t shards = EffectiveShards(options_.num_shards,
                                           options_.num_keys);
-  reorderers_.clear();
-  if (options_.max_delay > 0) reorderers_.resize(shards);
   events_per_shard_.assign(shards, 0);
   PlanExecutor::Options exec_options;
   exec_options.num_keys = options_.num_keys;
@@ -209,46 +207,56 @@ void ShardedExecutor::FlushPending(Shard* shard) {
 
 void ShardedExecutor::Push(const Event& event) {
   session_role_.AssertHeld();  // Public entry: session thread only.
+  if (!inline_executor_) FW_CHECK(!stopped_) << "Push after Finish";
   if (options_.max_delay > 0) {
     ReorderPush(event);
-    return;
+  } else {
+    DeliverToShard(event);
   }
-  if (!inline_executor_) FW_CHECK(!stopped_) << "Push after Finish";
-  DeliverToShard(
-      inline_executor_ ? 0 : ShardForKey(event.key, num_shards()), event);
+  EndPush();
 }
 
-void ShardedExecutor::DeliverToShard(uint32_t shard_index,
-                                     const Event& event) {
-  ++events_per_shard_[shard_index];
+void ShardedExecutor::EndPush() {
+  if (!inline_executor_ && ++events_since_drain_ >= options_.drain_interval) {
+    CloseEpoch();
+  }
+}
+
+void ShardedExecutor::DeliverToShard(const Event& event) {
   if (!delivered_any_ || event.timestamp > delivered_max_) {
     delivered_max_ = event.timestamp;
     delivered_any_ = true;
   }
   if (inline_executor_) {
+    ++events_per_shard_[0];
     inline_executor_->Push(event);
     return;
   }
+  const uint32_t shard_index =
+      ShardForKey(event.key, static_cast<uint32_t>(shards_.size()));
+  ++events_per_shard_[shard_index];
   Shard* shard = shards_[shard_index].get();
   shard->session_role->AssertHeld();  // Producer side: session thread.
   shard->pending.Append(event);
   if (shard->pending.size() >= options_.batch_size) FlushPending(shard);
-  if (++events_since_drain_ >= options_.drain_interval) CloseEpoch();
 }
 
 void ShardedExecutor::PushColumns(const EventColumns& columns) {
   session_role_.AssertHeld();  // Public entry: session thread only.
   const size_t count = columns.size();
   if (count == 0) return;
+  if (!inline_executor_) FW_CHECK(!stopped_) << "Push after Finish";
   if (options_.max_delay > 0) {
     // Lateness classification is inherently per event — each one tests or
     // moves the watermark — so the batch unrolls into ReorderPush; the
     // released events still land in the shards' columnar pending batches
     // and fold through the engines' batch accumulate.
-    for (size_t i = 0; i < count; ++i) ReorderPush(columns[i]);
+    for (size_t i = 0; i < count; ++i) {
+      ReorderPush(columns[i]);
+      EndPush();
+    }
     return;
   }
-  if (!inline_executor_) FW_CHECK(!stopped_) << "Push after Finish";
   // Strict mode: the batch is timestamp-ordered (same contract as Push),
   // so its last timestamp is its maximum. Checkpoint/Resize cannot run
   // mid-call, so advancing the frontier up front is equivalent to the
@@ -278,12 +286,11 @@ void ShardedExecutor::PushColumns(const EventColumns& columns) {
     shard->pending.Append(columns.timestamps[i], columns.keys[i],
                           columns.values[i]);
     if (shard->pending.size() >= options_.batch_size) FlushPending(shard);
-    if (++events_since_drain_ >= options_.drain_interval) CloseEpoch();
+    EndPush();
   }
 }
 
 void ShardedExecutor::ReorderPush(const Event& event) {
-  if (!inline_executor_) FW_CHECK(!stopped_) << "Push after Finish";
   if (reorder_any_seen_ && event.timestamp < current_watermark()) {
     ++late_events_;
     late_counter_->Increment(0);
@@ -313,33 +320,19 @@ void ShardedExecutor::ReorderPush(const Event& event) {
     ++events_since_wm_advance_;
   }
   reorder_any_seen_ = true;
-  const uint32_t shard =
-      ShardForKey(event.key, static_cast<uint32_t>(reorderers_.size()));
-  reorderers_[shard].Buffer(event, reorder_next_seq_++);
-  reorder_buffer_peak_ = std::max(reorder_buffer_peak_, reorder_buffered());
-  if (advanced) {
-    ReleaseEligible();
-  } else {
-    // The watermark is unchanged, so no other shard can have turned
-    // eligible; only this event may sit exactly on the watermark.
-    reorderers_[shard].ReleaseThrough(
-        current_watermark(), [&](const Event& released) {
-          session_role_.AssertHeld();  // Synchronous callback, same thread.
-          released_counter_->Increment(0);
-          DeliverToShard(shard, released);
-        });
-  }
+  reorderer_.Buffer(event, reorder_next_seq_++);
+  reorder_buffer_peak_ =
+      std::max<uint64_t>(reorder_buffer_peak_, reorderer_.buffered());
+  // If the watermark held still, only this event can sit on it.
+  ReleaseThrough(current_watermark());
 }
 
-void ShardedExecutor::ReleaseEligible() {
-  const TimeT watermark = current_watermark();
-  for (uint32_t i = 0; i < reorderers_.size(); ++i) {
-    reorderers_[i].ReleaseThrough(watermark, [&](const Event& event) {
-      session_role_.AssertHeld();  // Synchronous callback, same thread.
-      released_counter_->Increment(0);
-      DeliverToShard(i, event);
-    });
-  }
+void ShardedExecutor::ReleaseThrough(TimeT watermark) {
+  reorderer_.ReleaseThrough(watermark, [this](const Event& event) {
+    session_role_.AssertHeld();  // Synchronous callback, same thread.
+    released_counter_->Increment(0);
+    DeliverToShard(event);
+  });
 }
 
 void ShardedExecutor::Quiesce() {
@@ -496,15 +489,9 @@ void ShardedExecutor::Drain() {
 
 void ShardedExecutor::Finish() {
   session_role_.AssertHeld();  // Public entry: session thread only.
-  // End of stream: drain the reorder buffers first, so every buffered
+  // End of stream: drain the reorder buffer first, so every buffered
   // event is folded before any window finalizes.
-  for (uint32_t i = 0; i < reorderers_.size(); ++i) {
-    reorderers_[i].ReleaseAll([&](const Event& event) {
-      session_role_.AssertHeld();  // Synchronous callback, same thread.
-      released_counter_->Increment(0);
-      DeliverToShard(i, event);
-    });
-  }
+  ReleaseThrough(std::numeric_limits<TimeT>::max());
   if (inline_executor_) {
     inline_executor_->Finish();
     return;
@@ -521,7 +508,7 @@ void ShardedExecutor::Finish() {
   DeliverBuffered(drain_started_ns, epoch_ + 1);
 }
 
-ReorderCheckpoint ShardedExecutor::ReorderMeta() const {
+ReorderCheckpoint ShardedExecutor::ReorderSection() const {
   ReorderCheckpoint meta;
   meta.any_seen = reorder_any_seen_;
   meta.max_seen = reorder_max_seen_;
@@ -529,6 +516,7 @@ ReorderCheckpoint ShardedExecutor::ReorderMeta() const {
   meta.next_seq = reorder_next_seq_;
   meta.late_events = late_events_;
   meta.buffer_peak = reorder_buffer_peak_;
+  meta.events = reorderer_.Snapshot();
   return meta;
 }
 
@@ -545,53 +533,39 @@ Result<ExecutorCheckpoint> ShardedExecutor::Checkpoint() {
   // timestamp at or past the frontier - 1 (strict mode: input is ordered;
   // bounded-lateness mode: releases never regress behind the watermark).
   const TimeT close_frontier = delivered_max_ + 1;
+  Result<ExecutorCheckpoint> checkpoint = ExecutorCheckpoint{};
   if (inline_executor_) {
     if (delivered_any_) inline_executor_->CloseThrough(close_frontier);
-    Result<ExecutorCheckpoint> checkpoint = inline_executor_->Checkpoint();
-    if (checkpoint.ok()) {
-      if (options_.max_delay > 0) {
-        checkpoint->reorder = ReorderMeta();
-        checkpoint->reorder.events = reorderers_[0].Snapshot();
+    checkpoint = inline_executor_->Checkpoint();
+  } else {
+    const uint64_t drain_started_ns = MonotonicNanos();
+    Quiesce();
+    if (delivered_any_) {
+      // Workers are quiesced, so the session thread may drive the engines;
+      // close results extend the current epoch's per-operator runs.
+      for (auto& shard : shards_) {
+        shard->worker_role.AssertHeld();  // Quiesced (see above).
+        shard->buffer.set_epoch(epoch_);
+        shard->executor->CloseThrough(close_frontier);
       }
-      metrics_->RecordTrace(
-          telemetry::TraceKind::kCheckpoint, 0,
-          static_cast<int64_t>(checkpoint->operators.size()));
     }
-    return checkpoint;
-  }
-  const uint64_t drain_started_ns = MonotonicNanos();
-  Quiesce();
-  if (delivered_any_) {
-    // Workers are quiesced, so the session thread may drive the engines;
-    // close results extend the current epoch's per-operator runs.
+    DeliverBuffered(drain_started_ns, epoch_ + 1);
+    std::vector<ExecutorCheckpoint> parts;
+    parts.reserve(shards_.size());
     for (auto& shard : shards_) {
-      shard->worker_role.AssertHeld();  // Quiesced (see above).
-      shard->buffer.set_epoch(epoch_);
-      shard->executor->CloseThrough(close_frontier);
+      shard->worker_role.AssertHeld();  // Still quiesced: no pushes since
+                                        // the drain above.
+      Result<ExecutorCheckpoint> part = shard->executor->Checkpoint();
+      if (!part.ok()) return part.status();
+      parts.push_back(std::move(*part));
     }
+    checkpoint = MergeShardCheckpoints(parts);
   }
-  DeliverBuffered(drain_started_ns, epoch_ + 1);
-  std::vector<ExecutorCheckpoint> parts;
-  parts.reserve(shards_.size());
-  for (uint32_t i = 0; i < num_shards(); ++i) {
-    shards_[i]->worker_role.AssertHeld();  // Still quiesced: no pushes
-                                           // since the drain above.
-    Result<ExecutorCheckpoint> part = shards_[i]->executor->Checkpoint();
-    if (!part.ok()) return part.status();
-    if (options_.max_delay > 0) {
-      // Each shard contributes its own buffered events; the global clock
-      // and counters ride on shard 0, mirroring accumulate_ops.
-      if (i == 0) part->reorder = ReorderMeta();
-      part->reorder.events = reorderers_[i].Snapshot();
-    }
-    parts.push_back(std::move(*part));
-  }
-  Result<ExecutorCheckpoint> merged = MergeShardCheckpoints(parts);
-  if (merged.ok()) {
-    metrics_->RecordTrace(telemetry::TraceKind::kCheckpoint, 0,
-                          static_cast<int64_t>(merged->operators.size()));
-  }
-  return merged;
+  if (!checkpoint.ok()) return checkpoint;
+  if (options_.max_delay > 0) checkpoint->reorder = ReorderSection();
+  metrics_->RecordTrace(telemetry::TraceKind::kCheckpoint, 0,
+                        static_cast<int64_t>(checkpoint->operators.size()));
+  return checkpoint;
 }
 
 namespace {
@@ -604,6 +578,53 @@ bool AnyOperatorProgress(const ExecutorCheckpoint& checkpoint) {
     }
   }
   return false;
+}
+
+/// Rejects buffered events no reorder stage could have written. A
+/// buffered event releases into the engines' per-key state arrays later,
+/// far from any validation, so it must be checked while the restore is
+/// still atomic: a stage buffers only after its first event, in arrival
+/// order, below next_seq, and only events at or above its watermark (and
+/// at or below the newest timestamp it saw), with keys in range.
+Status CheckBufferedEvents(const ReorderCheckpoint& reorder,
+                           uint32_t num_keys) {
+  if (reorder.events.empty()) return Status::OK();
+  if (!reorder.any_seen) {
+    return Status::InvalidArgument(
+        "checkpoint buffers " + std::to_string(reorder.events.size()) +
+        " events, but its reorder stage saw none");
+  }
+  uint64_t previous_seq = 0;
+  for (size_t i = 0; i < reorder.events.size(); ++i) {
+    const BufferedEvent& buffered = reorder.events[i];
+    const TimeT t = buffered.event.timestamp;
+    if (buffered.event.key >= num_keys) {
+      return Status::InvalidArgument(
+          "checkpoint buffers an event with key " +
+          std::to_string(buffered.event.key) + " outside key space [0, " +
+          std::to_string(num_keys) + ")");
+    }
+    // 0 <= t <= max_seen is tested first, so the watermark cannot
+    // overflow.
+    if (t < 0 || t > reorder.max_seen ||
+        t < reorder.max_seen - reorder.max_delay) {
+      return Status::InvalidArgument(
+          "checkpoint buffers an event at timestamp " + std::to_string(t) +
+          ", outside [max(0, max seen - max_delay), max seen] for max seen " +
+          std::to_string(reorder.max_seen) + " and max_delay " +
+          std::to_string(reorder.max_delay));
+    }
+    if (buffered.seq >= reorder.next_seq ||
+        (i > 0 && buffered.seq <= previous_seq)) {
+      return Status::InvalidArgument(
+          "checkpoint buffers arrival sequence number " +
+          std::to_string(buffered.seq) +
+          " out of order or at or past next_seq " +
+          std::to_string(reorder.next_seq));
+    }
+    previous_seq = buffered.seq;
+  }
+  return Status::OK();
 }
 
 }  // namespace
@@ -626,17 +647,6 @@ Status ShardedExecutor::Restore(const ExecutorCheckpoint& checkpoint) {
         "checkpoint was taken mid-stream by a strict-order executor (no "
         "event-time clock); it cannot resume under max_delay > 0");
   }
-  for (const BufferedEvent& buffered : checkpoint.reorder.events) {
-    // A buffered event releases into the engines' per-key state arrays
-    // later, far from any validation — a forged key must be rejected
-    // here, while the restore is still atomic.
-    if (buffered.event.key >= options_.num_keys) {
-      return Status::InvalidArgument(
-          "checkpoint buffers an event with key " +
-          std::to_string(buffered.event.key) + " outside key space [0, " +
-          std::to_string(options_.num_keys) + ")");
-    }
-  }
   if (options_.max_delay > 0 && !checkpoint.reorder.Inactive() &&
       checkpoint.reorder.max_delay != options_.max_delay) {
     // A different bound moves the watermark relative to the snapshotted
@@ -649,6 +659,8 @@ Status ShardedExecutor::Restore(const ExecutorCheckpoint& checkpoint) {
         std::to_string(options_.max_delay) +
         "; the watermark cannot change mid-stream");
   }
+  FW_RETURN_IF_ERROR(CheckBufferedEvents(checkpoint.reorder,
+                                         options_.num_keys));
   if (inline_executor_) {
     // PlanExecutor reads only the operator section; the reorder section
     // is restored below by the stage that owns it.
@@ -658,11 +670,6 @@ Status ShardedExecutor::Restore(const ExecutorCheckpoint& checkpoint) {
     // reach the sink before the restored engines can re-emit instances
     // they repeat, which also keeps every per-operator run increasing.
     Drain();
-    // The per-shard engines never read the reorder section (it is
-    // re-buffered below from the global view), so split a reorder-free
-    // copy instead of filtering the buffered events once per shard.
-    ExecutorCheckpoint operators_only;
-    operators_only.operators = checkpoint.operators;
     for (uint32_t i = 0; i < num_shards(); ++i) {
       // Quiesced by the drain: the worker only touches its executor while
       // a batch is in flight, so restoring from the session thread is
@@ -670,7 +677,7 @@ Status ShardedExecutor::Restore(const ExecutorCheckpoint& checkpoint) {
       // publishes the new state.
       shards_[i]->worker_role.AssertHeld();
       FW_RETURN_IF_ERROR(shards_[i]->executor->Restore(
-          ExtractShardCheckpoint(operators_only, i, num_shards())));
+          ExtractShardCheckpoint(checkpoint, i, num_shards())));
     }
   }
   // The close frontier tracks *this* execution's deliveries; the restored
@@ -681,7 +688,6 @@ Status ShardedExecutor::Restore(const ExecutorCheckpoint& checkpoint) {
   delivered_max_ = 0;
   delivered_any_ = false;
   if (options_.max_delay > 0) {
-    for (Reorderer& reorderer : reorderers_) reorderer.Clear();
     const ReorderCheckpoint& reorder = checkpoint.reorder;
     reorder_any_seen_ = reorder.any_seen;
     reorder_max_seen_ = reorder.max_seen;
@@ -689,13 +695,10 @@ Status ShardedExecutor::Restore(const ExecutorCheckpoint& checkpoint) {
     late_events_ = reorder.late_events;
     reorder_buffer_peak_ =
         std::max(reorder.buffer_peak, uint64_t{reorder.events.size()});
+    // Original arrival sequence numbers keep the release order exact.
+    reorderer_.Clear();
     for (const BufferedEvent& buffered : reorder.events) {
-      // Re-partition for *this* executor's shard count; original arrival
-      // sequence numbers keep the release order exact.
-      reorder_next_seq_ = std::max(reorder_next_seq_, buffered.seq + 1);
-      reorderers_[ShardForKey(buffered.event.key,
-                              static_cast<uint32_t>(reorderers_.size()))]
-          .Buffer(buffered.event, buffered.seq);
+      reorderer_.Buffer(buffered.event, buffered.seq);
     }
   }
   return Status::OK();
@@ -717,7 +720,7 @@ Status ShardedExecutor::Resize(uint32_t new_num_shards) {
   }
   // Quiesce + snapshot: Checkpoint drains first, so every buffered result
   // reaches the sink before the swap, and the global view carries window
-  // state, reorder buffers, the event-time clock, and all cumulative
+  // state, the reorder buffer, the event-time clock, and all cumulative
   // counters.
   Result<ExecutorCheckpoint> checkpoint = Checkpoint();
   if (!checkpoint.ok()) return checkpoint.status();
@@ -735,10 +738,10 @@ Status ShardedExecutor::Resize(uint32_t new_num_shards) {
   inline_executor_.reset();
   shards_.clear();
   options_.num_shards = new_num_shards;
-  // Rebuild at the new width and split the snapshot across it. Restore
-  // re-buffers in-flight reorder events by the new key partitioning and
-  // cannot fail: the checkpoint came from this very executor (same plan,
-  // key space, and lateness mode).
+  // Rebuild at the new width and split the snapshot's operator state
+  // across it. Restore re-buffers the in-flight reorder events unchanged
+  // and cannot fail: the checkpoint came from this very executor (same
+  // plan, key space, and lateness mode).
   BuildTopology();
   return Restore(*checkpoint);
 }

@@ -87,35 +87,35 @@ namespace fw {
 ///
 /// ## Bounded-lateness ingestion (Options::max_delay > 0)
 ///
-/// With a positive max_delay the executor accepts out-of-order input:
-/// each accepted event is stamped with a global arrival sequence number
-/// and buffered in its shard's Reorderer; the event-time watermark — the
-/// minimum over shard watermarks which, since every shard shares the
-/// session thread's clock, equals the maximum timestamp seen minus
-/// max_delay — releases buffered events into the shard engines in
-/// (timestamp, arrival) order. An event older than the watermark on
-/// arrival is *late*: counted, and either dropped or handed to
-/// Options::late_sink. Because the watermark, the lateness decision, and
-/// each key's release order depend only on the pushed sequence — never on
+/// With a positive max_delay the executor accepts out-of-order input
+/// through one reorder stage ahead of partitioning: each accepted event
+/// is stamped with a global arrival sequence number and buffered in one
+/// Reorderer; the event-time watermark — the maximum timestamp seen minus
+/// max_delay — releases buffered events in (timestamp, arrival) order,
+/// and only a released event picks its shard. An event older than the
+/// watermark on arrival is *late*: counted, and either dropped or handed
+/// to Options::late_sink. Because the watermark, the lateness decision,
+/// and the release order depend only on the pushed sequence — never on
 /// partitioning — results stay bitwise identical across shard counts
 /// (for streams with distinct timestamps; on timestamp ties within one
-/// key, identical to arrival order). Checkpoints carry the in-flight
-/// buffers (ExecutorCheckpoint::reorder), so Restore — into any shard
-/// count — resumes the disordered stream exactly; Finish drains the
-/// buffers before any window finalizes. DESIGN.md §9 has the full
-/// semantics.
+/// key, identical to arrival order). Every pushed event, late or not,
+/// counts toward the periodic drain point, which falls after the push's
+/// release wave. Checkpoints carry the in-flight buffer
+/// (ExecutorCheckpoint::reorder), so Restore — into any shard count —
+/// resumes the disordered stream exactly; Finish drains the buffer before
+/// any window finalizes. DESIGN.md §9 has the full semantics.
 ///
 /// ## Online elasticity (Resize)
 ///
 /// Resize re-scales a live executor in place (DESIGN.md §10): quiesce,
 /// snapshot everything into the global checkpoint (window state, reorder
-/// buffers, event-time clock, op counters), tear the topology down, and
-/// rebuild it at the new width with the checkpoint split across the new
-/// shards. Because the snapshot is the same shard-count-portable view
-/// replans migrate through, the resized executor's future output is
-/// bitwise identical to one that ran at the target width from the start —
-/// no drop, duplicate, or reorder, even mid-disorder. Push may resume
-/// with the next event.
+/// buffer, event-time clock, op counters), tear the topology down, and
+/// rebuild it at the new width with the checkpoint's operator state split
+/// across the new shards. Because the snapshot is the same
+/// shard-count-portable view replans migrate through, the resized
+/// executor's future output is bitwise identical to one that ran at the
+/// target width from the start — no drop, duplicate, or reorder, even
+/// mid-disorder. Push may resume with the next event.
 class ShardedExecutor {
  public:
   struct Options {
@@ -130,10 +130,11 @@ class ShardedExecutor {
     /// Ring capacity per shard, in batches; the producer blocks when a
     /// shard falls this far behind (backpressure).
     size_t queue_capacity = 64;
-    /// Pushed events per epoch: a periodic drain point every this many
-    /// pushed events delivers the previous epoch's results, so a result
-    /// waits at most two intervals and each shard buffers at most two
-    /// epochs of results (see the class comment).
+    /// Pushed events per epoch: a periodic drain point after every this
+    /// many pushed events (late ones included) delivers the previous
+    /// epoch's results, so a result waits at most two intervals and each
+    /// shard buffers at most two epochs of results (see the class
+    /// comment).
     uint64_t drain_interval = 512;
     /// Bounded event-time disorder (see the class comment): events may
     /// arrive up to this many time units behind the stream's maximum
@@ -177,14 +178,14 @@ class ShardedExecutor {
   /// (DESIGN.md §14). Same ordering contract as Push per mode.
   void PushColumns(const EventColumns& columns);
 
-  /// Ends the stream: drains the reorder buffers (every buffered event is
+  /// Ends the stream: drains the reorder buffer (every buffered event is
   /// released before any window finalizes), hands off everything pending,
   /// stops and joins the workers, flushes every shard's plan, and
   /// delivers all results.
   void Finish();
 
   /// Quiesces the shards (every pushed event fully processed) and delivers
-  /// buffered results now. Reorder buffers are untouched — events ahead
+  /// buffered results now. The reorder buffer is untouched — events ahead
   /// of the watermark stay buffered until it passes them (or Finish).
   /// No-op in inline mode.
   void Drain();
@@ -193,22 +194,24 @@ class ShardedExecutor {
   /// same shape a single-threaded executor over this plan would produce,
   /// so it migrates by lineage (exec/migrate.h) and restores into an
   /// executor with any shard count. Under max_delay > 0 the snapshot also
-  /// carries the in-flight reorder buffers and the event-time clock
+  /// carries the in-flight reorder buffer and the event-time clock
   /// (never flushing buffered events early — that would reorder them
   /// ahead of not-yet-arrived older events). Unsupported for holistic
   /// plans.
   Result<ExecutorCheckpoint> Checkpoint();
 
   /// Restores a global checkpoint taken from an executor over the same
-  /// plan and key space (any shard count), splitting per-key state —
-  /// including buffered out-of-order events — across this executor's
-  /// shards. A drain point: results produced before the call reach the
-  /// sink before it returns, as inline mode already delivered them, so a
-  /// rollback's replayed results never share a chunk with the ones they
-  /// repeat. Errors on a lateness-mode mismatch: a checkpoint with
-  /// buffered events cannot restore into a strict-order executor, and a
-  /// strict-order mid-stream checkpoint (no event-time clock) cannot
-  /// resume under max_delay > 0. Push may resume with the next event.
+  /// plan and key space (any shard count), splitting per-key operator
+  /// state across this executor's shards and re-buffering the in-flight
+  /// out-of-order events in the reorder stage. A drain point: results
+  /// produced before the call reach the sink before it returns, as inline
+  /// mode already delivered them, so a rollback's replayed results never
+  /// share a chunk with the ones they repeat. Errors, changing nothing, on
+  /// a lateness-mode mismatch — a checkpoint with buffered events cannot
+  /// restore into a strict-order executor, and a strict-order mid-stream
+  /// checkpoint (no event-time clock) cannot resume under max_delay > 0 —
+  /// and on buffered events no reorder stage could have written (see
+  /// DESIGN.md §9). Push may resume with the next event.
   Status Restore(const ExecutorCheckpoint& checkpoint);
 
   /// Re-scales the executor in place to min(new_num_shards, num_keys)
@@ -270,14 +273,10 @@ class ShardedExecutor {
     return late_events_;
   }
 
-  /// Events currently held in the reorder buffers, and the lifetime peak.
+  /// Events currently held in the reorder buffer, and the lifetime peak.
   uint64_t reorder_buffered() const {
     session_role_.AssertHeld();  // Public entry: session thread only.
-    uint64_t total = 0;
-    for (const Reorderer& reorderer : reorderers_) {
-      total += reorderer.buffered();
-    }
-    return total;
+    return reorderer_.buffered();
   }
   uint64_t reorder_buffer_peak() const {
     session_role_.AssertHeld();  // Public entry: session thread only.
@@ -369,22 +368,24 @@ class ShardedExecutor {
   struct Shard;
 
   /// Builds the execution topology (inline executor or worker shards,
-  /// reorderers, per-shard counters) for the current options_. The
-  /// executor must hold no topology when called — the constructor's tail
-  /// and Resize's rebuild step.
+  /// per-shard counters) for the current options_. The executor must
+  /// hold no topology when called — the constructor's tail and Resize's
+  /// rebuild step.
   void BuildTopology() FW_REQUIRES(session_role_);
 
-  /// Feeds one ordered (released or strict-path) event into shard
-  /// `shard_index`'s engine: inline push, or pending-batch hand-off with
-  /// drain-interval accounting.
-  void DeliverToShard(uint32_t shard_index, const Event& event)
-      FW_REQUIRES(session_role_);
+  /// Feeds one ordered (released or strict-path) event into its key's
+  /// shard: inline push, or pending-batch hand-off.
+  void DeliverToShard(const Event& event) FW_REQUIRES(session_role_);
+  /// Counts one pushed event toward the periodic drain point and takes it
+  /// when due — after the push's release wave, never inside it.
+  void EndPush() FW_REQUIRES(session_role_);
   /// The bounded-lateness Push path: classify late, buffer, release.
   void ReorderPush(const Event& event) FW_REQUIRES(session_role_);
-  /// Releases every buffered event the watermark has passed, all shards.
-  void ReleaseEligible() FW_REQUIRES(session_role_);
-  /// The reorder stage's clock and counters, for checkpointing.
-  ReorderCheckpoint ReorderMeta() const FW_REQUIRES(session_role_);
+  /// Releases every buffered event at or below `watermark` to its shard.
+  void ReleaseThrough(TimeT watermark) FW_REQUIRES(session_role_);
+  /// The reorder stage's checkpoint section: clock, counters, and the
+  /// buffered events in arrival order.
+  ReorderCheckpoint ReorderSection() const FW_REQUIRES(session_role_);
 
   /// Hands the shard's pending partial batch, if any, to its queue, tagged
   /// with the current epoch.
@@ -464,11 +465,11 @@ class ShardedExecutor {
   TimeT delivered_max_ FW_GUARDED_BY(session_role_) = 0;
   bool delivered_any_ FW_GUARDED_BY(session_role_) = false;
 
-  /// Bounded-lateness reorder stage (session thread only; sized
-  /// num_shards() when max_delay > 0, empty otherwise). The clock is
-  /// global — one max_seen for the whole stream — so lateness never
-  /// depends on partitioning.
-  std::vector<Reorderer> reorderers_ FW_GUARDED_BY(session_role_);
+  /// Bounded-lateness reorder stage, ahead of partitioning (session thread
+  /// only; empty unless max_delay > 0). One heap and one clock for the
+  /// whole stream, so neither lateness nor release order depends on
+  /// partitioning.
+  Reorderer reorderer_ FW_GUARDED_BY(session_role_);
   TimeT reorder_max_seen_ FW_GUARDED_BY(session_role_) = 0;
   bool reorder_any_seen_ FW_GUARDED_BY(session_role_) = false;
   uint64_t reorder_next_seq_ FW_GUARDED_BY(session_role_) = 0;

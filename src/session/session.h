@@ -90,15 +90,15 @@ using QueryId = uint64_t;
 /// deterministic (window end, start, operator, key) order. The delivered
 /// result multiset is bitwise identical to a num_shards = 1 session
 /// across churn, replans, and Finish; only delivery timing changes.
-/// Buffered results arrive at drain points: every 512 pushed events a
-/// periodic one delivers what the workers produced from the 512 events
-/// before those, so a result reaches its callback at most 1,024 pushed
-/// events after the event that produced it; every replan and Finish
-/// delivers everything. Stats reads synchronize the counters but deliver
-/// nothing. Replans stay state-preserving: shard checkpoints merge into
-/// the global view, migrate by lineage as below, and split back across
-/// shards. The shard count is capped at num_keys — a keyless
-/// session cannot parallelize — and the default (1) runs the
+/// Buffered results arrive at drain points: every 512 pushed events,
+/// late ones included, a periodic one delivers what the workers produced
+/// from the 512 events before those, so a result reaches its callback at
+/// most 1,024 pushed events after the event that produced it; every
+/// replan and Finish delivers everything. Stats reads synchronize the
+/// counters but deliver nothing. Replans stay state-preserving: shard
+/// checkpoints merge into the global view, migrate by lineage as below,
+/// and split back across shards. The shard count is capped at num_keys —
+/// a keyless session cannot parallelize — and the default (1) runs the
 /// single-threaded engine inline, exactly as before.
 ///
 /// ## Out-of-order ingestion (event time under bounded lateness)
@@ -107,12 +107,13 @@ using QueryId = uint64_t;
 /// Real traces are disordered, so Options::max_delay > 0 switches the
 /// session to bounded-lateness event time (DESIGN.md §9): events may
 /// arrive up to max_delay time units behind the newest timestamp seen.
-/// They are buffered in per-shard reorder stages and released into the
-/// engines in (timestamp, arrival) order as the watermark — newest
-/// timestamp minus max_delay — passes them; Finish drains the buffers
-/// before finalizing any window. A stream whose disorder stays within
-/// max_delay therefore produces results identical to the same stream
-/// sorted (bitwise, when timestamps are distinct), at any shard count.
+/// They are buffered in one reorder stage ahead of the shards and
+/// released into the engines in (timestamp, arrival) order as the
+/// watermark — newest timestamp minus max_delay — passes them; Finish
+/// drains the buffer before finalizing any window. A stream whose
+/// disorder stays within max_delay therefore produces results identical
+/// to the same stream sorted (bitwise, when timestamps are distinct), at
+/// any shard count.
 ///
 /// An event older than the watermark on arrival is *late*: it is never
 /// aggregated, and Options::late_policy decides whether it is counted and
@@ -128,16 +129,17 @@ using QueryId = uint64_t;
 ///
 /// Resize(n) re-scales a live sharded session in place (DESIGN.md §10):
 /// the executor quiesces, merges every shard's checkpoint into the global
-/// view (window state, in-flight reorder buffers, the event-time clock,
-/// and all cumulative counters), and re-splits it across the new shard
-/// count. The handoff is *exact*: from the resize point onward the
-/// session emits bitwise what a session that ran at the target width from
-/// the start would emit — no result is dropped, duplicated, or reordered,
-/// and churn replans and bounded-lateness disorder keep working across
-/// the swap. Options::auto_resize turns on a load monitor that samples
-/// the hand-off ring occupancy every few thousand events and re-scales
-/// within [min_shards, max_shards] automatically; because resizes are
-/// exact, *when* they trigger never affects results.
+/// view (window state and all cumulative counters, beside the in-flight
+/// reorder buffer and the event-time clock), and re-splits the window
+/// state across the new shard count. The handoff is *exact*: from the
+/// resize point onward the session emits bitwise what a session that ran
+/// at the target width from the start would emit — no result is dropped,
+/// duplicated, or reordered, and churn replans and bounded-lateness
+/// disorder keep working across the swap. Options::auto_resize turns on
+/// a load monitor that samples the hand-off ring occupancy every few
+/// thousand events and re-scales within [min_shards, max_shards]
+/// automatically; because resizes are exact, *when* they trigger never
+/// affects results.
 ///
 /// Sessions are push-based and driven from one caller thread; with
 /// max_delay = 0 events must arrive in non-decreasing timestamp order
@@ -386,7 +388,7 @@ class StreamSession {
     /// counted here — and side-output under LatePolicy::kSideOutput —
     /// but never aggregated. A subset of events_pushed.
     uint64_t late_events = 0;
-    /// Events currently held in the reorder buffers, and the lifetime
+    /// Events currently held in the reorder buffer, and the lifetime
     /// peak of that depth (bounds the memory cost of disorder).
     uint64_t reorder_buffered = 0;
     uint64_t reorder_buffer_peak = 0;

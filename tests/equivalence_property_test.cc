@@ -131,9 +131,10 @@ INSTANTIATE_TEST_SUITE_P(AllCombos, EquivalenceSweep,
                          ::testing::ValuesIn(AllParams()));
 
 // Disordered ingestion composed with plan rewriting: a bounded-disorder
-// stream released through a Reorderer (the serving path's per-shard
-// buffer) at a max_delay watermark into the factor-window plan must match
-// the sorted stream fed into the original plan.
+// stream released through a Reorderer (the serving path's one reorder
+// stage, ahead of partitioning) at a max_delay watermark into the
+// factor-window plan must match the sorted stream fed into the original
+// plan.
 TEST(DisorderedEquivalence, ReorderedFactorPlanMatchesSortedOriginal) {
   WindowSet set = WindowSet::Parse("{T(20), T(30), T(40)}").value();
   std::vector<Event> ordered = GenerateSyntheticStream(8000, 2, 77);

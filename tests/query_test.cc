@@ -1,10 +1,11 @@
-#include "query/compile.h"
 #include "query/parser.h"
 
 #include <gtest/gtest.h>
 
 #include "common/rng.h"
+#include "factor/optimizer.h"
 #include "harness/runner.h"
+#include "session/session.h"
 #include "workload/datagen.h"
 
 namespace fw {
@@ -118,43 +119,60 @@ TEST(ParseQuery, ToSqlRoundTrip) {
   EXPECT_EQ(reparsed->windows.ToString(), query->windows.ToString());
 }
 
-TEST(CompileQuery, Example1EndToEnd) {
-  Result<CompiledQuery> compiled = CompileQuery(
+// Example 1 through the SQL front door: the model costs of the shared
+// and the original plans, and the shared plan with its hidden factor
+// window T(10).
+TEST(SqlSession, Example1CostsAndPlan) {
+  StreamSession session;
+  Result<QueryId> id = session.AddQuery(
       "SELECT MIN(t) FROM input GROUP BY device, "
       "WINDOWS(T(20), T(30), T(40))");
-  ASSERT_TRUE(compiled.ok());
-  EXPECT_TRUE(compiled->shared);
-  EXPECT_EQ(compiled->semantics, CoverageSemantics::kCoveredBy);
-  EXPECT_DOUBLE_EQ(compiled->original_cost, 360.0);
-  EXPECT_DOUBLE_EQ(compiled->plan_cost, 150.0);
-  EXPECT_NEAR(compiled->PredictedSpeedup(), 2.4, 1e-9);
-  // The plan includes the hidden factor window T(10).
-  EXPECT_EQ(compiled->plan.num_operators(), 4u);
-  EXPECT_EQ(compiled->original_plan.num_operators(), 3u);
+  ASSERT_TRUE(id.ok()) << id.status().ToString();
+  const StreamSession::SessionStats stats = session.Stats();
+  EXPECT_DOUBLE_EQ(stats.original_cost, 360.0);
+  EXPECT_DOUBLE_EQ(stats.shared_cost, 150.0);
+  EXPECT_NEAR(stats.predicted_boost, 2.4, 1e-9);
+  Result<std::string> explain = session.Explain(*id);
+  ASSERT_TRUE(explain.ok()) << explain.status().ToString();
+  EXPECT_NE(explain->find("shared plan (4 operators"), std::string::npos)
+      << *explain;
+  EXPECT_NE(explain->find("T(10) <- <input>  [factor]  [hidden]"),
+            std::string::npos)
+      << *explain;
 }
 
-TEST(CompileQuery, HolisticFallback) {
-  Result<CompiledQuery> compiled = CompileQuery(
-      "SELECT MEDIAN(v) FROM s GROUP BY WINDOWS(T(10), T(20))");
-  ASSERT_TRUE(compiled.ok());
-  EXPECT_FALSE(compiled->shared);
-  EXPECT_EQ(compiled->plan.NumSharedEdges(), 0);
-  EXPECT_DOUBLE_EQ(compiled->PredictedSpeedup(), 1.0);
+TEST(SqlSession, ParseErrorsFailAddQuery) {
+  StreamSession session;
+  EXPECT_FALSE(session.AddQuery("SELECT BOGUS").ok());
+  EXPECT_EQ(session.num_queries(), 0u);
 }
 
-TEST(CompileQuery, ParseErrorsPropagate) {
-  EXPECT_FALSE(CompileQuery("SELECT BOGUS").ok());
+TEST(SqlSession, OptimizerOptionsArePassedThrough) {
+  StreamSession::Options options;
+  options.optimizer.enable_factor_windows = false;
+  StreamSession session(options);
+  ASSERT_TRUE(session
+                  .AddQuery("SELECT SUM(v) FROM s GROUP BY "
+                            "WINDOWS(T(20), T(30), T(40))")
+                  .ok());
+  EXPECT_DOUBLE_EQ(session.Stats().shared_cost, 246.0);  // Algorithm 1.
 }
 
-TEST(CompileQuery, CompiledPlanExecutesCorrectly) {
-  Result<CompiledQuery> compiled = CompileQuery(
+TEST(OptimizeQuery, HoppingRangePlanExecutesCorrectly) {
+  Result<StreamQuery> query = ParseQuery(
       "SELECT RANGE(v) FROM s GROUP BY WINDOWS(W(20, 10), W(40, 10), "
       "W(60, 10))");
-  ASSERT_TRUE(compiled.ok());
-  EXPECT_EQ(compiled->semantics, CoverageSemantics::kCoveredBy);
+  ASSERT_TRUE(query.ok());
+  Result<OptimizationOutcome> outcome =
+      OptimizeQuery(query->windows, query->agg);
+  ASSERT_TRUE(outcome.ok()) << outcome.status().ToString();
+  EXPECT_EQ(outcome->semantics, CoverageSemantics::kCoveredBy);
   std::vector<Event> events = GenerateSyntheticStream(5000, 1, 3);
-  EXPECT_TRUE(VerifyEquivalence(compiled->original_plan, compiled->plan,
-                                events, 1)
+  EXPECT_TRUE(VerifyEquivalence(
+                  QueryPlan::Original(query->windows, query->agg),
+                  QueryPlan::FromMinCostWcg(outcome->with_factors,
+                                            query->agg),
+                  events, 1)
                   .ok());
 }
 
@@ -190,16 +208,6 @@ TEST(ParseQuery, FuzzMutationsNeverCrash) {
       EXPECT_FALSE(result->source.empty());
     }
   }
-}
-
-TEST(CompileQuery, OptionsArePassedThrough) {
-  OptimizerOptions options;
-  options.enable_factor_windows = false;
-  Result<CompiledQuery> compiled = CompileQuery(
-      "SELECT SUM(v) FROM s GROUP BY WINDOWS(T(20), T(30), T(40))",
-      options);
-  ASSERT_TRUE(compiled.ok());
-  EXPECT_DOUBLE_EQ(compiled->plan_cost, 246.0);  // Algorithm 1 only.
 }
 
 }  // namespace

@@ -16,7 +16,7 @@
 
 #include "agg/sketch.h"
 #include "common/rng.h"
-#include "query/compile.h"
+#include "factor/optimizer.h"
 #include "query/parser.h"
 #include "session/session.h"
 #include "workload/datagen.h"
@@ -322,18 +322,7 @@ TEST(UnknownFunction, BuilderPathFailsAtAddQuery) {
 
 // --- Holistic fallback -----------------------------------------------------
 
-TEST(HolisticFallback, CompilesToTheUnsharedPlan) {
-  Result<CompiledQuery> compiled = CompileQuery(
-      "SELECT MEDIAN(v) FROM s GROUP BY WINDOWS(TUMBLINGWINDOW(10), "
-      "TUMBLINGWINDOW(20))");
-  ASSERT_TRUE(compiled.ok()) << compiled.status().ToString();
-  EXPECT_FALSE(compiled->shared);
-  EXPECT_EQ(compiled->plan.NumSharedEdges(), 0);
-  ASSERT_EQ(compiled->plan.num_operators(), 2u);
-  for (int i = 0; i < 2; ++i) {
-    EXPECT_EQ(compiled->plan.op(i).parent, -1);
-  }
-  // The shared session front door still refuses holistic functions.
+TEST(HolisticFallback, SessionRefusesHolisticFunctions) {
   StreamSession session;
   EXPECT_EQ(session.AddQuery(Query().Median("v").From("s").Tumbling(10))
                 .status()
@@ -391,11 +380,14 @@ TEST(UserDefined, FlowsThroughSqlOptimizerAndSession) {
 
   // The optimizer shares it under "partitioned by" (declared algebraic,
   // not overlap-safe) — T(40) reads T(20)'s sub-aggregates.
-  Result<CompiledQuery> compiled = CompileQuery(*parsed);
-  ASSERT_TRUE(compiled.ok());
-  EXPECT_TRUE(compiled->shared);
-  EXPECT_EQ(compiled->semantics, CoverageSemantics::kPartitionedBy);
-  EXPECT_GT(compiled->plan.NumSharedEdges(), 0);
+  EXPECT_TRUE(SupportsSharing(geomean));
+  Result<OptimizationOutcome> outcome =
+      OptimizeQuery(parsed->windows, parsed->agg);
+  ASSERT_TRUE(outcome.ok()) << outcome.status().ToString();
+  EXPECT_EQ(outcome->semantics, CoverageSemantics::kPartitionedBy);
+  EXPECT_GT(QueryPlan::FromMinCostWcg(outcome->with_factors, parsed->agg)
+                .NumSharedEdges(),
+            0);
 
   // Live session: results match the reference evaluation per window.
   StreamSession session;

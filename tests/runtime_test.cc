@@ -13,10 +13,12 @@
 #include <string>
 #include <thread>
 #include <tuple>
+#include <utility>
 #include <vector>
 
 #include "agg/aggregate.h"
 #include "exec/engine.h"
+#include "factor/optimizer.h"
 #include "multi/multi_query.h"
 #include "runtime/partition.h"
 #include "exec/reorderer.h"
@@ -247,45 +249,6 @@ TEST(ShardCheckpoint, ExtractKeepsOnlyOwnedKeys) {
   EXPECT_EQ(roundtrip->Serialize(), global.Serialize());
 }
 
-TEST(ShardCheckpoint, ReorderSectionSplitsAndMergesByKeyOwnership) {
-  constexpr uint32_t kKeys = 16;
-  constexpr uint32_t kShards = 4;
-  ExecutorCheckpoint global;
-  OperatorCheckpoint op;
-  op.operator_id = 0;
-  global.operators.push_back(op);
-  global.reorder.any_seen = true;
-  global.reorder.max_seen = 100;
-  global.reorder.max_delay = 20;
-  global.reorder.next_seq = 40;
-  global.reorder.late_events = 5;
-  global.reorder.buffer_peak = 9;
-  for (uint32_t k = 0; k < kKeys; ++k) {
-    global.reorder.events.push_back(
-        {k, Event{.timestamp = static_cast<TimeT>(95 + k % 4),
-                  .key = k,
-                  .value = static_cast<double>(k)}});
-  }
-
-  std::vector<ExecutorCheckpoint> parts;
-  size_t total_events = 0;
-  for (uint32_t shard = 0; shard < kShards; ++shard) {
-    parts.push_back(ExtractShardCheckpoint(global, shard, kShards));
-    total_events += parts.back().reorder.events.size();
-    for (const BufferedEvent& buffered : parts.back().reorder.events) {
-      EXPECT_EQ(ShardForKey(buffered.event.key, kShards), shard);
-    }
-    // The clock and counters ride on shard 0 only.
-    EXPECT_EQ(parts.back().reorder.any_seen, shard == 0);
-    EXPECT_EQ(parts.back().reorder.late_events, shard == 0 ? 5u : 0u);
-  }
-  EXPECT_EQ(total_events, static_cast<size_t>(kKeys));
-
-  Result<ExecutorCheckpoint> roundtrip = MergeShardCheckpoints(parts);
-  ASSERT_TRUE(roundtrip.ok()) << roundtrip.status().ToString();
-  EXPECT_EQ(roundtrip->Serialize(), global.Serialize());
-}
-
 TEST(ShardCheckpoint, MergeRejectsEmptyInputAndMismatchedFingerprints) {
   // No shards at all is a caller bug, not a valid empty merge.
   EXPECT_EQ(MergeShardCheckpoints({}).status().code(),
@@ -381,18 +344,6 @@ TEST(ShardCheckpoint, SplitToMoreShardsThanKeysRoundTrips) {
   Result<ExecutorCheckpoint> roundtrip = MergeShardCheckpoints(parts);
   ASSERT_TRUE(roundtrip.ok()) << roundtrip.status().ToString();
   EXPECT_EQ(roundtrip->Serialize(), global.Serialize());
-}
-
-TEST(ShardCheckpoint, MergeRejectsDuplicateBufferedSeq) {
-  ExecutorCheckpoint shard;
-  OperatorCheckpoint op;
-  op.operator_id = 0;
-  shard.operators.push_back(op);
-  shard.reorder.events.push_back({3, Event{.timestamp = 1, .key = 0}});
-  // The same arrival sequence number buffered on two shards is a
-  // partitioning-invariant violation, like a key's state on two shards.
-  EXPECT_EQ(MergeShardCheckpoints({shard, shard}).status().code(),
-            StatusCode::kInternal);
 }
 
 // --- ShardedExecutor -------------------------------------------------------
@@ -1186,6 +1137,279 @@ TEST(ShardedExecutorDisorder, CheckpointCarriesBuffersAcrossShardCounts) {
       combined[key] = value;
     }
     EXPECT_EQ(combined, reference.ToMap()) << shards << " shards";
+  }
+}
+
+uint64_t Fnv1a(const std::string& bytes) {
+  uint64_t hash = 0xcbf29ce484222325ull;
+  for (const char c : bytes) {
+    hash = (hash ^ static_cast<unsigned char>(c)) * 0x100000001b3ull;
+  }
+  return hash;
+}
+
+// A disordered mid-stream checkpoint serializes to the same bytes at every
+// width, with or without a resize round trip before the cut: the buffered
+// events are in arrival order, the clock and counters are global, and the
+// operator state is canonical (CloseThrough). Pinned by length and FNV-1a.
+TEST(ShardedExecutorDisorder, CheckpointBytesAreWidthInvariant) {
+  constexpr uint32_t kKeys = 12;
+  const std::vector<Event> events =
+      ApplyBoundedDisorder(GenerateSyntheticStream(16000, kKeys, 43), 96, 7);
+  WindowSet windows;
+  for (const Window& window : {Window::Tumbling(20), Window::Tumbling(30),
+                               Window::Tumbling(40), Window(60, 20)}) {
+    ASSERT_TRUE(windows.Add(window).ok());
+  }
+  Result<OptimizationOutcome> outcome = OptimizeQuery(windows, Agg("MIN"));
+  ASSERT_TRUE(outcome.ok()) << outcome.status().ToString();
+  const QueryPlan plan =
+      QueryPlan::FromMinCostWcg(outcome->with_factors, Agg("MIN"));
+
+  struct Pin {
+    size_t cut;
+    size_t bytes;
+    uint64_t fnv;
+  };
+  for (const Pin& pin : {Pin{5001, 2166, 2266241597537726816ull},
+                         Pin{8000, 2834, 3621688614779956436ull},
+                         Pin{12345, 2222, 11462218298458642302ull}}) {
+    for (const uint32_t shards : {1u, 2u, 3u, 4u}) {
+      for (const bool resize : {false, true}) {
+        SCOPED_TRACE("cut " + std::to_string(pin.cut) + ", " +
+                     std::to_string(shards) + " shards" +
+                     (resize ? ", resized" : ""));
+        ShardedExecutor::Options options;
+        options.num_keys = kKeys;
+        options.num_shards = shards;
+        options.max_delay = 48;
+        options.drain_interval = 300;
+        CountingSink sink;
+        ShardedExecutor executor(plan, options, &sink);
+        for (size_t i = 0; i < pin.cut; ++i) {
+          if (resize && i == pin.cut / 3) {
+            ASSERT_TRUE(executor.Resize(shards == 4 ? 1 : 4).ok());
+          }
+          if (resize && i == 2 * pin.cut / 3) {
+            ASSERT_TRUE(executor.Resize(shards).ok());
+          }
+          executor.Push(events[i]);
+        }
+        Result<ExecutorCheckpoint> checkpoint = executor.Checkpoint();
+        ASSERT_TRUE(checkpoint.ok()) << checkpoint.status().ToString();
+        EXPECT_FALSE(checkpoint->reorder.events.empty());
+        const std::string bytes = checkpoint->Serialize();
+        EXPECT_EQ(bytes.size(), pin.bytes);
+        EXPECT_EQ(Fnv1a(bytes), pin.fnv);
+      }
+    }
+  }
+}
+
+// The disorder twin of
+// ShardedExecutor.EveryDrainChunkIsTheSortedUnionOfItsEpoch. Drain points
+// fall between pushes and count late events too, so the
+// chunk at periodic drain point n is the sorted union of what one bare
+// engine per shard produces from the events released by epoch n − 1's
+// pushes. A test-side Reorderer under the same watermark supplies the
+// releases; late side-output is logged at its push, ahead of that push's
+// drain point.
+TEST(ShardedExecutorDisorder, EveryDrainChunkIsTheSortedUnionOfItsEpoch) {
+  constexpr uint32_t kKeys = 8;
+  constexpr uint64_t kDrainInterval = 500;
+  constexpr TimeT kMaxDelay = 32;
+  // Disorder deeper than the tolerance, so some pushes release nothing.
+  const std::vector<Event> events =
+      ApplyBoundedDisorder(GenerateSyntheticStream(6100, kKeys, 25), 96, 11);
+  const QueryPlan plan = SharedTestPlan();
+
+  for (const uint32_t shards : {2u, 4u}) {
+    SCOPED_TRACE(std::to_string(shards) + " shards");
+    ShardedExecutor::Options options;
+    options.num_keys = kKeys;
+    options.num_shards = shards;
+    options.batch_size = 16;
+    options.drain_interval = kDrainInterval;
+    options.max_delay = kMaxDelay;
+    DeliveryLog delivered;
+    options.late_sink = &delivered;
+    ShardedExecutor executor(plan, options, &delivered);
+    for (const Event& event : events) {
+      ++delivered.pushed;
+      executor.Push(event);
+    }
+    executor.Finish();
+    EXPECT_GT(executor.late_events(), 0u);
+    ExpectChunksSorted(delivered.log);
+
+    std::vector<CollectingSink> shard_sinks(shards);
+    std::vector<std::unique_ptr<PlanExecutor>> engines;
+    PlanExecutor::Options exec_options;
+    exec_options.num_keys = kKeys;
+    for (CollectingSink& sink : shard_sinks) {
+      engines.push_back(
+          std::make_unique<PlanExecutor>(plan, exec_options, &sink));
+    }
+    const auto release = [&](const Event& e) {
+      engines[ShardForKey(e.key, shards)]->Push(e);
+    };
+    std::vector<Delivery> expected;
+    std::vector<size_t> taken(shards, 0);
+    std::vector<WindowResult> outstanding;  // The previous epoch's output.
+    auto take_epoch = [&] {
+      for (uint32_t s = 0; s < shards; ++s) {
+        const std::vector<WindowResult>& results = shard_sinks[s].results();
+        outstanding.insert(outstanding.end(), results.begin() + taken[s],
+                           results.end());
+        taken[s] = results.size();
+      }
+    };
+    auto deliver = [&](uint64_t position) {
+      std::sort(outstanding.begin(), outstanding.end(),
+                [](const WindowResult& a, const WindowResult& b) {
+                  return std::tie(a.end, a.start, a.operator_id, a.key) <
+                         std::tie(b.end, b.start, b.operator_id, b.key);
+                });
+      for (const WindowResult& r : outstanding) {
+        expected.push_back(Flatten(position, r));
+      }
+      outstanding.clear();
+    };
+    Reorderer reorderer;
+    TimeT max_seen = 0;
+    for (size_t i = 0; i < events.size(); ++i) {
+      const Event& e = events[i];
+      if (i > 0 && e.timestamp < max_seen - kMaxDelay) {
+        expected.push_back({i + 1, true, 0, e.timestamp, 0, e.key, e.value});
+      } else {
+        max_seen = i > 0 ? std::max(max_seen, e.timestamp) : e.timestamp;
+        reorderer.Buffer(e, i);
+        reorderer.ReleaseThrough(max_seen - kMaxDelay, release);
+      }
+      if ((i + 1) % kDrainInterval == 0) {
+        deliver(i + 1);
+        take_epoch();
+      }
+    }
+    reorderer.ReleaseAll(release);
+    for (auto& engine : engines) engine->Finish();
+    take_epoch();
+    deliver(events.size());
+    ASSERT_GT(expected.size(), 0u);
+    EXPECT_EQ(delivered.log, expected);
+  }
+}
+
+// Every pushed event counts toward the periodic drain point, late ones
+// included, so a run of late events cannot hold back results the
+// workers already produced: once it is longer than two drain intervals
+// plus one round of the keys, a sharded executor has delivered what the
+// inline one has.
+TEST(ShardedExecutorDisorder, LateRunDoesNotHoldResultsBack) {
+  constexpr uint32_t kKeys = 16;
+  constexpr TimeT kInOrder = 5000;
+  const uint64_t late_run =
+      2 * ShardedExecutor::Options{}.drain_interval + kKeys + 1;
+  WindowSet windows;
+  ASSERT_TRUE(windows.Add(Window::Tumbling(10)).ok());
+  const QueryPlan plan = QueryPlan::Original(windows, Agg("SUM"));
+  const auto delivered_after_late_run = [&](uint32_t shards) {
+    ShardedExecutor::Options options;
+    options.num_keys = kKeys;
+    options.num_shards = shards;
+    options.max_delay = 16;
+    CountingSink sink;
+    ShardedExecutor executor(plan, options, &sink);
+    for (TimeT t = 0; t < kInOrder; ++t) {
+      executor.Push({.timestamp = t,
+                     .key = static_cast<uint32_t>(t) % kKeys,
+                     .value = 1.0});
+    }
+    for (uint64_t i = 0; i < late_run; ++i) {
+      executor.Push({.timestamp = 0,
+                     .key = static_cast<uint32_t>(i % kKeys),
+                     .value = 1.0});
+    }
+    EXPECT_EQ(executor.late_events(), late_run);
+    return sink.count();
+  };
+  const uint64_t inline_delivered = delivered_after_late_run(1);
+  EXPECT_GT(inline_delivered, 0u);
+  for (const uint32_t shards : {2u, 4u}) {
+    EXPECT_EQ(delivered_after_late_run(shards), inline_delivered)
+        << shards << " shards";
+  }
+}
+
+// Restore rejects reorder sections no stage could have written — a
+// buffered event behind the watermark or at a negative timestamp, seqs
+// out of order or at next_seq, buffered events without a clock — and
+// changes nothing doing so: no drain point, no state. A valid Restore
+// afterwards resumes to the unforged result.
+TEST(ShardedExecutorDisorder, RestoreRejectsImpossibleReorderSections) {
+  constexpr uint32_t kKeys = 4;
+  WindowSet windows;
+  ASSERT_TRUE(windows.Add(Window::Tumbling(10)).ok());
+  const QueryPlan plan = QueryPlan::Original(windows, Agg("SUM"));
+  const auto event = [](TimeT t) {
+    return Event{.timestamp = t,
+                 .key = static_cast<uint32_t>(t) % kKeys,
+                 .value = 1.0};
+  };
+  ShardedExecutor::Options options;
+  options.num_keys = kKeys;
+  options.max_delay = 5;
+  CountingSink source_sink;
+  ShardedExecutor source(plan, options, &source_sink);
+  for (TimeT t = 0; t < 100; ++t) source.Push(event(t));
+  Result<ExecutorCheckpoint> valid = source.Checkpoint();
+  ASSERT_TRUE(valid.ok()) << valid.status().ToString();
+  ASSERT_EQ(valid->reorder.events.size(), 5u);
+  ASSERT_EQ(valid->reorder.events.front().seq, 95u);
+
+  std::vector<std::pair<std::string, ExecutorCheckpoint>> forged;
+  const auto forge = [&](const std::string& name) -> ExecutorCheckpoint& {
+    forged.emplace_back(name, *valid);
+    return forged.back().second;
+  };
+  for (const Event& early : {event(3), Event{.timestamp = -50, .key = 1}}) {
+    std::vector<BufferedEvent>& events =
+        forge(early.timestamp < 0 ? "negative timestamp"
+                                  : "behind the watermark")
+            .reorder.events;
+    events.insert(events.begin(), {94, early});
+  }
+  forge("ahead of max_seen").reorder.events.back().event.timestamp = 100;
+  forge("repeated seq").reorder.events[1].seq = 95;
+  forge("seq at next_seq").reorder.next_seq = 99;
+  forge("no clock").reorder.any_seen = false;
+
+  for (const uint32_t shards : {1u, 2u}) {
+    ShardedExecutor::Options target_options = options;
+    target_options.num_shards = shards;
+    CountingSink sink;
+    ShardedExecutor target(plan, target_options, &sink);
+    // Some state of its own, results still buffered at 2 shards: a
+    // rejected Restore must not reach the drain point.
+    for (TimeT t = 0; t < 60; ++t) target.Push(event(t));
+    const uint64_t delivered = sink.count();
+    const uint64_t buffered = target.reorder_buffered();
+    const TimeT watermark = target.current_watermark();
+    for (const auto& [name, checkpoint] : forged) {
+      SCOPED_TRACE(name + ", " + std::to_string(shards) + " shards");
+      EXPECT_EQ(target.Restore(checkpoint).code(),
+                StatusCode::kInvalidArgument);
+      EXPECT_EQ(sink.count(), delivered);
+      EXPECT_EQ(target.reorder_buffered(), buffered);
+      EXPECT_EQ(target.current_watermark(), watermark);
+      EXPECT_EQ(target.late_events(), 0u);
+    }
+    ASSERT_TRUE(target.Restore(*valid).ok());
+    EXPECT_EQ(target.reorder_buffered(), 5u);
+    const double before = sink.checksum();
+    target.Push(event(100));
+    target.Finish();
+    EXPECT_EQ(sink.checksum() - before, 11.0) << shards << " shards";
   }
 }
 
