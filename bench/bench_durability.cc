@@ -16,21 +16,30 @@
 //    recovers a session snapshotted every events/8, showing the bounded
 //    replay the snapshot cadence buys.
 //
+//  * Per-record append cost — 1M single-event AppendEvents calls
+//    through one DurabilityManager under FsyncPolicy::kNone, the thread
+//    pinned to one core, best of 5 rounds (BM_WalAppend/single_event,
+//    ns_per_event). This is the per-event Push path's changelog cost:
+//    payload encoding, CRC, framing and the write system call.
+//
 // Output is google-benchmark-compatible JSON ({"benchmarks": [...]}
 // with items_per_second), so scripts/perf_smoke.py --check gates its
 // shape in CI. Scale with --events/--keys or FW_EVENTS_1M; --batch=N
 // ingests through PushColumns in N-event batches.
 
+#include <sched.h>
 #include <unistd.h>
 
 #include <algorithm>
 #include <cstdio>
+#include <limits>
 #include <string>
 #include <vector>
 
 #include "bench/bench_util.h"
 #include "common/clock.h"
 #include "durability/framed_io.h"
+#include "durability/manager.h"
 #include "session/session.h"
 
 namespace fw {
@@ -218,6 +227,63 @@ int RunRecovery(const bench::BenchArgs& args, const std::vector<Event>& events,
   return rc;
 }
 
+struct AppendRow {
+  double ns_per_event = 0.0;
+  uint64_t wal_bytes = 0;
+};
+
+/// The append probe (see the file comment). Every round appends into a
+/// fresh directory, deleted afterwards. The calling thread is pinned to
+/// the core it runs on for the probe and unpinned after it.
+int RunAppendProbe(const std::vector<Event>& events, AppendRow* out) {
+  constexpr size_t kCalls = 1'000'000;
+  constexpr int kRounds = 5;
+  cpu_set_t saved;
+  const bool pinned = ::sched_getaffinity(0, sizeof(saved), &saved) == 0;
+  if (pinned) {
+    cpu_set_t one;
+    CPU_ZERO(&one);
+    CPU_SET(std::max(::sched_getcpu(), 0), &one);
+    (void)::sched_setaffinity(0, sizeof(one), &one);
+  }
+  int rc = 0;
+  double best = std::numeric_limits<double>::infinity();
+  EventColumns single;
+  for (int round = 0; rc == 0 && round < kRounds; ++round) {
+    const std::string dir = MakeTempDir();
+    {
+      telemetry::MetricsRegistry registry;
+      DurabilityOptions options;
+      options.enabled = true;
+      options.dir = dir;
+      options.fsync_policy = FsyncPolicy::kNone;
+      options.snapshot_interval_events = 0;
+      Result<std::unique_ptr<durability::DurabilityManager>> manager =
+          durability::DurabilityManager::CreateFresh(options, &registry);
+      Status status = manager.status();
+      MonotonicTimer timer;
+      for (size_t i = 0; status.ok() && i < kCalls; ++i) {
+        single.clear();
+        single.Append(events[i % events.size()]);
+        status = (*manager)->AppendEvents(single);
+      }
+      const double ns = static_cast<double>(timer.ElapsedNanos());
+      if (!status.ok()) {
+        std::fprintf(stderr, "append probe: %s\n",
+                     status.ToString().c_str());
+        rc = 1;
+      } else {
+        best = std::min(best, ns / static_cast<double>(kCalls));
+        out->wal_bytes = (*manager)->counters().wal_bytes;
+      }
+    }
+    RemoveTree(dir);
+  }
+  if (pinned) (void)::sched_setaffinity(0, sizeof(saved), &saved);
+  out->ns_per_event = best;
+  return rc;
+}
+
 int Run(int argc, char** argv) {
   bench::BenchArgs args = bench::ParseBenchArgs(
       argc, argv, EventCountFromEnv("FW_EVENTS_1M", 300'000));
@@ -275,6 +341,10 @@ int Run(int argc, char** argv) {
     return 1;
   }
 
+  // --- Panel 3: per-record append cost. ---
+  AppendRow append;
+  if (RunAppendProbe(events, &append)) return 1;
+
   std::printf(
       "{\"context\":{\"executable\":\"bench_durability\",\"events\":%zu,"
       "\"keys\":%u,\"shards\":%u,\"batch\":%zu,\"agg\":\"%s\"},"
@@ -304,6 +374,12 @@ int Run(int argc, char** argv) {
         static_cast<unsigned long long>(row.durable_events),
         static_cast<unsigned long long>(row.replayed_records));
   }
+  std::printf(
+      ",{\"name\":\"BM_WalAppend/single_event\",\"run_type\":"
+      "\"iteration\",\"iterations\":1,\"items_per_second\":%.1f,"
+      "\"ns_per_event\":%.1f,\"wal_bytes\":%llu}",
+      1e9 / append.ns_per_event, append.ns_per_event,
+      static_cast<unsigned long long>(append.wal_bytes));
   std::printf("]}\n");
   return 0;
 }

@@ -11,6 +11,8 @@ namespace durability {
 /// the checksum framing every durability file uses (DESIGN.md §16). A
 /// portable table-driven implementation: the on-disk format must verify
 /// identically on every host, so no hardware-specific instructions.
+/// Slicing-by-8 (eight 256-entry tables, eight bytes per step) — every
+/// snapshot load, changelog read and WAL append pays this per byte.
 ///
 /// Extends `crc` (the running value of a previous call, or 0 to start)
 /// over `size` bytes at `data`. The final value is already output-

@@ -4,6 +4,7 @@
 #include <fcntl.h>
 #include <sys/stat.h>
 #include <sys/types.h>
+#include <sys/uio.h>
 #include <unistd.h>
 
 #include <cerrno>
@@ -22,16 +23,27 @@ std::string ErrnoText(const char* what, const std::string& path) {
   return std::string(what) + " " + path + ": " + std::strerror(errno);
 }
 
-Status WriteAll(int fd, const char* data, size_t size,
+/// Writes every byte of `iov[0..count)` with writev(2), resuming after
+/// a short write or EINTR — normally one system call.
+Status WriteAll(int fd, struct iovec* iov, int count,
                 const std::string& path) {
-  while (size > 0) {
-    const ssize_t n = ::write(fd, data, size);
+  while (count > 0) {
+    ssize_t n = ::writev(fd, iov, count);
     if (n < 0) {
       if (errno == EINTR) continue;
       return Status::Internal(ErrnoText("write", path));
     }
-    data += n;
-    size -= static_cast<size_t>(n);
+    // Skip the buffers written in full, then advance into the first one
+    // that was written only in part.
+    while (count > 0 && static_cast<size_t>(n) >= iov->iov_len) {
+      n -= static_cast<ssize_t>(iov->iov_len);
+      ++iov;
+      --count;
+    }
+    if (count > 0) {
+      iov->iov_base = static_cast<char*>(iov->iov_base) + n;
+      iov->iov_len -= static_cast<size_t>(n);
+    }
   }
   return Status::OK();
 }
@@ -51,6 +63,23 @@ Status FramedFileWriter::Open(const std::string& path) {
   return Status::OK();
 }
 
+Status FramedFileWriter::Resume(const std::string& path, uint64_t size) {
+  FW_CHECK(fd_ < 0);  // One file per writer.
+  const int fd = ::open(path.c_str(), O_WRONLY | O_CLOEXEC);
+  if (fd < 0) return Status::Internal(ErrnoText("open", path));
+  const auto offset = static_cast<off_t>(size);
+  if (::ftruncate(fd, offset) != 0 ||
+      ::lseek(fd, offset, SEEK_SET) != offset) {
+    const Status status = Status::Internal(ErrnoText("resume", path));
+    ::close(fd);
+    return status;
+  }
+  fd_ = fd;
+  bytes_ = size;
+  path_ = path;
+  return Status::OK();
+}
+
 Status FramedFileWriter::Append(uint8_t type, std::string_view payload) {
   if (fd_ < 0) return Status::Internal("framed writer is closed");
   if (payload.size() + 1 > kMaxFrameLength) {
@@ -63,9 +92,12 @@ Status FramedFileWriter::Append(uint8_t type, std::string_view payload) {
   header.U32(static_cast<uint32_t>(payload.size() + 1));
   header.U32(crc);
   header.U8(type);
-  FW_RETURN_IF_ERROR(
-      WriteAll(fd_, header.bytes().data(), header.bytes().size(), path_));
-  FW_RETURN_IF_ERROR(WriteAll(fd_, payload.data(), payload.size(), path_));
+  // Header and payload leave in one system call. A kill can still tear
+  // the frame; the reader detects that.
+  struct iovec iov[2] = {
+      {const_cast<char*>(header.bytes().data()), header.bytes().size()},
+      {const_cast<char*>(payload.data()), payload.size()}};
+  FW_RETURN_IF_ERROR(WriteAll(fd_, iov, 2, path_));
   bytes_ += header.bytes().size() + payload.size();
   return Status::OK();
 }

@@ -28,8 +28,10 @@ namespace durability {
 inline constexpr uint32_t kMaxFrameLength = 1u << 30;
 
 /// Appends frames to one file through a POSIX fd (created/truncated by
-/// Open). Writes go to the page cache; Sync() forces them to stable
-/// storage. Single-threaded, like everything the session owns.
+/// Open, or continued by Resume). Each Append is one writev(2) of header
+/// and payload, so a frame reaches the page cache before Append returns;
+/// Sync() forces it to stable storage. Single-threaded, like everything
+/// the session owns.
 class FramedFileWriter {
  public:
   FramedFileWriter() = default;
@@ -39,6 +41,10 @@ class FramedFileWriter {
   FramedFileWriter& operator=(const FramedFileWriter&) = delete;
 
   Status Open(const std::string& path);
+  /// Continues an existing file after its first `size` bytes — the end
+  /// of its last whole frame (FramedBuffer::position()). Anything past
+  /// that, a torn tail, is cut off (ftruncate) before the first Append.
+  Status Resume(const std::string& path, uint64_t size);
   Status Append(uint8_t type, std::string_view payload);
   Status Sync();
   /// Closes the fd without syncing; idempotent.
@@ -78,6 +84,9 @@ class FramedBuffer {
   const std::string& torn_detail() const { return torn_detail_; }
   /// Frames successfully returned so far.
   uint64_t frames_read() const { return frames_; }
+  /// Byte offset just past the last frame returned: where a torn tail
+  /// (if any) starts, and where FramedFileWriter::Resume continues.
+  size_t position() const { return pos_; }
 
  private:
   std::string bytes_;

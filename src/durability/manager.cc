@@ -35,7 +35,7 @@ uint64_t Truncate(const std::string& dir, uint64_t covered_seq,
     if (!covered) continue;
     if (!RemoveFile(dir + "/" + name).ok()) {
       ++failures;
-    } else if (proceed && !proceed(SnapshotStage::kTruncating)) {
+    } else if (!proceed(SnapshotStage::kTruncating)) {
       break;
     }
   }
@@ -91,6 +91,7 @@ Result<std::unique_ptr<DurabilityManager>> DurabilityManager::CreateFresh(
 
 Result<std::unique_ptr<DurabilityManager>> DurabilityManager::Attach(
     const DurabilityOptions& options, uint64_t next_seq,
+    const std::optional<SegmentTail>& newest,
     telemetry::MetricsRegistry* metrics) {
   if (options.dir.empty()) {
     return Status::InvalidArgument("durability enabled without a dir");
@@ -98,7 +99,12 @@ Result<std::unique_ptr<DurabilityManager>> DurabilityManager::Attach(
   FW_RETURN_IF_ERROR(EnsureDir(options.dir));
   auto manager = std::unique_ptr<DurabilityManager>(
       new DurabilityManager(options, metrics));
-  FW_RETURN_IF_ERROR(manager->wal_.Open(options.dir, next_seq));
+  if (newest && newest->end_seq() == next_seq) {
+    FW_RETURN_IF_ERROR(manager->wal_.Resume(options.dir, *newest));
+    manager->unsynced_ = true;
+  } else {
+    FW_RETURN_IF_ERROR(manager->wal_.Open(options.dir, next_seq));
+  }
   return manager;
 }
 
@@ -175,9 +181,10 @@ Status DurabilityManager::BeginSnapshot(
   // published: the roll demotes the closing segment, and a demoted
   // segment must never be tearable. The fsync rules out a host crash
   // tearing it; a process kill cannot, because the roll happens between
-  // whole records.
+  // whole records. A segment with no record already starts at
+  // covered_seq and stays open.
   if (unsynced_) FW_RETURN_IF_ERROR(SyncNow());
-  FW_RETURN_IF_ERROR(wal_.Roll());
+  if (!wal_.segment_empty()) FW_RETURN_IF_ERROR(wal_.Roll());
   events_since_snapshot_ = 0;
 
   job_ = std::make_unique<SnapshotJob>();
@@ -249,15 +256,6 @@ Status DurabilityManager::WriteSnapshot(SnapshotContents contents) {
   FW_RETURN_IF_ERROR(BeginSnapshot(std::move(contents), std::nullopt,
                                    MonotonicNanos()));
   return JoinSnapshot();
-}
-
-void DurabilityManager::NoteSnapshotPublished(uint64_t covered_seq) {
-  ++counters_.snapshots_written;
-  snapshots_counter_->Increment(0);
-  events_since_snapshot_ = 0;
-  const uint64_t failures = Truncate(options_.dir, covered_seq, nullptr);
-  counters_.truncate_failures += failures;
-  truncate_failures_counter_->Add(0, failures);
 }
 
 }  // namespace durability

@@ -28,8 +28,8 @@ namespace durability {
 /// that instant would. A stopped writer, like a dead process, never
 /// reports completion to ReapSnapshot; only a join observes it (as an
 /// Internal error). Null (the default) removes the hook. Install it
-/// only while no writer runs. Recover's synchronous snapshot never
-/// consults it.
+/// only while no writer runs. Every snapshot goes through the writer —
+/// periodic, Finish's and Recover's — so the hook sees them all.
 void SetSnapshotKillHookForTesting(std::function<bool(SnapshotStage)> hook);
 
 /// Owns a session's durability files (DESIGN.md §16): appends admitted
@@ -60,11 +60,17 @@ class DurabilityManager {
   static Result<std::unique_ptr<DurabilityManager>> CreateFresh(
       const DurabilityOptions& options, telemetry::MetricsRegistry* metrics);
 
-  /// For a recovered session: resumes logging into a fresh segment at
-  /// `next_seq`. Existing files stay until the post-recovery snapshot
-  /// truncates them.
+  /// For a recovered session: resumes logging at `next_seq`. When the
+  /// crashed run's newest segment (`newest`, as ReadChangelog reported
+  /// it) ends exactly there, Attach continues that segment: reopened
+  /// without truncation, cut back to its last whole record (dropping a
+  /// torn tail), and marked unsynced — the replayed records may sit only
+  /// in the page cache, so the next snapshot's roll fsyncs it before
+  /// demoting it. Otherwise it opens a fresh segment at `next_seq`.
+  /// Existing files stay until the recovery snapshot truncates them.
   static Result<std::unique_ptr<DurabilityManager>> Attach(
       const DurabilityOptions& options, uint64_t next_seq,
+      const std::optional<SegmentTail>& newest,
       telemetry::MetricsRegistry* metrics);
 
   /// Appends one admitted batch (write-ahead: call before applying the
@@ -83,14 +89,15 @@ class DurabilityManager {
   /// filled in here). On the caller thread: joins the previous writer
   /// (returning its failure), fsyncs the closing segment unless nothing
   /// was appended since the last sync, and rolls a fresh segment at
-  /// covered_seq. One background writer then serializes `checkpoint`
-  /// (when given) into the contents, writes and fsyncs the temp file,
-  /// renames it, fsyncs the directory, and only then deletes the covered
-  /// segments, older snapshots and stale temp files. Deletion failures
-  /// are non-fatal (counted in truncate_failures) — ReadChangelog skips
-  /// segments a snapshot fully covers, so a leftover only costs disk,
-  /// never correctness. `started_ns` is the caller's MonotonicNanos()
-  /// stamp from before it took the snapshot, so
+  /// covered_seq (skipped when the open segment holds no record: it
+  /// already starts there). One background writer then serializes
+  /// `checkpoint` (when given) into the contents, writes and fsyncs the
+  /// temp file, renames it, fsyncs the directory, and only then deletes
+  /// the covered segments, older snapshots and stale temp files.
+  /// Deletion failures are non-fatal (counted in truncate_failures) —
+  /// ReadChangelog skips segments a snapshot fully covers, so a leftover
+  /// only costs disk, never correctness. `started_ns` is the caller's
+  /// MonotonicNanos() stamp from before it took the snapshot, so
   /// durability.snapshot_stall_ns covers the take as well.
   Status BeginSnapshot(SnapshotContents contents,
                        std::optional<ExecutorCheckpoint> checkpoint,
@@ -104,15 +111,6 @@ class DurabilityManager {
   /// BeginSnapshot + JoinSnapshot: a synchronous snapshot of `contents`
   /// as given (its checkpoint already serialized, or none).
   Status WriteSnapshot(SnapshotContents contents);
-
-  /// Records a snapshot covering `covered_seq` that was published
-  /// *outside* this manager, and truncates the files it covers. Recover
-  /// uses this: the recovery snapshot must hit disk before Attach opens
-  /// a new segment (opening first would demote the crashed run's torn
-  /// newest segment while records past the old snapshot's coverage could
-  /// still be lost in it), so the publish happens pre-attach and the
-  /// bookkeeping lands here. Requires covered_seq == segment_base().
-  void NoteSnapshotPublished(uint64_t covered_seq);
 
   /// Snapshot tallies count writes that have been joined or reaped.
   struct Counters {

@@ -155,6 +155,14 @@ Status WalWriter::Open(const std::string& dir, uint64_t next_seq) {
   return writer_.Open(dir_ + "/" + SegmentFileName(segment_base_));
 }
 
+Status WalWriter::Resume(const std::string& dir, const SegmentTail& tail) {
+  dir_ = dir;
+  next_seq_ = tail.end_seq();
+  segment_base_ = tail.base;
+  return writer_.Resume(dir_ + "/" + SegmentFileName(segment_base_),
+                        tail.bytes);
+}
+
 Status WalWriter::Append(uint8_t type, std::string_view payload) {
   FW_RETURN_IF_ERROR(writer_.Append(type, payload));
   ++next_seq_;
@@ -172,7 +180,8 @@ Status WalWriter::Roll() {
 Status WalWriter::Close() { return writer_.Close(); }
 
 Status ReadChangelog(const std::string& dir, uint64_t start_seq,
-                     std::vector<WalRecord>* out) {
+                     std::vector<WalRecord>* out,
+                     std::optional<SegmentTail>* newest_tail) {
   Result<std::vector<std::string>> names = ListDir(dir);
   if (!names.ok()) return names.status();
   std::vector<uint64_t> bases;
@@ -183,6 +192,7 @@ Status ReadChangelog(const std::string& dir, uint64_t start_seq,
   std::sort(bases.begin(), bases.end());
 
   out->clear();
+  if (newest_tail != nullptr) newest_tail->reset();
   if (bases.empty()) return Status::OK();
   // A changelog that begins past start_seq has a leading hole: the
   // segments holding [start_seq, bases[0]) were truncated by a newer
@@ -249,6 +259,9 @@ Status ReadChangelog(const std::string& dir, uint64_t start_seq,
     }
     expected_next = base + index;
     read_any = true;
+    if (newest && newest_tail != nullptr) {
+      *newest_tail = SegmentTail{base, index, frames.position()};
+    }
   }
   return Status::OK();
 }

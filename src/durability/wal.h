@@ -20,6 +20,7 @@
 // restore into any width.
 
 #include <cstdint>
+#include <optional>
 #include <string>
 #include <string_view>
 #include <vector>
@@ -62,12 +63,28 @@ Status DecodeQueryPayload(std::string_view payload, uint64_t* id,
 std::string EncodeRemoveQueryPayload(uint64_t id);
 Status DecodeRemoveQueryPayload(std::string_view payload, uint64_t* id);
 
+/// Where the newest changelog segment ends: its base, its whole records
+/// and the byte offset just past the last of them (a torn tail, if any,
+/// starts there). ReadChangelog reports it; recovery continues the
+/// segment from there (WalWriter::Resume).
+struct SegmentTail {
+  uint64_t base = 0;
+  uint64_t records = 0;
+  uint64_t bytes = 0;
+
+  uint64_t end_seq() const { return base + records; }
+};
+
 /// Appends records to the changelog. Single-threaded; owned by
 /// DurabilityManager.
 class WalWriter {
  public:
   /// Starts a fresh segment whose first record will be `next_seq`.
   Status Open(const std::string& dir, uint64_t next_seq);
+  /// Continues the existing segment `tail` describes after its last
+  /// whole record, cutting any torn tail; the next record gets
+  /// tail.end_seq().
+  Status Resume(const std::string& dir, const SegmentTail& tail);
   Status Append(uint8_t type, std::string_view payload);
   Status Sync();
   /// Closes the current segment and starts a new one at next_seq().
@@ -76,6 +93,8 @@ class WalWriter {
 
   uint64_t next_seq() const { return next_seq_; }
   uint64_t segment_base() const { return segment_base_; }
+  /// True while the open segment holds no record.
+  bool segment_empty() const { return next_seq_ == segment_base_; }
   uint64_t bytes_written() const { return writer_.bytes_written(); }
 
  private:
@@ -108,8 +127,13 @@ struct WalRecord {
 /// and a changelog whose smallest base is *past* start_seq fails with
 /// the same stop-position wording (its missing head was truncated by a
 /// snapshot that is no longer the one being restored).
+///
+/// When `newest_tail` is given, it receives where the newest segment
+/// ends (that segment is always read, never skipped), or nullopt when
+/// `dir` holds no segment.
 Status ReadChangelog(const std::string& dir, uint64_t start_seq,
-                     std::vector<WalRecord>* out);
+                     std::vector<WalRecord>* out,
+                     std::optional<SegmentTail>* newest_tail = nullptr);
 
 }  // namespace durability
 }  // namespace fw

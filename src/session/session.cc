@@ -1,6 +1,7 @@
 #include "session/session.h"
 
 #include <algorithm>
+#include <optional>
 #include <utility>
 
 #include "common/clock.h"
@@ -260,48 +261,8 @@ Result<QueryId> StreamSession::AddQuery(const StreamQuery& query,
   session_role_.AssertHeld();  // Public entry: caller thread only.
   FW_RETURN_IF_ERROR(CheckMutable());
   if (options_.durability.enabled) FW_RETURN_IF_ERROR(CheckDurable());
-  if (query.windows.empty()) {
-    return Status::InvalidArgument("query without windows");
-  }
-  if (query.agg == nullptr) {
-    return Status::InvalidArgument("query without an aggregate function");
-  }
-  if (!SupportsSharing(query.agg)) {
-    return Status::Unimplemented(
-        query.agg->name +
-        " is holistic and cannot join a shared session; execute "
-        "QueryPlan::Original directly instead");
-  }
-  // Grouping is an execution property of the whole session (every event
-  // carries one key drawn from [0, num_keys)), so a global aggregate in a
-  // keyed session would silently produce per-key results.
-  if (!query.per_key && options_.num_keys > 1) {
-    return Status::InvalidArgument(
-        "global (non-PerKey) query in a session with num_keys " +
-        std::to_string(options_.num_keys) +
-        "; declare PerKey or use a num_keys=1 session");
-  }
-  if (!queries_.empty()) {
-    const StreamQuery& first = queries_.front()->query;
-    if (query.source != first.source) {
-      return Status::InvalidArgument(
-          "session reads stream '" + first.source + "', query reads '" +
-          query.source + "'");
-    }
-    if (query.agg != first.agg) {
-      return Status::InvalidArgument(
-          "session aggregates " + first.agg->name + ", query aggregates " +
-          query.agg->name);
-    }
-    if (query.per_key != first.per_key ||
-        query.key_column != first.key_column) {
-      return Status::InvalidArgument(
-          "session groups by '" +
-          (first.per_key ? first.key_column : std::string("<none>")) +
-          "', query groups by '" +
-          (query.per_key ? query.key_column : std::string("<none>")) + "'");
-    }
-  }
+  FW_RETURN_IF_ERROR(CheckJoinable(
+      query, queries_.empty() ? nullptr : &queries_.front()->query));
 
   auto live = std::make_unique<LiveQuery>();
   live->id = next_id_;
@@ -329,6 +290,49 @@ Result<QueryId> StreamSession::AddQuery(const StreamQuery& query,
     MaybeSnapshot();
   }
   return queries_.back()->id;
+}
+
+Status StreamSession::CheckJoinable(const StreamQuery& query,
+                                    const StreamQuery* first) const {
+  if (query.windows.empty()) {
+    return Status::InvalidArgument("query without windows");
+  }
+  if (query.agg == nullptr) {
+    return Status::InvalidArgument("query without an aggregate function");
+  }
+  if (!SupportsSharing(query.agg)) {
+    return Status::Unimplemented(
+        query.agg->name +
+        " is holistic and cannot join a shared session; execute "
+        "QueryPlan::Original directly instead");
+  }
+  // Grouping is an execution property of the whole session (every event
+  // carries one key drawn from [0, num_keys)), so a global aggregate in a
+  // keyed session would silently produce per-key results.
+  if (!query.per_key && options_.num_keys > 1) {
+    return Status::InvalidArgument(
+        "global (non-PerKey) query in a session with num_keys " +
+        std::to_string(options_.num_keys) +
+        "; declare PerKey or use a num_keys=1 session");
+  }
+  if (first == nullptr) return Status::OK();
+  if (query.source != first->source) {
+    return Status::InvalidArgument("session reads stream '" + first->source +
+                                   "', query reads '" + query.source + "'");
+  }
+  if (query.agg != first->agg) {
+    return Status::InvalidArgument("session aggregates " + first->agg->name +
+                                   ", query aggregates " + query.agg->name);
+  }
+  if (query.per_key != first->per_key ||
+      query.key_column != first->key_column) {
+    return Status::InvalidArgument(
+        "session groups by '" +
+        (first->per_key ? first->key_column : std::string("<none>")) +
+        "', query groups by '" +
+        (query.per_key ? query.key_column : std::string("<none>")) + "'");
+  }
+  return Status::OK();
 }
 
 Result<QueryId> StreamSession::AddQuery(std::string_view sql,
@@ -1194,17 +1198,6 @@ void StreamSession::MaybeSnapshot() {
 Status StreamSession::BeginDurableSnapshot() {
   const uint64_t started_ns = MonotonicNanos();
   durability::SnapshotContents contents;
-  std::optional<ExecutorCheckpoint> checkpoint;
-  FW_RETURN_IF_ERROR(BuildDurableSnapshot(&contents, &checkpoint));
-  return durability_->BeginSnapshot(std::move(contents),
-                                    std::move(checkpoint), started_ns);
-}
-
-Status StreamSession::BuildDurableSnapshot(
-    durability::SnapshotContents* out,
-    std::optional<ExecutorCheckpoint>* checkpoint) {
-  MonotonicTimer timer;
-  durability::SnapshotContents& contents = *out;
   durability::SnapshotMeta& meta = contents.meta;
   constexpr TimeT kNoWatermark = std::numeric_limits<TimeT>::min();
   meta.covered_events = events_pushed_;
@@ -1232,6 +1225,8 @@ Status StreamSession::BuildDurableSnapshot(
   for (const auto& q : queries_) {
     contents.queries.push_back({q->id, q->query});
   }
+  // The checkpoint travels unserialized: serializing is the writer's job.
+  std::optional<ExecutorCheckpoint> checkpoint;
   if (live_ && !finished_) {
     // Canonical merged checkpoint: CloseThrough-canonicalized, shard
     // counts merged into the global view — a pure function of the
@@ -1239,11 +1234,12 @@ Status StreamSession::BuildDurableSnapshot(
     Result<ExecutorCheckpoint> taken = live_->executor.Checkpoint();
     if (!taken.ok()) return taken.status();
     metrics_.RecordTrace(telemetry::TraceKind::kCheckpoint,
-                         timer.ElapsedNanos(),
+                         MonotonicNanos() - started_ns,
                          static_cast<int64_t>(taken->operators.size()));
-    *checkpoint = std::move(*taken);
+    checkpoint = std::move(*taken);
   }
-  return Status::OK();
+  return durability_->BeginSnapshot(std::move(contents),
+                                    std::move(checkpoint), started_ns);
 }
 
 Status StreamSession::ReplayRecord(const durability::WalRecord& record,
@@ -1279,9 +1275,88 @@ Status StreamSession::ReplayRecord(const durability::WalRecord& record,
   }
 }
 
+Status StreamSession::InstallSnapshot(
+    const durability::SnapshotContents& contents,
+    const CallbackFactory& callbacks) {
+  // Every query passes AddQuery's checks, then one Rebuild plans and
+  // builds them all: Reoptimize is a pure function of the ordered query
+  // list, so this is the plan the last of one AddQuery per query would
+  // build, without the intermediate ones.
+  std::vector<std::unique_ptr<LiveQuery>> installed;
+  std::vector<LiveQuery*> live;
+  installed.reserve(contents.queries.size());
+  live.reserve(contents.queries.size());
+  for (const durability::SnapshotQuery& snap_query : contents.queries) {
+    Status checked = CheckJoinable(
+        snap_query.query,
+        installed.empty() ? nullptr : &installed.front()->query);
+    if (!checked.ok()) {
+      return Status(checked.code(), "recovery could not re-install query " +
+                                        std::to_string(snap_query.id) +
+                                        ": " + checked.message());
+    }
+    auto query = std::make_unique<LiveQuery>();
+    query->id = snap_query.id;  // Ids survive recovery.
+    query->query = snap_query.query;
+    if (callbacks) query->callback = callbacks(snap_query.id, snap_query.query);
+    live.push_back(query.get());
+    installed.push_back(std::move(query));
+  }
+  if (!live.empty()) {
+    Status built = Rebuild(live);
+    if (!built.ok()) {
+      return Status(built.code(),
+                    "recovery could not re-install the snapshot's queries: " +
+                        built.message());
+    }
+  }
+  queries_ = std::move(installed);
+
+  if (contents.has_checkpoint) {
+    if (live_ == nullptr) {
+      return Status::InvalidArgument(
+          "snapshot carries an executor checkpoint but no queries");
+    }
+    Result<ExecutorCheckpoint> checkpoint =
+        ExecutorCheckpoint::Deserialize(contents.checkpoint);
+    if (!checkpoint.ok()) {
+      return Status(checkpoint.status().code(),
+                    "snapshot checkpoint rejected: " +
+                        checkpoint.status().message());
+    }
+    Status restored = live_->executor.Restore(*checkpoint);
+    if (!restored.ok()) {
+      return Status(restored.code(),
+                    "snapshot checkpoint rejected: " + restored.message());
+    }
+  }
+
+  // Overwrite the counters the install advanced with the snapshot's
+  // values; replay advances them naturally from here.
+  const durability::SnapshotMeta& meta = contents.meta;
+  constexpr TimeT kNoWatermark = std::numeric_limits<TimeT>::min();
+  next_id_ = meta.next_id;
+  watermark_ = meta.watermark_valid ? meta.watermark : kNoWatermark;
+  events_pushed_ = meta.events_pushed;
+  events_dropped_ = meta.events_dropped;
+  replans_ = static_cast<int>(meta.replans);
+  drift_replans_ = static_cast<int>(meta.drift_replans);
+  resize_count_ = meta.resize_count;
+  retired_ops_ = meta.retired_ops;
+  retired_late_ = meta.retired_late;
+  retired_reorder_peak_ = meta.retired_reorder_peak;
+  retired_closes_total_ = meta.retired_closes_total;
+  retired_finalizes_total_ = meta.retired_finalizes_total;
+  retired_watermark_ =
+      meta.retired_watermark_valid ? meta.retired_watermark : kNoWatermark;
+  planned_eta_ = meta.planned_eta;
+  if (meta.finished) finished_ = true;
+  return Status::OK();
+}
+
 Result<StreamSession::RecoveryInfo> StreamSession::Recover(
     std::string_view dir, Options options, const CallbackFactory& callbacks) {
-  MonotonicTimer timer;
+  const uint64_t started_ns = MonotonicNanos();
   options.durability.dir = std::string(dir);
 
   Result<durability::LoadedSnapshot> loaded =
@@ -1310,15 +1385,17 @@ Result<StreamSession::RecoveryInfo> StreamSession::Recover(
 
   const uint64_t start_seq = loaded->found ? meta.covered_seq : 0;
   std::vector<durability::WalRecord> records;
-  FW_RETURN_IF_ERROR(durability::ReadChangelog(options.durability.dir,
-                                               start_seq, &records));
+  std::optional<durability::SegmentTail> newest;
+  FW_RETURN_IF_ERROR(durability::ReadChangelog(
+      options.durability.dir, start_seq, &records, &newest));
   const uint64_t next_seq =
       records.empty() ? start_seq : records.back().seq + 1;
+  const uint64_t loaded_ns = MonotonicNanos();
 
   // Build with durability off — replay must not re-log the changelog —
   // and at the snapshot's planned η: the optimizer is deterministic, so
   // re-optimizing the snapshot's query set at that η reproduces the
-  // checkpointed plan structure, and the executor Restore below lands on
+  // checkpointed plan structure, and the executor Restore lands on
   // matching operators.
   Options replay_options = options;
   replay_options.durability = {};
@@ -1329,61 +1406,12 @@ Result<StreamSession::RecoveryInfo> StreamSession::Recover(
   RecoveryInfo info;
   info.snapshots_skipped = loaded->skipped;
 
+  const uint64_t install_ns = MonotonicNanos();
   if (loaded->found) {
     info.snapshot_events = meta.covered_events;
-    for (const durability::SnapshotQuery& snap_query :
-         loaded->contents.queries) {
-      session->next_id_ = snap_query.id;  // Ids survive recovery.
-      Result<QueryId> added = session->AddQuery(
-          snap_query.query,
-          callbacks ? callbacks(snap_query.id, snap_query.query) : nullptr);
-      if (!added.ok()) {
-        return Status(added.status().code(),
-                      "recovery could not re-install query " +
-                          std::to_string(snap_query.id) + ": " +
-                          added.status().message());
-      }
-      FW_CHECK_EQ(*added, snap_query.id);
-    }
-    if (loaded->contents.has_checkpoint) {
-      if (session->live_ == nullptr) {
-        return Status::InvalidArgument(
-            "snapshot carries an executor checkpoint but no queries");
-      }
-      Result<ExecutorCheckpoint> checkpoint =
-          ExecutorCheckpoint::Deserialize(loaded->contents.checkpoint);
-      if (!checkpoint.ok()) {
-        return Status(checkpoint.status().code(),
-                      "snapshot checkpoint rejected: " +
-                          checkpoint.status().message());
-      }
-      Status restored = session->live_->executor.Restore(*checkpoint);
-      if (!restored.ok()) {
-        return Status(restored.code(), "snapshot checkpoint rejected: " +
-                                           restored.message());
-      }
-    }
-    // Overwrite the counters the installs above advanced with the
-    // snapshot's values; replay advances them naturally from here.
-    constexpr TimeT kNoWatermark = std::numeric_limits<TimeT>::min();
-    session->next_id_ = meta.next_id;
-    session->watermark_ =
-        meta.watermark_valid ? meta.watermark : kNoWatermark;
-    session->events_pushed_ = meta.events_pushed;
-    session->events_dropped_ = meta.events_dropped;
-    session->replans_ = static_cast<int>(meta.replans);
-    session->drift_replans_ = static_cast<int>(meta.drift_replans);
-    session->resize_count_ = meta.resize_count;
-    session->retired_ops_ = meta.retired_ops;
-    session->retired_late_ = meta.retired_late;
-    session->retired_reorder_peak_ = meta.retired_reorder_peak;
-    session->retired_closes_total_ = meta.retired_closes_total;
-    session->retired_finalizes_total_ = meta.retired_finalizes_total;
-    session->retired_watermark_ =
-        meta.retired_watermark_valid ? meta.retired_watermark : kNoWatermark;
-    session->planned_eta_ = meta.planned_eta;
-    if (meta.finished) session->finished_ = true;
+    FW_RETURN_IF_ERROR(session->InstallSnapshot(loaded->contents, callbacks));
   }
+  const uint64_t installed_ns = MonotonicNanos();
 
   // Replay the changelog suffix. Results finalized after the snapshot
   // re-deliver here (at-least-once), bitwise identical to the original
@@ -1396,43 +1424,42 @@ Result<StreamSession::RecoveryInfo> StreamSession::Recover(
     }
     ++info.replayed_records;
   }
+  const uint64_t replayed_ns = MonotonicNanos();
 
-  // Publish a snapshot of the recovered state BEFORE resuming durable
-  // logging: it covers everything replayed — including any torn tail in
-  // the old newest segment — and must be durable before Attach opens a
-  // fresh segment. Opening first would demote the torn segment to
-  // non-newest while records past the old snapshot's coverage could
-  // still be lost in it; a crash inside the (checkpoint-sized) snapshot
-  // write would then brick every later recovery. In this order a crash
-  // either leaves the directory unchanged (recovery re-runs) or
-  // snapshot-covered (the torn segment is fully covered, so the reader
-  // skips it).
-  durability::SnapshotContents recovery_snapshot;
-  std::optional<ExecutorCheckpoint> checkpoint;
-  FW_RETURN_IF_ERROR(
-      session->BuildDurableSnapshot(&recovery_snapshot, &checkpoint));
-  if (checkpoint) {
-    recovery_snapshot.checkpoint = checkpoint->Serialize();
-    recovery_snapshot.has_checkpoint = true;
-  }
-  recovery_snapshot.meta.covered_seq = next_seq;
-  FW_RETURN_IF_ERROR(durability::WriteSnapshotFile(options.durability.dir,
-                                                   recovery_snapshot));
-
+  // Resume durable logging where the crashed run stopped: the newest
+  // segment continues after its last whole record (a torn tail is cut),
+  // or a fresh one opens at next_seq. Then a snapshot of the recovered
+  // state takes the periodic path: the resumed segment is fsynced
+  // before the roll demotes it — so it is never tearable — and the
+  // background writer publishes and truncates. A crash before the
+  // publish recovers from the previous snapshot and replays the same
+  // suffix again; one after it recovers from this snapshot. A failed
+  // snapshot latches, fail-stopping the session at its first mutation,
+  // as a periodic one does.
   session->options_.durability = options.durability;
   session->options_.durability.enabled = true;
   Result<std::unique_ptr<durability::DurabilityManager>> manager =
       durability::DurabilityManager::Attach(session->options_.durability,
-                                            next_seq, &session->metrics_);
+                                            next_seq, newest,
+                                            &session->metrics_);
   if (!manager.ok()) return manager.status();
   session->durability_ = std::move(*manager);
-  // Count the snapshot and truncate the files it covers now that the
-  // fresh segment (base == next_seq) exists.
-  session->durability_->NoteSnapshotPublished(next_seq);
+  session->durability_error_ = session->BeginDurableSnapshot();
+  const uint64_t handed_off_ns = MonotonicNanos();
 
-  session->metrics_.RecordTrace(
-      telemetry::TraceKind::kRecovery, timer.ElapsedNanos(),
-      static_cast<int64_t>(info.replayed_records), info.snapshots_skipped);
+  telemetry::MetricsRegistry& metrics = session->metrics_;
+  metrics.GetHistogram("durability.recovery_load_ns")
+      ->Record(0, loaded_ns - started_ns);
+  metrics.GetHistogram("durability.recovery_install_ns")
+      ->Record(0, installed_ns - install_ns);
+  metrics.GetHistogram("durability.recovery_replay_ns")
+      ->Record(0, replayed_ns - installed_ns);
+  metrics.GetHistogram("durability.recovery_handoff_ns")
+      ->Record(0, handed_off_ns - replayed_ns);
+  metrics.RecordTrace(telemetry::TraceKind::kRecovery,
+                      MonotonicNanos() - started_ns,
+                      static_cast<int64_t>(info.replayed_records),
+                      info.snapshots_skipped);
   info.durable_events = session->events_pushed_;
   info.recovered_queries = session->queries_.size();
   info.session = std::move(session);

@@ -5,7 +5,6 @@
 #include <functional>
 #include <limits>
 #include <memory>
-#include <optional>
 #include <string_view>
 #include <vector>
 
@@ -555,8 +554,16 @@ class StreamSession {
   /// (results stay bitwise identical — sharding is output-invariant).
   /// The options fingerprint that *does* shape results (num_keys,
   /// max_delay, late_policy) must match the snapshot, or Recover refuses.
-  /// On success the session resumes durable logging into `dir` and
-  /// publishes a fresh snapshot (truncating everything it replayed).
+  /// On success the session resumes durable logging into `dir` —
+  /// continuing the crashed run's newest changelog segment after its
+  /// last whole record — and hands a snapshot of the recovered state to
+  /// the background writer, which publishes it and truncates everything
+  /// it covers. Those files are gone once the writer is joined (Stats(),
+  /// the next snapshot, Finish, the destructor), not when Recover
+  /// returns. A failed recovery snapshot does not fail Recover: like a
+  /// failed periodic one, it fail-stops the session at its first
+  /// mutation. Each call records one sample in the session's
+  /// durability.recovery_{load,install,replay,handoff}_ns histograms.
   static Result<RecoveryInfo> Recover(
       std::string_view dir, Options options,
       const CallbackFactory& callbacks = nullptr);
@@ -720,6 +727,14 @@ class StreamSession {
   size_t FindQuery(QueryId id) const FW_REQUIRES(session_role_);
 
   Status CheckMutable() const FW_REQUIRES(session_role_);
+  /// AddQuery's admission checks for `query`: windows, an aggregate, a
+  /// shareable (non-holistic) one, per-key grouping in a keyed session,
+  /// and — unless `first` is null (no query yet) — the same source,
+  /// aggregate and grouping as `first`. Recover runs them on every
+  /// snapshot query too.
+  Status CheckJoinable(const StreamQuery& query,
+                       const StreamQuery* first) const
+      FW_REQUIRES(session_role_);
 
   /// Durability hooks (inert unless Options::durability.enabled). The
   /// append helpers run write-ahead — before the events/churn mutate any
@@ -732,18 +747,18 @@ class StreamSession {
   /// while a drift crossover is in flight (dual-pipeline state is
   /// transient — the next quiescent point snapshots instead).
   void MaybeSnapshot() FW_REQUIRES(session_role_);
-  /// Takes the snapshot here and hands it to the manager's background
-  /// writer (DurabilityManager::BeginSnapshot).
+  /// Takes the canonical session image — counters, query set and the
+  /// merged executor checkpoint (none when idle or finished) — and hands
+  /// it to the manager's background writer
+  /// (DurabilityManager::BeginSnapshot). Periodic, Finish's and
+  /// Recover's snapshots all start here.
   Status BeginDurableSnapshot() FW_REQUIRES(session_role_);
-  /// Fills `out` with the canonical session image a snapshot publishes
-  /// (counters, query set) — everything but covered_seq — and takes the
-  /// merged executor checkpoint into `checkpoint` (left empty when idle
-  /// or finished) unserialized: serializing is the writer's job. Split
-  /// out so Recover can publish its snapshot *before* attaching a
-  /// DurabilityManager: the file must be durable before a new changelog
-  /// segment demotes the crashed run's torn newest segment.
-  Status BuildDurableSnapshot(durability::SnapshotContents* out,
-                              std::optional<ExecutorCheckpoint>* checkpoint)
+  /// Installs a loaded snapshot into this fresh session during Recover:
+  /// every query passes CheckJoinable, one Rebuild plans them all, the
+  /// checkpoint restores into that pipeline, and the session counters
+  /// take the snapshot's values.
+  Status InstallSnapshot(const durability::SnapshotContents& contents,
+                         const CallbackFactory& callbacks)
       FW_REQUIRES(session_role_);
   /// Applies one replayed changelog record during Recover.
   Status ReplayRecord(const durability::WalRecord& record,

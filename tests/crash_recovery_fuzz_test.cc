@@ -15,6 +15,8 @@
 // right after the changelog roll to between truncation unlinks), when
 // the case gets that far. The session then dies at its next join point:
 // the next due snapshot, or the kill position, whichever comes first.
+// A tier-1 subset also kills the recovery snapshot's writer (a crash
+// during recovery) and recovers a second time.
 //
 // A fixed-seed subset runs in tier-1; scale the search from the
 // environment:
@@ -144,6 +146,10 @@ struct CrashCase {
   /// at this SnapshotStage (-1: no writer kill).
   int writer_kill_stage = -1;
   int writer_kill_snapshot = 1;
+  /// A double crash: stop the first recovery's snapshot writer at this
+  /// SnapshotStage and drop that session, then recover again (-1: none).
+  /// Never drawn by GenerateCase; RecoverySnapshotKillStagesTier1 sets it.
+  int recovery_kill_stage = -1;
 };
 
 StreamQuery RandomQuery(Rng& rng, AggFn agg, bool per_key) {
@@ -374,7 +380,8 @@ void RunOracle(const CrashCase& c, Recorded* out,
 // --- Subject: run, kill, tear, recover, resume -----------------------------
 
 /// Runs one case; `seed` also seeds the subject's batch sizes. Sets
-/// *writer_killed (when given) to whether the writer kill fired.
+/// *writer_killed (when given) to whether the case's writer kill —
+/// phase 1's or the recovery snapshot's — fired.
 void RunCase(const CrashCase& c, uint64_t seed, bool* writer_killed) {
   Recorded oracle;
   StreamSession::SessionStats oracle_stats;
@@ -495,13 +502,29 @@ void RunCase(const CrashCase& c, uint64_t seed, bool* writer_killed) {
   options.num_keys = c.num_keys;
   options.num_shards = c.recover_shards;
   options.max_delay = c.max_delay;
-  Result<StreamSession::RecoveryInfo> recovered = StreamSession::Recover(
-      dir.path, options, [&](QueryId id, const StreamQuery&) {
+  const StreamSession::CallbackFactory callbacks =
+      [&](QueryId id, const StreamQuery&) {
         auto it = tag_of.find(id);
         EXPECT_NE(it, tag_of.end()) << "recovered unknown query id " << id;
         return it == tag_of.end() ? StreamSession::ResultCallback(nullptr)
                                   : Tagged(&subject, it->second);
-      });
+      };
+  if (c.recovery_kill_stage >= 0) {
+    // The process dies again while the first recovery's snapshot writer
+    // sits at the drawn stage: the session is dropped without another
+    // call, and its destructor joins the stopped writer. What it
+    // re-delivered during replay stays delivered.
+    WriterKill recovery_kill(c.recovery_kill_stage, 1);
+    {
+      Result<StreamSession::RecoveryInfo> first =
+          StreamSession::Recover(dir.path, options, callbacks);
+      ASSERT_TRUE(first.ok()) << first.status().ToString();
+    }
+    const bool fired = recovery_kill.Disarm();
+    if (writer_killed != nullptr) *writer_killed = fired;
+  }
+  Result<StreamSession::RecoveryInfo> recovered =
+      StreamSession::Recover(dir.path, options, callbacks);
   ASSERT_TRUE(recovered.ok()) << recovered.status().ToString();
   const uint64_t durable = recovered->durable_events;
   ASSERT_LE(durable, admitted);
@@ -510,7 +533,10 @@ void RunCase(const CrashCase& c, uint64_t seed, bool* writer_killed) {
     // from the page cache).
     EXPECT_EQ(durable, admitted);
   }
-  // Recover's truncation deletes any temp file a killed writer left.
+  StreamSession& session = *recovered->session;
+  // Recover's truncation deletes any temp file a killed writer left, once
+  // Stats() has joined the writer.
+  (void)session.Stats();
   Result<std::vector<std::string>> names = durability::ListDir(dir.path);
   ASSERT_TRUE(names.ok());
   for (const std::string& name : *names) {
@@ -518,7 +544,6 @@ void RunCase(const CrashCase& c, uint64_t seed, bool* writer_killed) {
     EXPECT_FALSE(durability::ParseSnapshotTempFileName(name, &seq)) << name;
   }
 
-  StreamSession& session = *recovered->session;
   const std::vector<QueryId> recovered_ids = session.QueryIds();
   const std::set<QueryId> recovered_set(recovered_ids.begin(),
                                         recovered_ids.end());
@@ -662,6 +687,39 @@ TEST(CrashRecoveryFuzz, WriterKillStagesTier1) {
       RunCase(c, seed, &killed);
       EXPECT_TRUE(killed);
       if (HasFatalFailure() || HasNonfatalFailure()) return;
+    }
+  }
+}
+
+// Always-on double crashes: the recovery snapshot's writer stops at
+// every SnapshotStage, on a clean tail and on a torn one, and the
+// recovered session dies with it. The next Recover must accept the
+// directory — the previous snapshot plus the resumed and new segments,
+// or the recovery snapshot once it is renamed into place — and the
+// resumed run must match the oracle bitwise.
+TEST(CrashRecoveryFuzz, RecoverySnapshotKillStagesTier1) {
+  for (int stage = 0; stage < durability::kNumSnapshotStages; ++stage) {
+    for (size_t tear : {size_t{0}, size_t{5}}) {
+      for (uint64_t seed : {7u, 31u}) {
+        SCOPED_TRACE("recovery snapshot kill at stage " +
+                     std::to_string(stage) + ", tear " +
+                     std::to_string(tear) + ", crash seed " +
+                     std::to_string(seed));
+        // A scalar feed killed 32 events past the fifth periodic
+        // snapshot: the resumed segment holds records even after a tear,
+        // so the roll demotes it and truncation has files to delete.
+        CrashCase c = GenerateCase(seed);
+        c.snapshot_interval = 64;
+        c.columnar = false;
+        c.writer_kill_stage = -1;
+        c.recovery_kill_stage = stage;
+        c.tear_bytes = tear;
+        c.kill_at = 64 * 5 + 32;
+        bool killed = false;
+        RunCase(c, seed, &killed);
+        EXPECT_TRUE(killed);
+        if (HasFatalFailure() || HasNonfatalFailure()) return;
+      }
     }
   }
 }

@@ -137,6 +137,50 @@ TEST(Crc32c, KnownVectorsAndIncrementalExtension) {
     crc = durability::Crc32c(crc, data.data() + split, data.size() - split);
     EXPECT_EQ(crc, whole) << "split at " << split;
   }
+
+  // RFC 3720 B.4's 32-byte vectors: all zeros, all ones, ascending and
+  // descending bytes — whole 8-byte steps only.
+  unsigned char zeros[32] = {};
+  unsigned char ones[32];
+  unsigned char ascending[32];
+  unsigned char descending[32];
+  for (int i = 0; i < 32; ++i) {
+    ones[i] = 0xFF;
+    ascending[i] = static_cast<unsigned char>(i);
+    descending[i] = static_cast<unsigned char>(31 - i);
+  }
+  EXPECT_EQ(durability::Crc32c(0, zeros, 32), 0x8A9136AAu);
+  EXPECT_EQ(durability::Crc32c(0, ones, 32), 0x62A8AB43u);
+  EXPECT_EQ(durability::Crc32c(0, ascending, 32), 0x46DD794Eu);
+  EXPECT_EQ(durability::Crc32c(0, descending, 32), 0x113FDB5Cu);
+
+  // Against a bytewise reference: every length 0-64 at every start
+  // offset 0-7 (so the 8-byte loop meets every alignment and tail), and
+  // one 1 MiB buffer.
+  const auto reference = [](const unsigned char* p, size_t size) {
+    uint32_t crc = ~0u;
+    for (size_t i = 0; i < size; ++i) {
+      crc ^= p[i];
+      for (int bit = 0; bit < 8; ++bit) {
+        crc = (crc >> 1) ^ ((crc & 1u) ? 0x82F63B78u : 0u);
+      }
+    }
+    return ~crc;
+  };
+  Rng rng(3720);
+  std::vector<unsigned char> bytes(1 << 20);
+  for (unsigned char& b : bytes) {
+    b = static_cast<unsigned char>(rng.Uniform(0, 255));
+  }
+  for (size_t offset = 0; offset < 8; ++offset) {
+    for (size_t size = 0; size <= 64; ++size) {
+      EXPECT_EQ(durability::Crc32c(0, bytes.data() + offset, size),
+                reference(bytes.data() + offset, size))
+          << "offset " << offset << ", length " << size;
+    }
+  }
+  EXPECT_EQ(durability::Crc32c(0, bytes.data(), bytes.size()),
+            reference(bytes.data(), bytes.size()));
 }
 
 // --- Frame layer -----------------------------------------------------------
@@ -1508,8 +1552,8 @@ TEST(SessionDurability, StaleSnapshotTempFilesAreTruncated) {
       StreamSession::Recover(dir.path, options);
   ASSERT_TRUE(recovered.ok()) << recovered.status().ToString();
   EXPECT_EQ(recovered->durable_events, events.size());
-  EXPECT_FALSE(Exists(stale_late));
   EXPECT_EQ(recovered->session->Stats().truncate_failures, 0u);
+  EXPECT_FALSE(Exists(stale_late));
 }
 
 TEST(SessionDurability, BackgroundSnapshotFailureFailStops) {
@@ -1592,6 +1636,127 @@ TEST(SessionDurability, BackgroundSnapshotFailureFailStops) {
   ASSERT_TRUE(session.Finish().ok());
   EXPECT_EQ(subject.results, oracle.results);
   EXPECT_GT(subject.redelivered, 0);
+}
+
+TEST(SessionDurability, RecoverySnapshotFailureFailStops) {
+  TempDir dir;
+  const std::vector<Event> events = GenerateSyntheticStream(256, 2, 61);
+  Recorded oracle;
+  {
+    StreamSession session({.num_keys = 2});
+    ASSERT_TRUE(
+        session.AddQuery(MakeQuery("SUM", 20, 10), Tagged(&oracle, 0)).ok());
+    for (const Event& e : events) ASSERT_TRUE(session.Push(e).ok());
+    ASSERT_TRUE(session.Finish().ok());
+  }
+
+  // Killed after 100 events: the add (seq 0) and one record per event,
+  // with a periodic snapshot at covered_seq 65.
+  constexpr size_t kKillAt = 100;
+  Recorded subject;
+  {
+    StreamSession::Options options;
+    options.num_keys = 2;
+    options.durability.enabled = true;
+    options.durability.dir = dir.path;
+    options.durability.snapshot_interval_events = 64;
+    StreamSession session(options);
+    ASSERT_TRUE(
+        session.AddQuery(MakeQuery("SUM", 20, 10), Tagged(&subject, 0)).ok());
+    for (size_t i = 0; i < kKillAt; ++i) {
+      ASSERT_TRUE(session.Push(events[i]).ok());
+    }
+  }
+
+  // Recover's snapshot covers sequence 101. A directory squatting on its
+  // temp-file name fails the writer's open — and nothing else: the
+  // resume, the segment fsync and the roll on the caller thread succeed.
+  const std::string squatter =
+      dir.path + "/" + durability::SnapshotTempFileName(1 + kKillAt);
+  ASSERT_EQ(::mkdir(squatter.c_str(), 0755), 0);
+  StreamSession::Options options;
+  options.num_keys = 2;
+  const auto callbacks = [&subject](QueryId, const StreamQuery&) {
+    return Tagged(&subject, 0);
+  };
+  {
+    Result<StreamSession::RecoveryInfo> recovered =
+        StreamSession::Recover(dir.path, options, callbacks);
+    ASSERT_TRUE(recovered.ok()) << recovered.status().ToString();
+    EXPECT_EQ(recovered->durable_events, kKillAt);
+    StreamSession& session = *recovered->session;
+    // Stats() joins the failed write; the first mutation latches it.
+    EXPECT_EQ(session.Stats().snapshots_written, 0u);
+    Status push = session.Push(events[kKillAt]);
+    ASSERT_FALSE(push.ok());
+    EXPECT_EQ(push.message().rfind(
+                  "ingest stopped at event 0 (timestamp " +
+                      std::to_string(events[kKillAt].timestamp) +
+                      "): open " + squatter,
+                  0),
+              0u)
+        << push.ToString();
+  }
+
+  // The failed session logged nothing more, so the second recovery
+  // replays the same suffix on top of the periodic snapshot.
+  ASSERT_EQ(::rmdir(squatter.c_str()), 0);
+  Result<StreamSession::RecoveryInfo> recovered =
+      StreamSession::Recover(dir.path, options, callbacks);
+  ASSERT_TRUE(recovered.ok()) << recovered.status().ToString();
+  EXPECT_EQ(recovered->snapshot_events, 64u);
+  EXPECT_EQ(recovered->durable_events, kKillAt);
+  EXPECT_EQ(recovered->replayed_records, kKillAt - 64);
+  StreamSession& session = *recovered->session;
+  for (size_t i = recovered->durable_events; i < events.size(); ++i) {
+    ASSERT_TRUE(session.Push(events[i]).ok());
+  }
+  ASSERT_TRUE(session.Finish().ok());
+  EXPECT_EQ(subject.results, oracle.results);
+  EXPECT_GT(subject.redelivered, 0);
+}
+
+TEST(SessionDurability, RecoveryTimersSplitTheRecoverySpan) {
+  TempDir dir;
+  {
+    StreamSession::Options options;
+    options.num_keys = 2;
+    options.durability.enabled = true;
+    options.durability.dir = dir.path;
+    options.durability.snapshot_interval_events = 64;
+    StreamSession session(options);
+    ASSERT_TRUE(session.AddQuery(MakeQuery("SUM", 20, 10)).ok());
+    for (const Event& e : GenerateSyntheticStream(100, 2, 71)) {
+      ASSERT_TRUE(session.Push(e).ok());
+    }
+  }
+  StreamSession::Options options;
+  options.num_keys = 2;
+  Result<StreamSession::RecoveryInfo> recovered =
+      StreamSession::Recover(dir.path, options);
+  ASSERT_TRUE(recovered.ok()) << recovered.status().ToString();
+  const telemetry::MetricsSnapshot telemetry =
+      recovered->session->Metrics().telemetry;
+
+  // One sample per stage; together they fit inside the recovery span.
+  uint64_t stages_ns = 0;
+  for (const char* name :
+       {"durability.recovery_load_ns", "durability.recovery_install_ns",
+        "durability.recovery_replay_ns", "durability.recovery_handoff_ns"}) {
+    auto it = telemetry.histograms.find(name);
+    ASSERT_NE(it, telemetry.histograms.end()) << name;
+    EXPECT_EQ(it->second.count, 1u) << name;
+    stages_ns += it->second.sum;
+  }
+  int recoveries = 0;
+  for (const telemetry::TraceEvent& event : telemetry.trace) {
+    if (event.kind != telemetry::TraceKind::kRecovery) continue;
+    ++recoveries;
+    EXPECT_GT(stages_ns, 0u);
+    EXPECT_LE(stages_ns, event.duration_ns);
+    EXPECT_EQ(event.a, 100 - 64);  // Records replayed past the snapshot.
+  }
+  EXPECT_EQ(recoveries, 1);
 }
 
 TEST(SessionDurability, DurabilityFailureIsStickyFailStop) {
