@@ -7,7 +7,9 @@
 //    through the background writer at any --events. Every durable run
 //    must deliver the bitwise-identical result multiset
 //    (ResultFingerprint) — a throughput number bought by losing results
-//    is not a benchmark result.
+//    is not a benchmark result. Each row reports wal_fsyncs and, beside
+//    it, fsync_wait_ns: the summed time the ingest thread waited for the
+//    background group commit in flight (durability.fsync_wait_ns).
 //
 //  * Recovery time vs changelog depth — sessions killed mid-stream
 //    (destructor, no Finish) leave changelogs of increasing replay
@@ -102,6 +104,7 @@ struct IngestRow {
   uint64_t wal_records = 0;
   uint64_t wal_bytes = 0;
   uint64_t wal_fsyncs = 0;
+  uint64_t fsync_wait_ns = 0;
   uint64_t snapshots = 0;
   bench::ResultFingerprint totals;
 };
@@ -151,6 +154,13 @@ int RunIngest(const bench::BenchArgs& args, const std::vector<Event>& events,
         out->wal_bytes = stats.wal_bytes;
         out->wal_fsyncs = stats.wal_fsyncs;
         out->snapshots = stats.snapshots_written;
+        const telemetry::MetricsSnapshot telemetry =
+            session.Metrics().telemetry;
+        const auto wait =
+            telemetry.histograms.find("durability.fsync_wait_ns");
+        if (wait != telemetry.histograms.end()) {
+          out->fsync_wait_ns = wait->second.sum;
+        }
       }
     }
   }
@@ -356,11 +366,13 @@ int Run(int argc, char** argv) {
     std::printf(
         "%s{\"name\":\"%s\",\"run_type\":\"iteration\",\"iterations\":1,"
         "\"items_per_second\":%.1f,\"wal_records\":%llu,"
-        "\"wal_bytes\":%llu,\"wal_fsyncs\":%llu,\"snapshots\":%llu}",
+        "\"wal_bytes\":%llu,\"wal_fsyncs\":%llu,\"fsync_wait_ns\":%llu,"
+        "\"snapshots\":%llu}",
         first ? "" : ",", row.name.c_str(), row.events_per_sec,
         static_cast<unsigned long long>(row.wal_records),
         static_cast<unsigned long long>(row.wal_bytes),
         static_cast<unsigned long long>(row.wal_fsyncs),
+        static_cast<unsigned long long>(row.fsync_wait_ns),
         static_cast<unsigned long long>(row.snapshots));
     first = false;
   }

@@ -12,12 +12,18 @@
 #include <cstdint>
 #include <string>
 #include <string_view>
+#include <utility>
 
 namespace fw {
 
 /// Appends fields to an owned byte buffer.
 class ByteWriter {
  public:
+  ByteWriter() = default;
+  /// Appends after `buf`'s contents, reusing its storage; Take() hands it
+  /// back.
+  explicit ByteWriter(std::string buf) : buf_(std::move(buf)) {}
+
   void U8(uint8_t v) { buf_.push_back(static_cast<char>(v)); }
 
   void U32(uint32_t v) { Fixed<4>(v); }

@@ -10,6 +10,7 @@
 #include <cerrno>
 #include <cstdio>
 #include <cstring>
+#include <utility>
 
 #include "common/codec.h"
 #include "durability/crc32c.h"
@@ -19,8 +20,14 @@ namespace durability {
 
 namespace {
 
-std::string ErrnoText(const char* what, const std::string& path) {
-  return std::string(what) + " " + path + ": " + std::strerror(errno);
+std::string ErrnoText(const char* what, const std::string& path,
+                      int error = errno) {
+  return std::string(what) + " " + path + ": " + std::strerror(error);
+}
+
+std::function<int(const std::string&, uint64_t)>& SyncHook() {
+  static std::function<int(const std::string&, uint64_t)> hook;
+  return hook;
 }
 
 /// Writes every byte of `iov[0..count)` with writev(2), resuming after
@@ -106,6 +113,25 @@ Status FramedFileWriter::Sync() {
   if (fd_ < 0) return Status::Internal("framed writer is closed");
   if (::fsync(fd_) != 0) return Status::Internal(ErrnoText("fsync", path_));
   return Status::OK();
+}
+
+Status SyncChangelog(const ChangelogSync& sync) {
+  if (SyncHook()) {
+    const int injected = SyncHook()(sync.path, sync.bytes);
+    if (injected != 0) {
+      return Status::Internal(ErrnoText("fsync", sync.path, injected));
+    }
+  }
+  if (!sync.dir.empty()) FW_RETURN_IF_ERROR(SyncDir(sync.dir));
+  if (::fsync(sync.fd) != 0) {
+    return Status::Internal(ErrnoText("fsync", sync.path));
+  }
+  return Status::OK();
+}
+
+void SetSyncHookForTesting(
+    std::function<int(const std::string& path, uint64_t bytes)> hook) {
+  SyncHook() = std::move(hook);
 }
 
 Status FramedFileWriter::Close() {

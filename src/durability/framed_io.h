@@ -14,6 +14,7 @@
 // this framing.
 
 #include <cstdint>
+#include <functional>
 #include <string>
 #include <string_view>
 #include <vector>
@@ -31,7 +32,8 @@ inline constexpr uint32_t kMaxFrameLength = 1u << 30;
 /// Open, or continued by Resume). Each Append is one writev(2) of header
 /// and payload, so a frame reaches the page cache before Append returns;
 /// Sync() forces it to stable storage. Single-threaded, like everything
-/// the session owns.
+/// the session owns — except that a changelog segment's fd may be
+/// fsynced on another thread (SyncChangelog) while it stays open.
 class FramedFileWriter {
  public:
   FramedFileWriter() = default;
@@ -51,6 +53,7 @@ class FramedFileWriter {
   Status Close();
 
   bool is_open() const { return fd_ >= 0; }
+  int fd() const { return fd_; }
   uint64_t bytes_written() const { return bytes_; }
   const std::string& path() const { return path_; }
 
@@ -94,6 +97,34 @@ class FramedBuffer {
   uint64_t frames_ = 0;
   std::string torn_detail_;
 };
+
+/// One changelog fsync: the open segment's fd and path, the bytes it
+/// covers (the segment's length when the fsync was requested), and the
+/// directory to fsync first — set only for the first fsync into a new or
+/// resumed segment, because fsync(2) of a file does not make its
+/// directory entry durable.
+struct ChangelogSync {
+  int fd = -1;
+  std::string path;
+  uint64_t bytes = 0;
+  std::string dir;
+};
+
+/// The one function every changelog fsync goes through (DESIGN.md §16):
+/// the background syncer's group commits and the caller's churn,
+/// kEveryBatch and pre-roll syncs. Asks the test hook first, then fsyncs
+/// `dir` (when set) and the segment. Any thread may run it while the fd
+/// stays open.
+Status SyncChangelog(const ChangelogSync& sync);
+
+/// Test-only fault-injection seam: every SyncChangelog call first calls
+/// `hook(path, bytes)` on the thread that runs the fsync (the syncer, for
+/// a group commit). A nonzero answer is an errno the fsync fails with,
+/// without touching the disk; the hook may also block, holding the fsync
+/// in flight. Null (the default) removes it. Install it only while no
+/// changelog fsync runs.
+void SetSyncHookForTesting(
+    std::function<int(const std::string& path, uint64_t bytes)> hook);
 
 // Small POSIX helpers shared by the WAL and snapshot stores. All return
 // descriptive Status on failure (with errno text), never abort.

@@ -58,10 +58,18 @@ DurabilityManager::DurabilityManager(const DurabilityOptions& options,
       truncate_failures_counter_(
           metrics->GetCounter("durability.truncate_failures")),
       fsync_hist_(metrics->GetHistogram("durability.wal_fsync_ns")),
+      fsync_wait_hist_(metrics->GetHistogram("durability.fsync_wait_ns")),
       stall_hist_(metrics->GetHistogram("durability.snapshot_stall_ns")),
       write_hist_(metrics->GetHistogram("durability.snapshot_write_ns")) {}
 
 DurabilityManager::~DurabilityManager() {
+  (void)AwaitCommit();
+  if (syncer_.joinable()) {
+    commit_.stop = true;
+    commit_requests_.store(++commits_requested_, std::memory_order_release);
+    commit_requests_.notify_one();
+    syncer_.join();
+  }
   if (writer_.joinable()) writer_.join();
 }
 
@@ -109,8 +117,30 @@ Result<std::unique_ptr<DurabilityManager>> DurabilityManager::Attach(
 }
 
 Status DurabilityManager::AppendRecord(uint8_t type,
-                                       const std::string& payload,
+                                       std::string_view payload,
                                        uint64_t events_in_record) {
+  // Churn records (events_in_record == 0) sync on the calling thread
+  // under kInterval: they are rare, and an unsynced subscription change
+  // is a worse loss than an unsynced batch.
+  const bool interval = options_.fsync_policy == FsyncPolicy::kInterval;
+  const bool sync_now = options_.fsync_policy == FsyncPolicy::kEveryBatch ||
+                        (interval && events_in_record == 0);
+  const bool group_commit =
+      interval && events_in_record > 0 &&
+      events_since_sync_ + events_in_record >= options_.fsync_interval_events;
+  // One changelog fsync at a time: an fsync after this append first
+  // waits for the commit in flight — before appending, so a failed
+  // commit refuses the record unlogged.
+  if (sync_now || group_commit) {
+    uint64_t waited_ns = 0;
+    if (commit_in_flight_) {
+      const uint64_t started_ns = MonotonicNanos();
+      FW_RETURN_IF_ERROR(AwaitCommit());
+      waited_ns = MonotonicNanos() - started_ns;
+    }
+    if (group_commit) fsync_wait_hist_->Record(0, waited_ns);
+  }
+
   const uint64_t before = wal_.bytes_written();
   FW_RETURN_IF_ERROR(wal_.Append(type, payload));
   unsynced_ = true;
@@ -120,26 +150,19 @@ Status DurabilityManager::AppendRecord(uint8_t type,
   wal_bytes_counter_->Add(0, wal_.bytes_written() - before);
   events_since_snapshot_ += events_in_record;
 
-  switch (options_.fsync_policy) {
-    case FsyncPolicy::kNone:
-      return Status::OK();
-    case FsyncPolicy::kEveryBatch:
-      return SyncNow();
-    case FsyncPolicy::kInterval:
-      events_since_sync_ += events_in_record;
-      // Churn records sync immediately (events_in_record == 0 marks
-      // them): they are rare, and an unsynced subscription change is a
-      // worse loss than an unsynced batch.
-      if (events_in_record == 0 ||
-          events_since_sync_ >= options_.fsync_interval_events) {
-        return SyncNow();
-      }
-      return Status::OK();
+  if (sync_now) return SyncNow();
+  if (group_commit) {
+    RequestCommit(wal_.PrepareSync());
+    events_since_sync_ = 0;
+    unsynced_ = false;
+  } else {
+    events_since_sync_ += events_in_record;
   }
-  return Status::Internal("unreachable fsync policy");
+  return Status::OK();
 }
 
 Status DurabilityManager::SyncNow() {
+  FW_CHECK(!commit_in_flight_);  // Callers wait for it first.
   MonotonicTimer timer;
   FW_RETURN_IF_ERROR(wal_.Sync());
   fsync_hist_->Record(0, timer.ElapsedNanos());
@@ -150,9 +173,58 @@ Status DurabilityManager::SyncNow() {
   return Status::OK();
 }
 
+void DurabilityManager::RequestCommit(ChangelogSync sync) {
+  FW_CHECK(!commit_in_flight_);
+  if (!syncer_.joinable()) {
+    syncer_ = std::thread(&DurabilityManager::RunSyncer, this);
+  }
+  commit_.sync = std::move(sync);
+  commit_in_flight_ = true;
+  // Release: the syncer's acquire of this count sees the request above.
+  commit_requests_.store(++commits_requested_, std::memory_order_release);
+  commit_requests_.notify_one();
+}
+
+void DurabilityManager::RunSyncer() {
+  uint32_t seen = 0;
+  for (;;) {
+    commit_requests_.wait(seen, std::memory_order_acquire);
+    seen = commit_requests_.load(std::memory_order_acquire);
+    if (commit_.stop) return;
+    MonotonicTimer timer;
+    commit_.status = SyncChangelog(commit_.sync);
+    if (commit_.status.ok()) fsync_hist_->Record(0, timer.ElapsedNanos());
+    // Release: the caller's acquire of this count sees `status`.
+    commit_completions_.store(seen, std::memory_order_release);
+    commit_completions_.notify_one();
+  }
+}
+
+Status DurabilityManager::AwaitCommit() {
+  if (commit_in_flight_) {
+    uint32_t done = commit_completions_.load(std::memory_order_acquire);
+    while (done != commits_requested_) {
+      commit_completions_.wait(done, std::memory_order_acquire);
+      done = commit_completions_.load(std::memory_order_acquire);
+    }
+    FoldCommit();
+  }
+  return background_status_;
+}
+
+void DurabilityManager::FoldCommit() {
+  commit_in_flight_ = false;
+  if (commit_.status.ok()) {
+    ++counters_.wal_fsyncs;
+    fsyncs_counter_->Increment(0);
+  } else if (background_status_.ok()) {
+    background_status_ = commit_.status;
+  }
+}
+
 Status DurabilityManager::AppendEvents(const EventColumns& columns) {
-  return AppendRecord(kWalEvents, EncodeEventsPayload(columns),
-                      columns.size());
+  EncodeEventsPayload(columns, &payload_);
+  return AppendRecord(kWalEvents, payload_, columns.size());
 }
 
 Status DurabilityManager::AppendAddQuery(uint64_t id,
@@ -172,7 +244,9 @@ bool DurabilityManager::SnapshotDue() const {
 Status DurabilityManager::BeginSnapshot(
     SnapshotContents contents, std::optional<ExecutorCheckpoint> checkpoint,
     uint64_t started_ns) {
-  FW_RETURN_IF_ERROR(JoinSnapshot());
+  FW_RETURN_IF_ERROR(JoinWriter());
+  // The roll closes the segment's fd: no commit may still be fsyncing it.
+  FW_RETURN_IF_ERROR(AwaitCommit());
   // The snapshot covers everything appended so far: it is taken between
   // records, after the batch that made it due was both logged and
   // applied.
@@ -234,28 +308,36 @@ void DurabilityManager::FoldWriter() {
     snapshots_counter_->Increment(0);
     counters_.truncate_failures += job_->truncate_failures;
     truncate_failures_counter_->Add(0, job_->truncate_failures);
-  } else if (writer_status_.ok()) {
-    writer_status_ = job_->status;
+  } else if (background_status_.ok()) {
+    background_status_ = job_->status;
   }
   job_.reset();
 }
 
-Status DurabilityManager::JoinSnapshot() {
+Status DurabilityManager::JoinWriter() {
   if (writer_.joinable()) FoldWriter();
-  return writer_status_;
+  return background_status_;
 }
 
-Status DurabilityManager::ReapSnapshot() {
-  if (writer_.joinable() && job_->done.load()) {
-    FoldWriter();
+Status DurabilityManager::Settle() {
+  (void)AwaitCommit();
+  return JoinWriter();
+}
+
+Status DurabilityManager::Reap() {
+  if (commit_in_flight_ &&
+      commit_completions_.load(std::memory_order_acquire) ==
+          commits_requested_) {
+    FoldCommit();
   }
-  return writer_status_;
+  if (writer_.joinable() && job_->done.load()) FoldWriter();
+  return background_status_;
 }
 
 Status DurabilityManager::WriteSnapshot(SnapshotContents contents) {
   FW_RETURN_IF_ERROR(BeginSnapshot(std::move(contents), std::nullopt,
                                    MonotonicNanos()));
-  return JoinSnapshot();
+  return Settle();
 }
 
 }  // namespace durability

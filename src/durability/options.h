@@ -14,8 +14,18 @@ namespace fw {
 enum class FsyncPolicy : uint8_t {
   /// Never fsync the changelog; the OS flushes on its own schedule.
   kNone = 0,
-  /// Group commit: fsync once at least fsync_interval_events admitted
-  /// events have accumulated since the previous sync.
+  /// Group commit: once at least fsync_interval_events admitted events
+  /// have accumulated since the previous commit, the append that
+  /// completes the group hands the fsync to a background syncer thread
+  /// and returns at once. At most one commit is in flight: the append
+  /// that completes the next group waits for it first. A host crash may
+  /// therefore lose fewer than 2 × (fsync_interval_events + one batch)
+  /// admitted events — the group whose commit is in flight plus the one
+  /// after it. A caller who needs the bound of a synchronous commit,
+  /// fewer than fsync_interval_events + one batch, halves
+  /// fsync_interval_events (the bound becomes fsync_interval_events +
+  /// two batches). Churn records still sync before AddQuery/RemoveQuery
+  /// return, and everything is durable when Finish returns.
   kInterval = 1,
   /// fsync after every appended batch (and every churn record).
   kEveryBatch = 2,

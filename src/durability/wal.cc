@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cstdlib>
+#include <utility>
 
 #include "common/codec.h"
 
@@ -55,13 +56,14 @@ bool ParseSnapshotTempFileName(std::string_view name, uint64_t* covered_seq) {
   return ParseNamed(name, "snap-", ".fws.tmp", covered_seq);
 }
 
-std::string EncodeEventsPayload(const EventColumns& columns) {
-  ByteWriter w;
+void EncodeEventsPayload(const EventColumns& columns, std::string* out) {
+  out->clear();
+  ByteWriter w(std::move(*out));
   w.U32(static_cast<uint32_t>(columns.size()));
   for (TimeT t : columns.timestamps) w.I64(t);
   for (uint32_t k : columns.keys) w.U32(k);
   for (double v : columns.values) w.F64(v);
-  return w.Take();
+  *out = w.Take();
 }
 
 Status DecodeEventsPayload(std::string_view payload, EventColumns* out) {
@@ -152,6 +154,7 @@ Status WalWriter::Open(const std::string& dir, uint64_t next_seq) {
   dir_ = dir;
   next_seq_ = next_seq;
   segment_base_ = next_seq;
+  dir_synced_ = false;
   return writer_.Open(dir_ + "/" + SegmentFileName(segment_base_));
 }
 
@@ -159,6 +162,7 @@ Status WalWriter::Resume(const std::string& dir, const SegmentTail& tail) {
   dir_ = dir;
   next_seq_ = tail.end_seq();
   segment_base_ = tail.base;
+  dir_synced_ = false;
   return writer_.Resume(dir_ + "/" + SegmentFileName(segment_base_),
                         tail.bytes);
 }
@@ -169,11 +173,19 @@ Status WalWriter::Append(uint8_t type, std::string_view payload) {
   return Status::OK();
 }
 
-Status WalWriter::Sync() { return writer_.Sync(); }
+ChangelogSync WalWriter::PrepareSync() {
+  ChangelogSync sync{writer_.fd(), writer_.path(), writer_.bytes_written(),
+                     dir_synced_ ? std::string() : dir_};
+  dir_synced_ = true;
+  return sync;
+}
+
+Status WalWriter::Sync() { return SyncChangelog(PrepareSync()); }
 
 Status WalWriter::Roll() {
   FW_RETURN_IF_ERROR(writer_.Close());
   segment_base_ = next_seq_;
+  dir_synced_ = false;
   return writer_.Open(dir_ + "/" + SegmentFileName(segment_base_));
 }
 

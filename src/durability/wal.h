@@ -52,8 +52,9 @@ bool ParseSnapshotFileName(std::string_view name, uint64_t* covered_seq);
 std::string SnapshotTempFileName(uint64_t covered_seq);
 bool ParseSnapshotTempFileName(std::string_view name, uint64_t* covered_seq);
 
-// Payload codecs (common/codec.h wire format).
-std::string EncodeEventsPayload(const EventColumns& columns);
+// Payload codecs (common/codec.h wire format). The events encoder
+// overwrites `out`, reusing its storage across records.
+void EncodeEventsPayload(const EventColumns& columns, std::string* out);
 Status DecodeEventsPayload(std::string_view payload, EventColumns* out);
 std::string EncodeQueryPayload(uint64_t id, const StreamQuery& query);
 /// Resolves the aggregate by registered name; unknown names fail with a
@@ -86,6 +87,11 @@ class WalWriter {
   /// tail.end_seq().
   Status Resume(const std::string& dir, const SegmentTail& tail);
   Status Append(uint8_t type, std::string_view payload);
+  /// The fsync of everything appended so far, for SyncChangelog on any
+  /// thread. The first one into each new or resumed segment also fsyncs
+  /// the directory, so the segment's entry is durable with its records.
+  ChangelogSync PrepareSync();
+  /// SyncChangelog(PrepareSync()) on the calling thread.
   Status Sync();
   /// Closes the current segment and starts a new one at next_seq().
   Status Roll();
@@ -101,6 +107,9 @@ class WalWriter {
   std::string dir_;
   uint64_t next_seq_ = 0;
   uint64_t segment_base_ = 0;
+  /// Whether a prepared fsync of the open segment already carries the
+  /// directory fsync.
+  bool dir_synced_ = false;
   FramedFileWriter writer_;
 };
 

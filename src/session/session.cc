@@ -948,7 +948,7 @@ Status StreamSession::Finish() {
   // no write is left in flight after Finish even on a failed session.
   if (durability_) {
     if (durability_error_.ok()) durability_error_ = BeginDurableSnapshot();
-    Status written = durability_->JoinSnapshot();
+    Status written = durability_->Settle();
     if (durability_error_.ok()) durability_error_ = written;
   }
   return durability_error_;
@@ -1016,10 +1016,10 @@ Result<StreamSession::QueryStats> StreamSession::StatsFor(QueryId id) const {
 
 StreamSession::SessionStats StreamSession::Stats() const {
   session_role_.AssertHeld();  // Public entry: caller thread only.
-  // At rest: join an in-flight snapshot write so the durability tallies
-  // (and the files) are exact. A write failure stays with the manager
-  // until the next mutation latches it.
-  if (durability_) (void)durability_->JoinSnapshot();
+  // At rest: wait for the in-flight group commit and snapshot write so
+  // the durability tallies (and the files) are exact. A failure stays
+  // with the manager until the next mutation latches it.
+  if (durability_) (void)durability_->Settle();
   SessionStats stats = BuildStats();
   // Crossover double-processing is real work, so it counts: both
   // pipelines' ops while one is in flight.
@@ -1095,9 +1095,9 @@ StreamSession::SessionStats StreamSession::BuildStats() const {
 
 StreamSession::SessionMetrics StreamSession::Metrics() const {
   session_role_.AssertHeld();  // Public entry: caller thread only.
-  // Never waits for a snapshot write: the durability tallies are those of
-  // the last completed one.
-  if (durability_) (void)durability_->ReapSnapshot();
+  // Never waits for a group commit or a snapshot write: the durability
+  // tallies are those of the last completed ones.
+  if (durability_) (void)durability_->Reap();
   SessionMetrics metrics;
   metrics.stats = BuildStats();
 
@@ -1154,10 +1154,10 @@ std::vector<QueryId> StreamSession::QueryIds() const {
 Status StreamSession::CheckDurable() {
   if (!durability_error_.ok()) return durability_error_;
   FW_CHECK(durability_ != nullptr);
-  // Every mutation reaps a finished snapshot writer (one atomic load
-  // while it runs), so a failed write fail-stops the session at the
-  // first call after it completes.
-  durability_error_ = durability_->ReapSnapshot();
+  // Every mutation reaps a finished group commit and snapshot writer
+  // (one atomic load each while they run), so a failed fsync or write
+  // fail-stops the session at the first call after it completes.
+  durability_error_ = durability_->Reap();
   return durability_error_;
 }
 

@@ -286,10 +286,17 @@ class StreamSession {
     /// on the caller thread and written by a background writer (at most
     /// one in flight). After a crash, StreamSession::Recover rebuilds the
     /// session from the newest valid snapshot plus a changelog replay.
-    /// Durability is fail-stop: the first append/snapshot error latches,
-    /// and every later ingest or churn call returns it instead of letting
-    /// memory and disk diverge. A failed background write latches at the
-    /// first such call after it completes.
+    /// Under the default FsyncPolicy::kInterval the group-commit fsync
+    /// runs on a background syncer thread (at most one in flight; the
+    /// call that completes the next group waits for it), so a host crash
+    /// may lose fewer than 2 × (fsync_interval_events + one batch)
+    /// admitted events. A process kill loses nothing, a churn record is
+    /// durable before AddQuery/RemoveQuery return, and everything is
+    /// durable when Finish returns.
+    /// Durability is fail-stop: the first append/fsync/snapshot error
+    /// latches, and every later ingest or churn call returns it instead
+    /// of letting memory and disk diverge. A failed background fsync or
+    /// write latches at the first such call after it completes.
     DurabilityOptions durability = {};
   };
 
@@ -396,9 +403,9 @@ class StreamSession {
     /// numeric_limits<TimeT>::min() before the first event.
     TimeT current_watermark = std::numeric_limits<TimeT>::min();
     /// Durability tallies (all 0 unless Options::durability.enabled):
-    /// changelog records and bytes appended, fsyncs issued, and snapshots
-    /// published — cumulative since the session started (or since
-    /// Recover re-attached the changelog).
+    /// changelog records and bytes appended, changelog fsyncs completed,
+    /// and snapshots published — cumulative since the session started
+    /// (or since Recover re-attached the changelog).
     uint64_t wal_records = 0;
     uint64_t wal_bytes = 0;
     uint64_t wal_fsyncs = 0;
@@ -581,8 +588,9 @@ class StreamSession {
   /// add lifetime_ops from the executors' op counts), so
   /// the cumulative/instantaneous/topology-scoped contracts above stay
   /// pinned by the existing elasticity regression tests. A durable
-  /// session joins its in-flight snapshot write first, so the durability
-  /// tallies are exact at rest.
+  /// session waits for its in-flight group commit and joins its
+  /// in-flight snapshot write first, so the durability tallies are exact
+  /// at rest.
   SessionStats Stats() const;
   /// The full telemetry snapshot; see SessionMetrics. Publishes the
   /// instantaneous session gauges (ring occupancy, live queries, engine
@@ -591,8 +599,8 @@ class StreamSession {
   /// executor's counters once (ShardedExecutor::Counters), so a sharded
   /// session synchronizes with its workers once per pipeline (two during
   /// a drift crossover): the stats' lifetime ops come from the same
-  /// per-operator record. Never waits for a snapshot write: durability
-  /// tallies are as of the last completed one.
+  /// per-operator record. Never waits for a group commit or a snapshot
+  /// write: durability tallies are as of the last completed ones.
   SessionMetrics Metrics() const;
 
   /// Observed runtime statistics in the cost model's vocabulary

@@ -17,11 +17,16 @@
 #include <sys/stat.h>
 #include <unistd.h>
 
+#include <atomic>
+#include <cerrno>
+#include <chrono>
 #include <cstdint>
 #include <cstdio>
+#include <cstring>
 #include <map>
 #include <set>
 #include <string>
+#include <thread>
 #include <tuple>
 #include <vector>
 
@@ -296,7 +301,8 @@ TEST(WalCodec, EventsPayloadRoundTrip) {
   columns.Append({.timestamp = 3, .key = 1, .value = 21.5});
   columns.Append({.timestamp = 5, .key = 0, .value = -0.25});
   columns.Append({.timestamp = 5, .key = 2, .value = 1e300});
-  const std::string payload = durability::EncodeEventsPayload(columns);
+  std::string payload = "stale bytes the encoder must overwrite";
+  durability::EncodeEventsPayload(columns, &payload);
 
   EventColumns decoded;
   ASSERT_TRUE(durability::DecodeEventsPayload(payload, &decoded).ok());
@@ -396,14 +402,13 @@ TEST(WalCodec, SegmentAndSnapshotFileNames) {
 /// Writes `count` one-event records starting at the writer's position.
 void AppendEventRecords(durability::WalWriter* wal, int count,
                         TimeT start_ts) {
+  std::string payload;
   for (int i = 0; i < count; ++i) {
     EventColumns one;
     one.Append({.timestamp = start_ts + i, .key = 0,
                 .value = static_cast<double>(i)});
-    ASSERT_TRUE(
-        wal->Append(durability::kWalEvents,
-                    durability::EncodeEventsPayload(one))
-            .ok());
+    durability::EncodeEventsPayload(one, &payload);
+    ASSERT_TRUE(wal->Append(durability::kWalEvents, payload).ok());
   }
 }
 
@@ -542,6 +547,55 @@ TEST(Changelog, HeadTruncatedBehindStartSeqFailsWithStopPosition) {
   // At exactly the surviving segment's base there is no hole.
   ASSERT_TRUE(durability::ReadChangelog(dir.path, 10, &records).ok());
   EXPECT_EQ(records.size(), 2u);
+}
+
+TEST(Changelog, FirstSyncIntoEachSegmentSyncsTheDirectory) {
+  TempDir dir;
+  const std::string sub = dir.path + "/sub";
+  ASSERT_TRUE(durability::EnsureDir(sub).ok());
+  durability::WalWriter wal;
+  ASSERT_TRUE(wal.Open(sub, 0).ok());
+  ASSERT_NO_FATAL_FAILURE(AppendEventRecords(&wal, 2, 100));
+  // The first fsync into the segment carries the directory, later ones
+  // do not; each covers what was appended when it was prepared.
+  const durability::ChangelogSync first = wal.PrepareSync();
+  EXPECT_EQ(first.dir, sub);
+  EXPECT_EQ(first.path, sub + "/" + durability::SegmentFileName(0));
+  EXPECT_GT(first.bytes, 0u);
+  ASSERT_TRUE(durability::SyncChangelog(first).ok());
+  ASSERT_NO_FATAL_FAILURE(AppendEventRecords(&wal, 1, 102));
+  const durability::ChangelogSync later = wal.PrepareSync();
+  EXPECT_TRUE(later.dir.empty());
+  EXPECT_GT(later.bytes, first.bytes);
+  // With the directory renamed away, a later fsync still succeeds: it
+  // does not touch the directory.
+  const std::string moved = dir.path + "/moved";
+  ASSERT_EQ(::rename(sub.c_str(), moved.c_str()), 0);
+  EXPECT_TRUE(durability::SyncChangelog(later).ok());
+  ASSERT_EQ(::rename(moved.c_str(), sub.c_str()), 0);
+
+  // A rolled segment's first fsync carries the directory again, so with
+  // the directory renamed away it fails, naming the directory.
+  ASSERT_TRUE(wal.Roll().ok());
+  ASSERT_NO_FATAL_FAILURE(AppendEventRecords(&wal, 1, 103));
+  ASSERT_EQ(::rename(sub.c_str(), moved.c_str()), 0);
+  const Status status = wal.Sync();
+  EXPECT_FALSE(status.ok());
+  EXPECT_EQ(status.message().rfind("open " + sub + ":", 0), 0u)
+      << status.ToString();
+  ASSERT_TRUE(wal.Close().ok());
+  ASSERT_EQ(::rename(moved.c_str(), sub.c_str()), 0);
+
+  // So does a resumed one.
+  durability::WalWriter resumed;
+  ASSERT_TRUE(resumed.Resume(sub, {3, 1, ReadAll(sub + "/" +
+                                                 durability::SegmentFileName(
+                                                     3))
+                                             .size()})
+                  .ok());
+  EXPECT_EQ(resumed.PrepareSync().dir, sub);
+  EXPECT_TRUE(resumed.PrepareSync().dir.empty());
+  RemoveTree(sub);
 }
 
 // --- Snapshot store --------------------------------------------------------
@@ -1782,6 +1836,280 @@ TEST(SessionDurability, DurabilityFailureIsStickyFailStop) {
   EXPECT_FALSE(push.ok());
   Result<QueryId> added = session.AddQuery(MakeQuery("SUM", 40, 40));
   EXPECT_FALSE(added.ok());
+}
+
+// --- Group commit off the ingest thread ------------------------------------
+
+/// A changelog fsync hook for one test, removed when it goes out of scope
+/// (declare it before the sessions it observes). Changelog fsyncs run one
+/// at a time, so when one starts the previous one has completed: the
+/// probe remembers the bytes that one covered. The `fail_at`-th fsync
+/// fails with EIO; every fsync that starts while `hold` is set waits until
+/// it is cleared — at most 5 s, so a test that forgets fails instead of
+/// hanging.
+class SyncProbe {
+ public:
+  SyncProbe() {
+    durability::SetSyncHookForTesting(
+        [this](const std::string&, uint64_t bytes) { return OnSync(bytes); });
+  }
+  ~SyncProbe() { durability::SetSyncHookForTesting(nullptr); }
+
+  /// Waits (at most 2 s) until `count` fsyncs have started.
+  bool WaitStarted(int count) const {
+    for (int ms = 0; ms < 2000; ++ms) {
+      if (started.load() >= count) return true;
+      std::this_thread::sleep_for(std::chrono::milliseconds(1));
+    }
+    return started.load() >= count;
+  }
+
+  std::atomic<bool> hold{false};
+  std::atomic<int> fail_at{0};
+  std::atomic<int> started{0};
+  /// Bytes the last completed fsync covered.
+  std::atomic<uint64_t> covered{0};
+
+ private:
+  int OnSync(uint64_t bytes) {
+    covered.store(latest_.exchange(bytes));
+    const int call = started.fetch_add(1) + 1;
+    for (int ms = 0; hold.load() && ms < 5000; ++ms) {
+      std::this_thread::sleep_for(std::chrono::milliseconds(1));
+    }
+    return call == fail_at.load() ? EIO : 0;
+  }
+
+  std::atomic<uint64_t> latest_{0};
+};
+
+/// A 2-key durable session with one SUM query, group-committing every
+/// `group` events, no periodic snapshot.
+StreamSession::Options GroupCommitOptions(const std::string& dir,
+                                          uint64_t group) {
+  StreamSession::Options options;
+  options.num_keys = 2;
+  options.durability.enabled = true;
+  options.durability.dir = dir;
+  options.durability.fsync_policy = FsyncPolicy::kInterval;
+  options.durability.fsync_interval_events = group;
+  options.durability.snapshot_interval_events = 0;
+  return options;
+}
+
+EventColumns Slice(const std::vector<Event>& events, size_t begin,
+                   size_t end) {
+  return EventColumns::FromEvents(
+      std::vector<Event>(events.begin() + begin, events.begin() + end));
+}
+
+/// What one uninterrupted, non-durable session delivers over `events`.
+Recorded Uninterrupted(const std::vector<Event>& events) {
+  Recorded oracle;
+  StreamSession session({.num_keys = 2});
+  EXPECT_TRUE(
+      session.AddQuery(MakeQuery("SUM", 20, 10), Tagged(&oracle, 0)).ok());
+  for (const Event& e : events) EXPECT_TRUE(session.Push(e).ok());
+  EXPECT_TRUE(session.Finish().ok());
+  return oracle;
+}
+
+TEST(SessionDurability, HeldGroupCommitBlocksOnlyTheNextGroup) {
+  TempDir dir;
+  constexpr size_t kBatch = 16;
+  constexpr uint64_t kGroup = 4 * kBatch;
+  const std::vector<Event> events = GenerateSyntheticStream(8 * kBatch, 2, 81);
+  SyncProbe probe;
+  StreamSession session(GroupCommitOptions(dir.path, kGroup));
+  ASSERT_TRUE(session.AddQuery(MakeQuery("SUM", 20, 10)).ok());
+  const auto push_batch = [&](size_t b) {
+    return session.PushColumns(Slice(events, b * kBatch, (b + 1) * kBatch));
+  };
+
+  // Batch 3 completes the first group; its commit is held in flight.
+  probe.hold.store(true);
+  std::atomic<bool> returned{false};
+  std::atomic<bool> watchdog_fired{false};
+  std::thread watchdog([&] {
+    // A call that waits for the held commit fails the test after 2 s
+    // instead of hanging it.
+    for (int ms = 0; ms < 2000 && !returned.load(); ++ms) {
+      std::this_thread::sleep_for(std::chrono::milliseconds(1));
+    }
+    if (!returned.load()) {
+      watchdog_fired.store(true);
+      probe.hold.store(false);
+    }
+  });
+  for (size_t b = 0; b < 7; ++b) ASSERT_TRUE(push_batch(b).ok()) << b;
+  returned.store(true);
+  watchdog.join();
+  EXPECT_FALSE(watchdog_fired.load())
+      << "a call that does not complete a group waited for the commit";
+  ASSERT_TRUE(probe.WaitStarted(2));  // The churn sync, then the commit.
+
+  // Batch 7 completes the second group: it waits until the release.
+  std::atomic<bool> pushing{false};
+  std::atomic<bool> released{false};
+  std::thread releaser([&] {
+    while (!pushing.load()) std::this_thread::yield();
+    std::this_thread::sleep_for(std::chrono::milliseconds(50));
+    released.store(true);
+    probe.hold.store(false);
+  });
+  pushing.store(true);
+  ASSERT_TRUE(push_batch(7).ok());
+  EXPECT_TRUE(released.load()) << "the group's call did not wait";
+  releaser.join();
+
+  // Stats() waits for the second commit: the churn sync plus two.
+  EXPECT_EQ(session.Stats().wal_fsyncs, 3u);
+  const telemetry::MetricsSnapshot telemetry = session.Metrics().telemetry;
+  const auto wait = telemetry.histograms.find("durability.fsync_wait_ns");
+  ASSERT_NE(wait, telemetry.histograms.end());
+  EXPECT_EQ(wait->second.count, 2u);  // One per group commit.
+  EXPECT_GE(wait->second.sum, 10'000'000u) << "the held wait went unrecorded";
+  const auto fsync = telemetry.histograms.find("durability.wal_fsync_ns");
+  ASSERT_NE(fsync, telemetry.histograms.end());
+  EXPECT_EQ(fsync->second.count, 3u);
+}
+
+TEST(SessionDurability, FailedGroupCommitFailStops) {
+  TempDir dir;
+  constexpr size_t kBatch = 16;
+  constexpr uint64_t kGroup = 4 * kBatch;
+  const std::vector<Event> events = GenerateSyntheticStream(256, 2, 91);
+  const Recorded oracle = Uninterrupted(events);
+
+  Recorded subject;
+  {
+    SyncProbe probe;
+    probe.fail_at.store(3);  // The churn sync, group 1, then group 2.
+    StreamSession session(GroupCommitOptions(dir.path, kGroup));
+    Recorded delivered;
+    ASSERT_TRUE(
+        session.AddQuery(MakeQuery("SUM", 20, 10), Tagged(&delivered, 0))
+            .ok());
+    for (size_t begin = 0; begin < 2 * kGroup; begin += kBatch) {
+      ASSERT_TRUE(session.PushColumns(Slice(events, begin, begin + kBatch))
+                      .ok());
+    }
+    // Stats() waits for the failed commit; the session latches the
+    // failure at its next mutation, in the ingest wording.
+    EXPECT_EQ(session.Stats().wal_fsyncs, 2u);
+    const size_t next = 2 * kGroup;
+    Status push =
+        session.PushColumns(Slice(events, next, next + kBatch));
+    ASSERT_FALSE(push.ok());
+    const std::string segment =
+        dir.path + "/" + durability::SegmentFileName(0);
+    EXPECT_EQ(push.message().rfind(
+                  "ingest stopped at event 0 (timestamp " +
+                      std::to_string(events[next].timestamp) + "): fsync " +
+                      segment + ": " + std::strerror(EIO),
+                  0),
+              0u)
+        << push.ToString();
+    Result<QueryId> added = session.AddQuery(MakeQuery("SUM", 40, 40));
+    ASSERT_FALSE(added.ok());
+    EXPECT_EQ(push.message().find(added.status().message()),
+              push.message().size() - added.status().message().size());
+    subject = delivered;
+    EXPECT_EQ(session.Finish(), added.status());
+  }
+
+  // The failed session's records stayed in the page cache: with the hook
+  // removed, Recover replays all of them and the resumed run is exact.
+  StreamSession::Options options;
+  options.num_keys = 2;
+  Result<StreamSession::RecoveryInfo> recovered = StreamSession::Recover(
+      dir.path, options, [&subject](QueryId, const StreamQuery&) {
+        return Tagged(&subject, 0);
+      });
+  ASSERT_TRUE(recovered.ok()) << recovered.status().ToString();
+  EXPECT_EQ(recovered->durable_events, 2 * kGroup);
+  EXPECT_EQ(recovered->replayed_records, 1 + 2 * kGroup / kBatch);
+  StreamSession& session = *recovered->session;
+  for (size_t i = recovered->durable_events; i < events.size(); ++i) {
+    ASSERT_TRUE(session.Push(events[i]).ok());
+  }
+  ASSERT_TRUE(session.Finish().ok());
+  EXPECT_EQ(subject.results, oracle.results);
+  EXPECT_GT(subject.redelivered, 0);
+}
+
+TEST(SessionDurability, HostCrashLosesFewerThanTwoGroups) {
+  constexpr uint64_t kGroup = 64;
+  const std::vector<Event> events = GenerateSyntheticStream(400, 2, 101);
+  const Recorded oracle = Uninterrupted(events);
+  for (const size_t batch : {size_t{1}, size_t{7}, size_t{24}}) {
+    SCOPED_TRACE("batch " + std::to_string(batch));
+    TempDir dir;
+    TempDir copy;
+    Recorded subject;
+    size_t admitted = 0;
+    size_t durable_at_crash = 0;
+    {
+      SyncProbe probe;
+      StreamSession session(GroupCommitOptions(dir.path, kGroup));
+      ASSERT_TRUE(
+          session.AddQuery(MakeQuery("SUM", 20, 10), Tagged(&subject, 0))
+              .ok());
+      // Pushes one batch; returns whether it completed a group.
+      uint64_t since_commit = 0;
+      const auto push = [&]() {
+        EXPECT_TRUE(
+            session.PushColumns(Slice(events, admitted, admitted + batch))
+                .ok());
+        admitted += batch;
+        since_commit += batch;
+        if (since_commit < kGroup) return false;
+        since_commit = 0;
+        return true;
+      };
+      while (!push()) {
+      }
+      // Stats() waits for group 1's commit, so only group 2's is held.
+      durable_at_crash = admitted;
+      EXPECT_EQ(session.Stats().wal_fsyncs, 2u);
+      probe.hold.store(true);
+      while (!push()) {
+      }
+      // Group 2's commit is held in flight; fill group 3 up to the batch
+      // that would complete it (and wait for the held commit).
+      while (since_commit + batch < kGroup) push();
+      ASSERT_TRUE(probe.WaitStarted(3));  // Churn, group 1, group 2.
+
+      // The host crash: a copy of the directory whose segment keeps only
+      // what the last completed fsync covered.
+      const std::string name = durability::SegmentFileName(0);
+      const std::string bytes = ReadAll(dir.path + "/" + name);
+      ASSERT_LE(probe.covered.load(), bytes.size());
+      ASSERT_NO_FATAL_FAILURE(WriteAll(
+          copy.path + "/" + name, bytes.substr(0, probe.covered.load())));
+      probe.hold.store(false);
+    }
+
+    StreamSession::Options options;
+    options.num_keys = 2;
+    Result<StreamSession::RecoveryInfo> recovered = StreamSession::Recover(
+        copy.path, options, [&subject](QueryId, const StreamQuery&) {
+          return Tagged(&subject, 0);
+        });
+    ASSERT_TRUE(recovered.ok()) << recovered.status().ToString();
+    const uint64_t durable = recovered->durable_events;
+    EXPECT_EQ(durable, durable_at_crash);
+    // The bound: fewer than 2 × (fsync_interval_events + one batch) lost,
+    // and more than one group — the commit in flight — really was.
+    EXPECT_LT(admitted - durable, 2 * (kGroup + batch));
+    EXPECT_GE(admitted - durable, kGroup);
+    StreamSession& session = *recovered->session;
+    for (size_t i = durable; i < events.size(); ++i) {
+      ASSERT_TRUE(session.Push(events[i]).ok());
+    }
+    ASSERT_TRUE(session.Finish().ok());
+    EXPECT_EQ(subject.results, oracle.results);
+  }
 }
 
 }  // namespace
