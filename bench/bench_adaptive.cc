@@ -75,7 +75,7 @@ int RunOne(bool adaptive, uint32_t start_shards,
     options.auto_resize.enabled = true;
     options.auto_resize.min_shards = 1;
     options.auto_resize.max_shards = start_shards;
-    options.auto_resize.check_interval = 1024;
+    options.monitor_interval = 1024;
     options.auto_resize.scale_down_checks = 2;
     // Event-time throughput signal only (see the file comment): never
     // hot by occupancy, always cold-eligible, η̂ <= 2 per shard.
@@ -83,7 +83,6 @@ int RunOne(bool adaptive, uint32_t start_shards,
     options.auto_resize.scale_down_occupancy = 1.0;
     options.auto_resize.target_rate_per_shard = 2.0;
     options.adaptive.enabled = true;
-    options.adaptive.check_interval = 1024;
     options.adaptive.rate_alpha = 0.5;
     options.adaptive.reoptimize_ratio = 2.0;
     options.adaptive.min_events_between_replans = 4096;

@@ -7,7 +7,10 @@ Runs the repo benchmark ten times untraced (`bench/e2e/run.py --runs 10
 BENCH_<pr>.json. Per workload it holds the median, quartiles and IQR of
 every end-to-end metric BENCHMARK.json lists, the traced run's per-layer
 metrics, and the share of operations that failed; a context block records
-the commit, nproc, compiler and build type.
+the commit, nproc, compiler and build type, and src_lines: the ROADMAP's
+design-quality measure `cat src/*/*.h src/*/*.cc | wc -l`, taken over this
+checkout (the measured tree), so the line count sits beside the perf
+numbers.
 
   bench_ledger.py --pr N
       run the benchmark of this checkout, then write BENCH_N.json; a tree
@@ -52,6 +55,12 @@ def checkout_commit():
     return head + "-dirty" if status.stdout.strip() else head
 
 
+def src_lines():
+    """`cat src/*/*.h src/*/*.cc | wc -l` over this checkout."""
+    files = sorted(REPO.glob("src/*/*.h")) + sorted(REPO.glob("src/*/*.cc"))
+    return sum(f.read_bytes().count(b"\n") for f in files)
+
+
 def load(path, traced, seeds):
     records = []
     for line in Path(path).read_text().splitlines():
@@ -77,6 +86,7 @@ def summarize(untraced, traced, commit):
             "nproc": first["nproc"],
             "compiler": first["compiler"],
             "build_type": first["build_type"],
+            "src_lines": src_lines(),
             "seeds": sorted(r["context"]["seed"] for r in untraced),
             "seconds": first["seconds"],
             "traced_seeds": sorted(r["context"]["seed"] for r in traced),

@@ -2,15 +2,14 @@
 
 #include <algorithm>
 
-#include "common/logging.h"
-
 namespace fw {
 
 ResizePolicy::ResizePolicy(const Options& options) : options_(options) {
-  FW_CHECK_GE(options_.min_shards, 1u);
-  FW_CHECK_GE(options_.max_shards, options_.min_shards);
-  FW_CHECK_GE(options_.scale_down_checks, 1u);
-  FW_CHECK_GE(options_.target_rate_per_shard, 0.0);
+  options_.min_shards = std::max(options_.min_shards, 1u);
+  options_.max_shards = std::max(options_.max_shards, options_.min_shards);
+  options_.scale_down_checks = std::max(options_.scale_down_checks, 1u);
+  options_.target_rate_per_shard =
+      std::max(options_.target_rate_per_shard, 0.0);
 }
 
 bool ResizePolicy::Hot(const ResizeSignal& signal) const {

@@ -61,7 +61,13 @@ struct ResizeSignal {
 /// hopeless resize with no backoff).
 class ResizePolicy {
  public:
+  /// The constructor reads 0 shards or checks as 1, a max_shards below
+  /// min_shards as min_shards, and a negative rate target as 0, so a
+  /// session that never enables the monitor cannot abort on its knobs.
   struct Options {
+    /// Whether StreamSession runs the monitor at all (its
+    /// Options::auto_resize); the policy itself ignores it.
+    bool enabled = false;
     /// Bounds on the proposed shard count. min_shards may be 1; whether
     /// the *policy* will go that low also depends on a rate target (see
     /// class comment).

@@ -59,11 +59,6 @@
 #define FW_RELEASE(...) \
   FW_THREAD_ANNOTATION_ATTRIBUTE_(release_capability(__VA_ARGS__))
 
-/// The function acquires the capability only when returning the given
-/// value (try-lock idiom).
-#define FW_TRY_ACQUIRE(...) \
-  FW_THREAD_ANNOTATION_ATTRIBUTE_(try_acquire_capability(__VA_ARGS__))
-
 /// The function may not be called while holding the capability
 /// (deadlock-prevention contract for functions that acquire it).
 #define FW_EXCLUDES(...) \

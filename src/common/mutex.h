@@ -21,7 +21,6 @@ class FW_CAPABILITY("mutex") Mutex {
 
   void Lock() FW_ACQUIRE() { mu_.lock(); }
   void Unlock() FW_RELEASE() { mu_.unlock(); }
-  bool TryLock() FW_TRY_ACQUIRE(true) { return mu_.try_lock(); }
 
  private:
   std::mutex mu_;  // fw-lint: allow(raw-mutex) — the one wrapping site.

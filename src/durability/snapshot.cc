@@ -11,6 +11,21 @@ namespace durability {
 
 namespace {
 
+/// A watermark travels as its value and a validity byte; kNoWatermark as
+/// 0 and 0.
+void PutWatermark(ByteWriter* w, TimeT watermark) {
+  const bool valid = watermark != kNoWatermark;
+  w->I64(valid ? watermark : 0);
+  w->U8(valid ? 1 : 0);
+}
+
+bool GetWatermark(ByteReader* r, TimeT* watermark) {
+  uint8_t valid = 0;
+  if (!r->I64(watermark) || !r->U8(&valid)) return false;
+  if (valid == 0) *watermark = kNoWatermark;
+  return true;
+}
+
 std::string EncodeMeta(const SnapshotMeta& meta) {
   ByteWriter w;
   w.U32(meta.format_version);
@@ -26,15 +41,13 @@ std::string EncodeMeta(const SnapshotMeta& meta) {
   w.I64(meta.drift_replans);
   w.U64(meta.resize_count);
   w.U64(meta.next_id);
-  w.I64(meta.watermark);
-  w.U8(meta.watermark_valid);
+  PutWatermark(&w, meta.watermark);
   w.U64(meta.retired_ops);
   w.U64(meta.retired_late);
   w.U64(meta.retired_reorder_peak);
   w.U64(meta.retired_closes_total);
   w.U64(meta.retired_finalizes_total);
-  w.I64(meta.retired_watermark);
-  w.U8(meta.retired_watermark_valid);
+  PutWatermark(&w, meta.retired_watermark);
   w.F64(meta.planned_eta);
   return w.Take();
 }
@@ -54,14 +67,12 @@ Status DecodeMeta(std::string_view payload, SnapshotMeta* meta) {
       !r.U64(&meta->events_pushed) || !r.U64(&meta->events_dropped) ||
       !r.I64(&meta->replans) || !r.I64(&meta->drift_replans) ||
       !r.U64(&meta->resize_count) || !r.U64(&meta->next_id) ||
-      !r.I64(&meta->watermark) || !r.U8(&meta->watermark_valid) ||
-      !r.U64(&meta->retired_ops) || !r.U64(&meta->retired_late) ||
-      !r.U64(&meta->retired_reorder_peak) ||
+      !GetWatermark(&r, &meta->watermark) || !r.U64(&meta->retired_ops) ||
+      !r.U64(&meta->retired_late) || !r.U64(&meta->retired_reorder_peak) ||
       !r.U64(&meta->retired_closes_total) ||
       !r.U64(&meta->retired_finalizes_total) ||
-      !r.I64(&meta->retired_watermark) ||
-      !r.U8(&meta->retired_watermark_valid) || !r.F64(&meta->planned_eta) ||
-      !r.AtEnd()) {
+      !GetWatermark(&r, &meta->retired_watermark) ||
+      !r.F64(&meta->planned_eta) || !r.AtEnd()) {
     return Status::InvalidArgument("malformed snapshot meta");
   }
   return Status::OK();

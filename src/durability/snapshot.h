@@ -18,6 +18,7 @@
 
 #include <cstdint>
 #include <functional>
+#include <limits>
 #include <string>
 #include <vector>
 
@@ -34,10 +35,41 @@ inline constexpr uint8_t kSnapEnd = 4;
 
 inline constexpr uint32_t kSnapshotFormatVersion = 1;
 
+/// The session-lifetime tallies: StreamSession keeps them in one of these,
+/// a snapshot carries it whole, and Recover restores it whole (replay
+/// then advances it naturally). A watermark of kNoWatermark means none
+/// yet.
+inline constexpr TimeT kNoWatermark = std::numeric_limits<TimeT>::min();
+struct SessionCounters {
+  /// Next QueryId to assign.
+  uint64_t next_id = 1;
+  /// Newest timestamp admitted; strict sessions reject events behind it.
+  TimeT watermark = kNoWatermark;
+  uint64_t events_pushed = 0;
+  /// Events pushed while no query was live.
+  uint64_t events_dropped = 0;
+  int64_t replans = 0;
+  int64_t drift_replans = 0;
+  uint64_t resize_count = 0;
+  /// Ops of operators dropped by past replans (their counters left the
+  /// executor with them).
+  uint64_t retired_ops = 0;
+  /// Reorder-stage accounting of pipelines retired by idle periods and
+  /// crossovers (live replans carry theirs through the checkpoint).
+  uint64_t retired_late = 0;
+  uint64_t retired_reorder_peak = 0;
+  /// Window-close / finalize tallies of operators retired by replans and
+  /// idle periods (the executor banks its own across Resize).
+  uint64_t retired_closes_total = 0;
+  uint64_t retired_finalizes_total = 0;
+  /// Event-time watermark of the pipeline an idle period retired.
+  TimeT retired_watermark = kNoWatermark;
+};
+
 /// Everything a recovered session restores outside the executor
-/// checkpoint: the options fingerprint (which must match at Recover) and
-/// the session-lifetime counters (which replay then advances naturally).
-struct SnapshotMeta {
+/// checkpoint: the session counters, and the options fingerprint (which
+/// must match at Recover).
+struct SnapshotMeta : SessionCounters {
   uint32_t format_version = kSnapshotFormatVersion;
   /// Changelog records with seq < covered_seq are covered (redundant).
   uint64_t covered_seq = 0;
@@ -50,22 +82,6 @@ struct SnapshotMeta {
   int64_t max_delay = 0;
   uint8_t late_policy = 0;
   uint8_t finished = 0;
-  /// Session counters, session.cc layout (see StreamSession members).
-  uint64_t events_pushed = 0;
-  uint64_t events_dropped = 0;
-  int64_t replans = 0;
-  int64_t drift_replans = 0;
-  uint64_t resize_count = 0;
-  uint64_t next_id = 1;
-  int64_t watermark = 0;
-  uint8_t watermark_valid = 0;  // 0: still numeric_limits::min().
-  uint64_t retired_ops = 0;
-  uint64_t retired_late = 0;
-  uint64_t retired_reorder_peak = 0;
-  uint64_t retired_closes_total = 0;
-  uint64_t retired_finalizes_total = 0;
-  int64_t retired_watermark = 0;
-  uint8_t retired_watermark_valid = 0;
   /// The η the live plan was costed with. Recovery re-optimizes at this
   /// rate *before* re-adding queries, so the deterministic optimizer
   /// reproduces the checkpointed plan structure exactly.

@@ -24,13 +24,6 @@ EventColumns EventColumns::FromEvents(const std::vector<Event>& events) {
   return columns;
 }
 
-std::vector<Event> EventColumns::ToEvents() const {
-  std::vector<Event> events;
-  events.reserve(size());
-  for (size_t i = 0; i < size(); ++i) events.push_back((*this)[i]);
-  return events;
-}
-
 void KeyGroups::Group(const uint32_t* keys, const double* values,
                       size_t count, uint32_t num_keys) {
   if (counts_.size() < num_keys) counts_.assign(num_keys, 0);

@@ -66,9 +66,8 @@ struct EventColumns {
   /// any event, so a ragged batch is all-or-nothing rejected.
   Status Validate() const;
 
-  /// Conversion helpers for the deprecated row-wise hand-off.
+  /// Transposes row-form events (PushBatch's input).
   static EventColumns FromEvents(const std::vector<Event>& events);
-  std::vector<Event> ToEvents() const;
 };
 
 // EventColumns rides through SpscQueue hand-offs (runtime/spsc_queue.h),

@@ -5,7 +5,6 @@
 #include <cstdint>
 #include <map>
 #include <tuple>
-#include <utility>
 #include <vector>
 
 #include "common/mutex.h"
@@ -40,26 +39,6 @@ class ResultSink {
   virtual void OnBlock(int operator_id, TimeT start, TimeT end,
                        const uint32_t* keys, const double* values,
                        size_t count);
-};
-
-/// Receives events one at a time: the late side-output of the sharded
-/// runtime (ShardedExecutor::Options::late_sink, StreamSession's
-/// LatePolicy::kSideOutput). Same single-threaded delivery as ResultSink.
-class EventConsumer {
- public:
-  virtual ~EventConsumer() = default;
-  virtual void Consume(const Event& event) = 0;
-};
-
-/// Adapts any `void(const Event&)` callable to EventConsumer.
-template <typename Fn>
-class ConsumerFn : public EventConsumer {
- public:
-  explicit ConsumerFn(Fn fn) : fn_(std::move(fn)) {}
-  void Consume(const Event& event) override { fn_(event); }
-
- private:
-  Fn fn_;
 };
 
 /// Counts results and checksums values; the default sink for throughput

@@ -295,7 +295,7 @@ void ShardedExecutor::ReorderPush(const Event& event) {
     ++late_events_;
     late_counter_->Increment(0);
     ++late_run_;
-    if (options_.late_sink != nullptr) options_.late_sink->Consume(event);
+    if (options_.late_sink) options_.late_sink(event);
     return;
   }
   if (late_run_ >= kLateBurstThreshold) {

@@ -3,8 +3,10 @@
 
 #include <array>
 #include <cstdint>
+#include <functional>
 #include <limits>
 #include <memory>
+#include <utility>
 #include <vector>
 
 #include "common/mutex.h"
@@ -143,9 +145,8 @@ class ShardedExecutor {
     TimeT max_delay = 0;
     /// Side output for late events (max_delay > 0 only): events behind
     /// the watermark are handed here, on the session thread, in arrival
-    /// order. Null: late events are counted and dropped. Must outlive the
-    /// executor.
-    EventConsumer* late_sink = nullptr;
+    /// order. Empty: late events are counted and dropped.
+    std::function<void(const Event&)> late_sink;
     /// Metric namespace for this executor's instrumentation (DESIGN.md
     /// §13): batch hand-off latency, drain-point stage timings, ring
     /// high-water marks, reorder release/late counts, structural trace
@@ -225,15 +226,15 @@ class ShardedExecutor {
   /// after Finish.
   Status Resize(uint32_t new_num_shards);
 
-  /// Replaces the late-event side output (see Options::late_sink; null
-  /// means count-and-drop). Takes effect with the next pushed event; the
-  /// sink must outlive the executor. Exists for crossover replans: while
-  /// two pipelines ingest the same stream, the new one's late stream is a
-  /// subset of the old one's, so the session mutes it here to keep the
-  /// side output (and its ordering) identical to a single-pipeline run.
-  void set_late_sink(EventConsumer* late_sink) {
+  /// Replaces the late-event side output (see Options::late_sink; empty
+  /// means count-and-drop). Takes effect with the next pushed event.
+  /// Exists for crossover replans: while two pipelines ingest the same
+  /// stream, the new one's late stream is a subset of the old one's, so
+  /// the session mutes it to keep the side output (and its ordering)
+  /// identical to a single-pipeline run, and unmutes the survivor.
+  void set_late_sink(std::function<void(const Event&)> late_sink) {
     session_role_.AssertHeld();  // Public entry: session thread only.
-    options_.late_sink = late_sink;
+    options_.late_sink = std::move(late_sink);
   }
 
   /// Total accumulate/merge ops across all shards. Synchronizes with the

@@ -29,13 +29,6 @@ Status IngestStopped(size_t index, TimeT timestamp, const Status& cause) {
                     "): " + cause.message());
 }
 
-/// The cause for an event before time 0. Window instances start at 0, so
-/// the engine would fold such an event into no window at all.
-Status NegativeTimestamp(TimeT timestamp) {
-  return Status::OutOfRange("timestamp " + std::to_string(timestamp) +
-                            " is negative: event time starts at 0");
-}
-
 /// The recovery-side analogue of IngestStopped — the same stop-position
 /// contract, worded in changelog coordinates: the segment (by base
 /// sequence) and record index where replay had to stop, with the cause
@@ -46,25 +39,6 @@ Status RecoveryStopped(uint64_t segment_base, uint64_t record_index,
                 "recovery stopped at segment " +
                     std::to_string(segment_base) + ", record " +
                     std::to_string(record_index) + ": " + cause.message());
-}
-
-/// AutoResizeOptions kept lenient legacy defaults (min_shards or
-/// scale_down_checks of 0 were historically tolerated); ResizePolicy
-/// validates strictly, so sanitize at the boundary instead of aborting
-/// sessions that never enable the monitor.
-ResizePolicy::Options PolicyOptionsFrom(
-    const StreamSession::AutoResizeOptions& options) {
-  ResizePolicy::Options policy;
-  policy.min_shards = std::max(options.min_shards, 1u);
-  policy.max_shards = std::max(options.max_shards, policy.min_shards);
-  policy.scale_up_occupancy = options.scale_up_occupancy;
-  policy.scale_down_occupancy = options.scale_down_occupancy;
-  policy.scale_down_checks =
-      options.scale_down_checks > 0
-          ? static_cast<uint32_t>(options.scale_down_checks)
-          : 1u;
-  policy.target_rate_per_shard = std::max(options.target_rate_per_shard, 0.0);
-  return policy;
 }
 
 /// RateEstimator validates alpha strictly; a session with adaptive
@@ -208,7 +182,7 @@ StreamSession::StreamSession(const Options& options)
       drift_replans_counter_(metrics_.GetCounter("session.drift_replans")),
       observed_eta_gauge_(metrics_.GetGauge("session.observed_eta")),
       throughput_eps_gauge_(metrics_.GetGauge("session.throughput_eps")),
-      resize_policy_(PolicyOptionsFrom(options.auto_resize)),
+      resize_policy_(options.auto_resize),
       rate_(SanitizedRateAlpha(options.adaptive.rate_alpha)) {
   session_role_.AssertHeld();  // Constructing thread is the caller thread.
   FW_CHECK_GT(options.num_keys, 0u);
@@ -216,15 +190,13 @@ StreamSession::StreamSession(const Options& options)
   if (options_.adaptive.enabled) {
     FW_CHECK_GT(options_.adaptive.rate_alpha, 0.0);
     FW_CHECK_LE(options_.adaptive.rate_alpha, 1.0);
-    FW_CHECK_GT(options_.adaptive.check_interval, 0u);
+    FW_CHECK_GT(options_.monitor_interval, 0u);
     FW_CHECK_GE(options_.adaptive.reoptimize_ratio, 1.0);
   }
-  planned_eta_ = options_.optimizer.eta;
-  if (options_.max_delay > 0 &&
-      options_.late_policy == LatePolicy::kSideOutput &&
-      options_.late_callback) {
-    late_sink_ = std::make_unique<ConsumerFn<LateEventCallback>>(
-        options_.late_callback);
+  // The executors' late side output: the callback under kSideOutput,
+  // nothing under kDrop.
+  if (options_.late_policy != LatePolicy::kSideOutput) {
+    options_.late_callback = nullptr;
   }
   if (options_.durability.enabled) {
     Result<std::unique_ptr<durability::DurabilityManager>> manager =
@@ -265,7 +237,7 @@ Result<QueryId> StreamSession::AddQuery(const StreamQuery& query,
       query, queries_.empty() ? nullptr : &queries_.front()->query));
 
   auto live = std::make_unique<LiveQuery>();
-  live->id = next_id_;
+  live->id = counters_.next_id;
   live->query = query;
   live->callback = std::move(callback);
 
@@ -275,7 +247,7 @@ Result<QueryId> StreamSession::AddQuery(const StreamQuery& query,
   candidate.push_back(live.get());
   FW_RETURN_IF_ERROR(Rebuild(candidate));
 
-  ++next_id_;
+  ++counters_.next_id;
   queries_.push_back(std::move(live));
   if (durability_) {
     // Logged after the commit: a failed Rebuild must leave the changelog
@@ -385,7 +357,7 @@ Status StreamSession::RemoveQuery(QueryId id) {
 std::unique_ptr<StreamSession::Pipeline> StreamSession::NewPipeline(
     MultiQueryOptimizer::SharedPlan shared,
     const std::vector<StreamQuery>& queries,
-    const std::vector<LiveQuery*>& live, EventConsumer* late_sink) {
+    const std::vector<LiveQuery*>& live, LateEventCallback late_sink) {
   std::vector<ResultSink*> sinks;
   sinks.reserve(live.size());
   for (LiveQuery* q : live) sinks.push_back(&q->sink);
@@ -393,7 +365,7 @@ std::unique_ptr<StreamSession::Pipeline> StreamSession::NewPipeline(
   exec_options.num_keys = options_.num_keys;
   exec_options.num_shards = options_.num_shards;
   exec_options.max_delay = options_.max_delay;
-  exec_options.late_sink = late_sink;
+  exec_options.late_sink = std::move(late_sink);
   exec_options.metrics = &metrics_;
   return std::make_unique<Pipeline>(std::move(shared), queries,
                                     std::move(sinks), exec_options);
@@ -401,9 +373,9 @@ std::unique_ptr<StreamSession::Pipeline> StreamSession::NewPipeline(
 
 void StreamSession::BankWork(const ShardedExecutor& executor) {
   for (const RuntimeProfile::OperatorProfile& op : executor.Counters()) {
-    retired_ops_ += op.accumulate_ops;
-    retired_closes_total_ += op.closed_instances;
-    retired_finalizes_total_ += op.finalized_results;
+    counters_.retired_ops += op.accumulate_ops;
+    counters_.retired_closes_total += op.closed_instances;
+    counters_.retired_finalizes_total += op.finalized_results;
   }
 }
 
@@ -419,7 +391,8 @@ Status StreamSession::Rebuild(const std::vector<LiveQuery*>& live) {
         MultiQueryOptimizer::Reoptimize(queries, options_.optimizer,
                                         options_.track_baseline);
     if (!shared.ok()) return shared.status();
-    next = NewPipeline(std::move(*shared), queries, live, late_sink_.get());
+    next = NewPipeline(std::move(*shared), queries, live,
+                       options_.late_callback);
   }
 
   // Churn and idle retire both fold an in-flight crossover back into one
@@ -449,17 +422,18 @@ Status StreamSession::Rebuild(const std::vector<LiveQuery*>& live) {
       // buffered events belonged to those windows, its counters move into
       // the session tallies, and the event-time clock restarts on
       // revival.
-      retired_late_ += live_->executor.late_events();
-      retired_reorder_peak_ = std::max(retired_reorder_peak_,
-                                       live_->executor.reorder_buffer_peak());
-      retired_watermark_ = live_->executor.current_watermark();
+      counters_.retired_late += live_->executor.late_events();
+      counters_.retired_reorder_peak =
+          std::max(counters_.retired_reorder_peak,
+                   live_->executor.reorder_buffer_peak());
+      counters_.retired_watermark = live_->executor.current_watermark();
       metrics_.RecordTrace(telemetry::TraceKind::kIdleRetire);
     }
     // Close/finalize counts never migrate (they are not in the
     // checkpoint): the whole outgoing pipeline's tallies retire here, less
     // the ops that carried over into the new executor.
     BankWork(live_->executor);
-    retired_ops_ -= migration.carried_ops;
+    counters_.retired_ops -= migration.carried_ops;
   } else {
     migration.cold = static_cast<int>(next->shared.plan.num_operators());
   }
@@ -467,7 +441,7 @@ Status StreamSession::Rebuild(const std::vector<LiveQuery*>& live) {
   // Commit; the old pipeline's executor joins before its gate and router
   // go.
   live_ = std::move(next);
-  ++replans_;
+  ++counters_.replans;
   replans_counter_->Increment(0);
   last_migrated_ = migration.migrated;
   last_cold_ = migration.cold;
@@ -503,7 +477,7 @@ Status StreamSession::Resize(uint32_t new_num_shards) {
     FW_RETURN_IF_ERROR(live_->executor.Resize(new_num_shards));
   }
   options_.num_shards = new_num_shards;  // Future replans keep the width.
-  ++resize_count_;
+  ++counters_.resize_count;
   resizes_counter_->Increment(0);
   last_resize_ns_ = timer.ElapsedNanos();
   metrics_.RecordTrace(telemetry::TraceKind::kResize, last_resize_ns_,
@@ -515,19 +489,24 @@ Status StreamSession::Resize(uint32_t new_num_shards) {
   return Status::OK();
 }
 
-void StreamSession::AutoResizeCheck(uint64_t events_at_sample,
-                                    TimeT wm_at_sample) {
-  const AutoResizeOptions& policy = options_.auto_resize;
-  // The throughput signal shares the drift detector's rate estimator;
-  // whichever monitor samples first feeds it the next delta.
-  if (policy.target_rate_per_shard > 0.0) {
+void StreamSession::Sample(uint64_t events_at_sample, TimeT wm_at_sample) {
+  // One rate estimator serves the drift detector and the resize
+  // throughput signal, so it is observed once per sample, first.
+  if (options_.adaptive.enabled ||
+      options_.auto_resize.target_rate_per_shard > 0.0) {
     ObserveRate(events_at_sample, wm_at_sample);
   }
+  if (options_.auto_resize.enabled) AutoResizeCheck();
+  if (options_.adaptive.enabled) DriftCheck(events_at_sample, wm_at_sample);
+}
+
+void StreamSession::AutoResizeCheck() {
   ResizeSignal signal;
   signal.current_shards = live_->executor.num_shards();
   signal.ring_occupancy = live_->executor.RingOccupancy();
   ring_occupancy_gauge_->Set(signal.ring_occupancy);
-  if (policy.target_rate_per_shard > 0.0 && rate_.has_observations()) {
+  if (options_.auto_resize.target_rate_per_shard > 0.0 &&
+      rate_.has_observations()) {
     signal.rate_valid = true;
     signal.observed_rate = rate_.rate();
   }
@@ -587,13 +566,13 @@ void StreamSession::ObserveRate(uint64_t events_at_sample,
 
 void StreamSession::DriftCheck(uint64_t events_at_sample,
                                TimeT wm_at_sample) {
-  ObserveRate(events_at_sample, wm_at_sample);
   if (cross_) return;  // One crossover at a time.
   if (!rate_.has_observations()) return;
   const double eta_hat = rate_.rate();
-  if (eta_hat <= 0.0 || planned_eta_ <= 0.0) return;
-  const double ratio = eta_hat > planned_eta_ ? eta_hat / planned_eta_
-                                              : planned_eta_ / eta_hat;
+  const double planned_eta = options_.optimizer.eta;
+  if (eta_hat <= 0.0 || planned_eta <= 0.0) return;
+  const double ratio = eta_hat > planned_eta ? eta_hat / planned_eta
+                                             : planned_eta / eta_hat;
   if (ratio < options_.adaptive.reoptimize_ratio) return;
   if (events_at_sample - last_drift_replan_events_ <
       options_.adaptive.min_events_between_replans) {
@@ -625,8 +604,7 @@ void StreamSession::StartDriftReplan(double eta_hat, TimeT wm_at_sample) {
   // From here on the session is costed at the observed rate: later churn
   // replans and drift checks both start from η̂.
   options_.optimizer.eta = eta_hat;
-  planned_eta_ = eta_hat;
-  ++drift_replans_;
+  ++counters_.drift_replans;
   drift_replans_counter_->Increment(0);
 
   if (PlansStructurallyEqual(live_->shared.plan, shared->plan)) {
@@ -694,14 +672,14 @@ void StreamSession::CompleteCrossover() {
   // clock starts younger, so its late set — and count — is a subset.)
   const uint64_t old_late = old.late_events();
   const uint64_t new_late = live_->executor.late_events();
-  retired_late_ += old_late > new_late ? old_late - new_late : 0;
-  retired_reorder_peak_ =
-      std::max(retired_reorder_peak_, old.reorder_buffer_peak());
+  counters_.retired_late += old_late > new_late ? old_late - new_late : 0;
+  counters_.retired_reorder_peak =
+      std::max(counters_.retired_reorder_peak, old.reorder_buffer_peak());
   metrics_.RecordTrace(telemetry::TraceKind::kCrossoverDone, 0,
                        static_cast<int64_t>(old.TotalAccumulateOps()));
   cross_.reset();
   // The surviving pipeline takes over late accounting and side outputs.
-  live_->executor.set_late_sink(late_sink_.get());
+  live_->executor.set_late_sink(options_.late_callback);
 }
 
 Status StreamSession::CancelCrossover() {
@@ -719,31 +697,35 @@ Status StreamSession::CancelCrossover() {
   // immediately, and the start >= cutover closes that checkpoint flushes
   // were already delivered above.
   live_ = std::move(cross_);
-  live_->executor.set_late_sink(late_sink_.get());
+  live_->executor.set_late_sink(options_.late_callback);
   return Status::OK();
+}
+
+Status StreamSession::AdmissionCause(TimeT timestamp, uint32_t key,
+                                     TimeT newest) const {
+  if (timestamp < 0) {
+    // Window instances start at 0, so the engine would fold such an event
+    // into no window at all.
+    return Status::OutOfRange("timestamp " + std::to_string(timestamp) +
+                              " is negative: event time starts at 0");
+  }
+  if (options_.max_delay == 0 && timestamp < newest) {
+    return Status::InvalidArgument(
+        "out-of-order event: timestamp " + std::to_string(timestamp) +
+        " behind watermark " + std::to_string(newest));
+  }
+  return Status::OutOfRange("event key " + std::to_string(key) +
+                            " outside key space [0, " +
+                            std::to_string(options_.num_keys) + ")");
 }
 
 Status StreamSession::Push(const Event& event) {
   session_role_.AssertHeld();  // Public entry: caller thread only.
   FW_RETURN_IF_ERROR(CheckMutable());
-  if (event.timestamp < 0) {
+  TimeT& watermark = counters_.watermark;
+  if (!Admissible(event.timestamp, event.key, watermark)) {
     return IngestStopped(0, event.timestamp,
-                         NegativeTimestamp(event.timestamp));
-  }
-  if (options_.max_delay == 0 && event.timestamp < watermark_) {
-    return IngestStopped(
-        0, event.timestamp,
-        Status::InvalidArgument("out-of-order event: timestamp " +
-                                std::to_string(event.timestamp) +
-                                " behind watermark " +
-                                std::to_string(watermark_)));
-  }
-  if (event.key >= options_.num_keys) {
-    return IngestStopped(
-        0, event.timestamp,
-        Status::OutOfRange("event key " + std::to_string(event.key) +
-                           " outside key space [0, " +
-                           std::to_string(options_.num_keys) + ")"));
+                         AdmissionCause(event.timestamp, event.key, watermark));
   }
   // Write-ahead: the event reaches the changelog before it mutates any
   // session state, so a crash between the two replays it instead of
@@ -752,16 +734,16 @@ Status StreamSession::Push(const Event& event) {
     Status logged = DurableAppend(event);
     if (!logged.ok()) return IngestStopped(0, event.timestamp, logged);
   }
-  if (event.timestamp > watermark_) watermark_ = event.timestamp;
-  ++events_pushed_;
+  if (event.timestamp > watermark) watermark = event.timestamp;
+  ++counters_.events_pushed;
   events_pushed_counter_->Increment(0);
   // Event-time lag behind the newest timestamp seen: 0 when in order,
   // the disorder distribution otherwise (late events land past
   // max_delay). Two relaxed adds and a bit_width — no clock read.
   watermark_lag_hist_->Record(
-      0, static_cast<uint64_t>(watermark_ - event.timestamp));
+      0, static_cast<uint64_t>(watermark - event.timestamp));
   if (!live_) {
-    ++events_dropped_;
+    ++counters_.events_dropped;
     events_dropped_counter_->Increment(0);
     return Status::OK();
   }
@@ -769,17 +751,11 @@ Status StreamSession::Push(const Event& event) {
   // earlier result era, and both routers feed the same sinks).
   if (cross_) cross_->executor.Push(event);
   live_->executor.Push(event);
-  if (options_.auto_resize.enabled &&
-      ++events_since_resize_check_ >= options_.auto_resize.check_interval) {
-    events_since_resize_check_ = 0;
-    AutoResizeCheck(events_pushed_, watermark_);
+  if (Monitored() && ++events_since_sample_ >= options_.monitor_interval) {
+    events_since_sample_ = 0;
+    Sample(counters_.events_pushed, watermark);
   }
-  if (options_.adaptive.enabled &&
-      ++events_since_drift_check_ >= options_.adaptive.check_interval) {
-    events_since_drift_check_ = 0;
-    DriftCheck(events_pushed_, watermark_);
-  }
-  MaybeCompleteCrossover(watermark_);
+  MaybeCompleteCrossover(watermark);
   if (durability_) MaybeSnapshot();
   return Status::OK();
 }
@@ -800,69 +776,39 @@ Status StreamSession::PushColumns(const EventColumns& columns) {
     return Status::OK();
   }
 
-  // In-batch positions where a monitor's cadence crosses. Recording the
-  // position *and* the running watermark lets the checks below run with
+  // In-batch positions where the monitor cadence crosses. Recording the
+  // position *and* the running watermark lets the samples below run with
   // the exact stream position scalar Push would have seen — and carrying
-  // the counter remainders (instead of the old at-most-once-per-batch
-  // sampling) keeps the cadence identical across batch boundaries, so
-  // scalar and columnar ingestion of one stream make the same decisions
-  // at the same events.
+  // the counter remainder (instead of sampling at most once per batch)
+  // keeps the cadence identical across batch boundaries, so scalar and
+  // columnar ingestion of one stream make the same decisions at the same
+  // events.
   struct SamplePoint {
-    size_t index;   // Event index within this batch.
-    TimeT wm;       // Watermark after accepting that event.
-    uint8_t kinds;  // Bit 0: resize check due. Bit 1: drift check due.
+    size_t index;  // Event index within this batch.
+    TimeT wm;      // Watermark after accepting that event.
   };
   std::vector<SamplePoint> samples;
-  const bool monitor_resize = live_ && options_.auto_resize.enabled;
-  const bool monitor_drift = live_ && options_.adaptive.enabled;
-  uint64_t resize_streak = events_since_resize_check_;
-  uint64_t drift_streak = events_since_drift_check_;
+  const bool monitored = live_ && Monitored();
+  uint64_t streak = events_since_sample_;
 
-  // Find the acceptable prefix under the ingestion contract — the same
-  // per-event checks Push applies, simulated against a local watermark so
-  // nothing is committed past the first rejection. Per-event telemetry
-  // (the watermark-lag distribution) records exactly as per-event Push
-  // would.
+  // Find the acceptable prefix under the ingestion contract — Push's
+  // admission rules, applied against a local watermark so nothing is
+  // committed past the first rejection. Per-event telemetry (the
+  // watermark-lag distribution) records exactly as per-event Push would.
   size_t accepted = count;
-  Status cause = Status::OK();
-  TimeT advanced = watermark_;
+  TimeT advanced = counters_.watermark;
   for (size_t i = 0; i < count; ++i) {
     const TimeT timestamp = columns.timestamps[i];
-    if (timestamp < 0) {
-      cause = NegativeTimestamp(timestamp);
-      accepted = i;
-      break;
-    }
-    if (options_.max_delay == 0 && timestamp < advanced) {
-      cause = Status::InvalidArgument(
-          "out-of-order event: timestamp " + std::to_string(timestamp) +
-          " behind watermark " + std::to_string(advanced));
-      accepted = i;
-      break;
-    }
-    if (columns.keys[i] >= options_.num_keys) {
-      cause = Status::OutOfRange(
-          "event key " + std::to_string(columns.keys[i]) +
-          " outside key space [0, " + std::to_string(options_.num_keys) +
-          ")");
+    if (!Admissible(timestamp, columns.keys[i], advanced)) {
       accepted = i;
       break;
     }
     if (timestamp > advanced) advanced = timestamp;
-    watermark_lag_hist_->Record(
-        0, static_cast<uint64_t>(advanced - columns.timestamps[i]));
-    uint8_t due = 0;
-    if (monitor_resize &&
-        ++resize_streak >= options_.auto_resize.check_interval) {
-      resize_streak = 0;
-      due |= 1;
+    watermark_lag_hist_->Record(0, static_cast<uint64_t>(advanced - timestamp));
+    if (monitored && ++streak >= options_.monitor_interval) {
+      streak = 0;
+      samples.push_back({i, advanced});
     }
-    if (monitor_drift &&
-        ++drift_streak >= options_.adaptive.check_interval) {
-      drift_streak = 0;
-      due |= 2;
-    }
-    if (due != 0) samples.push_back({i, advanced, due});
   }
 
   // Write-ahead for the whole accepted prefix, as one changelog record,
@@ -879,14 +825,13 @@ Status StreamSession::PushColumns(const EventColumns& columns) {
   push_batch_size_hist_->Record(0, accepted);
 
   // Apply the accepted prefix (possibly the whole batch).
-  const uint64_t events_before = events_pushed_;
-  watermark_ = advanced;
-  events_pushed_ += accepted;
+  const uint64_t events_before = counters_.events_pushed;
+  counters_.watermark = advanced;
+  counters_.events_pushed += accepted;
   events_pushed_counter_->Add(0, accepted);
-  if (monitor_resize) events_since_resize_check_ = resize_streak;
-  if (monitor_drift) events_since_drift_check_ = drift_streak;
+  if (monitored) events_since_sample_ = streak;
   if (!live_) {
-    events_dropped_ += accepted;
+    counters_.events_dropped += accepted;
     events_dropped_counter_->Add(0, accepted);
   } else if (samples.empty() && !cross_ && accepted == count) {
     live_->executor.PushColumns(columns);  // Hot path: one hand-off.
@@ -911,9 +856,7 @@ Status StreamSession::PushColumns(const EventColumns& columns) {
         live_->executor.PushColumns(segment);
       }
       if (sample) {
-        const uint64_t events_at = events_before + sample->index + 1;
-        if (sample->kinds & 1) AutoResizeCheck(events_at, sample->wm);
-        if (sample->kinds & 2) DriftCheck(events_at, sample->wm);
+        Sample(events_before + sample->index + 1, sample->wm);
         // The *running* watermark, not the committed full-batch one:
         // completing against the latter could retire the old pipeline
         // while later rows in this batch still belong to its era.
@@ -923,10 +866,13 @@ Status StreamSession::PushColumns(const EventColumns& columns) {
       begin = end;
     }
   }
-  if (live_ && accepted > 0) MaybeCompleteCrossover(watermark_);
+  if (live_ && accepted > 0) MaybeCompleteCrossover(counters_.watermark);
   if (durability_) MaybeSnapshot();
   if (accepted == count) return Status::OK();
-  return IngestStopped(accepted, columns.timestamps[accepted], cause);
+  const TimeT timestamp = columns.timestamps[accepted];
+  return IngestStopped(
+      accepted, timestamp,
+      AdmissionCause(timestamp, columns.keys[accepted], advanced));
 }
 
 Status StreamSession::Finish() {
@@ -1023,7 +969,7 @@ StreamSession::SessionStats StreamSession::Stats() const {
   SessionStats stats = BuildStats();
   // Crossover double-processing is real work, so it counts: both
   // pipelines' ops while one is in flight.
-  stats.lifetime_ops = retired_ops_;
+  stats.lifetime_ops = counters_.retired_ops;
   for (const Pipeline* pipeline : {cross_.get(), live_.get()}) {
     if (pipeline == nullptr) continue;
     stats.lifetime_ops += pipeline->executor.TotalAccumulateOps();
@@ -1034,16 +980,16 @@ StreamSession::SessionStats StreamSession::Stats() const {
 StreamSession::SessionStats StreamSession::BuildStats() const {
   SessionStats stats;
   stats.live_queries = queries_.size();
-  stats.events_pushed = events_pushed_;
-  stats.events_dropped = events_dropped_;
-  stats.replans = replans_;
+  stats.events_pushed = counters_.events_pushed;
+  stats.events_dropped = counters_.events_dropped;
+  stats.replans = static_cast<int>(counters_.replans);
   stats.operators_migrated = last_migrated_;
   stats.operators_cold = last_cold_;
   stats.last_replan_seconds = last_replan_seconds_;
   stats.num_shards = live_ ? live_->executor.num_shards()
                            : EffectiveShards(options_.num_shards,
                                              options_.num_keys);
-  stats.resize_count = resize_count_;
+  stats.resize_count = counters_.resize_count;
   stats.last_resize_ns = last_resize_ns_;
   if (live_) {
     stats.events_per_shard = live_->executor.EventsPerShard();
@@ -1055,16 +1001,17 @@ StreamSession::SessionStats StreamSession::BuildStats() const {
   // reports; the new pipeline's reorder stage is a muted warm-up.
   const Pipeline* clock = cross_ ? cross_.get() : live_.get();
   stats.late_events =
-      retired_late_ + (clock ? clock->executor.late_events() : 0);
+      counters_.retired_late + (clock ? clock->executor.late_events() : 0);
   stats.reorder_buffered = clock ? clock->executor.reorder_buffered() : 0;
   stats.reorder_buffer_peak =
-      std::max(retired_reorder_peak_,
+      std::max(counters_.retired_reorder_peak,
                clock ? clock->executor.reorder_buffer_peak() : 0);
   if (options_.max_delay == 0) {
-    stats.current_watermark = watermark_;
+    stats.current_watermark = counters_.watermark;
   } else {
     stats.current_watermark =
-        clock ? clock->executor.current_watermark() : retired_watermark_;
+        clock ? clock->executor.current_watermark()
+              : counters_.retired_watermark;
   }
   if (live_) {
     const MultiQueryOptimizer::SharedPlan& shared = live_->shared;
@@ -1079,8 +1026,8 @@ StreamSession::SessionStats StreamSession::BuildStats() const {
         shared.ShardedCost(options_.num_shards, options_.num_keys);
   }
   stats.observed_eta = rate_.has_observations() ? rate_.rate() : 0.0;
-  stats.planned_eta = planned_eta_;
-  stats.drift_replans = drift_replans_;
+  stats.planned_eta = options_.optimizer.eta;
+  stats.drift_replans = static_cast<int>(counters_.drift_replans);
   if (durability_) {
     const durability::DurabilityManager::Counters& d =
         durability_->counters();
@@ -1107,9 +1054,9 @@ StreamSession::SessionMetrics StreamSession::Metrics() const {
   // executor synchronizes once, so the counts are exact at this instant;
   // they are cumulative across Resize but restart at each replan (new
   // plan, new operators).
-  metrics.stats.lifetime_ops = retired_ops_;
-  uint64_t closes_total = retired_closes_total_;
-  uint64_t finalizes_total = retired_finalizes_total_;
+  metrics.stats.lifetime_ops = counters_.retired_ops;
+  uint64_t closes_total = counters_.retired_closes_total;
+  uint64_t finalizes_total = counters_.retired_finalizes_total;
   for (const Pipeline* pipeline : {cross_.get(), live_.get()}) {
     if (pipeline == nullptr) continue;
     for (const RuntimeProfile::OperatorProfile& op :
@@ -1199,28 +1146,13 @@ Status StreamSession::BeginDurableSnapshot() {
   const uint64_t started_ns = MonotonicNanos();
   durability::SnapshotContents contents;
   durability::SnapshotMeta& meta = contents.meta;
-  constexpr TimeT kNoWatermark = std::numeric_limits<TimeT>::min();
-  meta.covered_events = events_pushed_;
+  static_cast<durability::SessionCounters&>(meta) = counters_;
+  meta.covered_events = counters_.events_pushed;
   meta.num_keys = options_.num_keys;
   meta.max_delay = options_.max_delay;
   meta.late_policy = static_cast<uint8_t>(options_.late_policy);
   meta.finished = finished_ ? 1 : 0;
-  meta.events_pushed = events_pushed_;
-  meta.events_dropped = events_dropped_;
-  meta.replans = replans_;
-  meta.drift_replans = drift_replans_;
-  meta.resize_count = resize_count_;
-  meta.next_id = next_id_;
-  meta.watermark_valid = watermark_ != kNoWatermark ? 1 : 0;
-  meta.watermark = meta.watermark_valid ? watermark_ : 0;
-  meta.retired_ops = retired_ops_;
-  meta.retired_late = retired_late_;
-  meta.retired_reorder_peak = retired_reorder_peak_;
-  meta.retired_closes_total = retired_closes_total_;
-  meta.retired_finalizes_total = retired_finalizes_total_;
-  meta.retired_watermark_valid = retired_watermark_ != kNoWatermark ? 1 : 0;
-  meta.retired_watermark = meta.retired_watermark_valid ? retired_watermark_ : 0;
-  meta.planned_eta = planned_eta_;
+  meta.planned_eta = options_.optimizer.eta;
   contents.queries.reserve(queries_.size());
   for (const auto& q : queries_) {
     contents.queries.push_back({q->id, q->query});
@@ -1256,7 +1188,7 @@ Status StreamSession::ReplayRecord(const durability::WalRecord& record,
       StreamQuery query;
       FW_RETURN_IF_ERROR(
           durability::DecodeQueryPayload(record.payload, &id, &query));
-      next_id_ = id;  // Replayed queries keep their original ids.
+      counters_.next_id = id;  // Replayed queries keep their original ids.
       Result<QueryId> added =
           AddQuery(query, callbacks ? callbacks(id, query) : nullptr);
       if (!added.ok()) return added.status();
@@ -1332,24 +1264,10 @@ Status StreamSession::InstallSnapshot(
   }
 
   // Overwrite the counters the install advanced with the snapshot's
-  // values; replay advances them naturally from here.
+  // values; replay advances them naturally from here. The plan's η came
+  // with the options (Recover builds at the snapshot's planned η).
   const durability::SnapshotMeta& meta = contents.meta;
-  constexpr TimeT kNoWatermark = std::numeric_limits<TimeT>::min();
-  next_id_ = meta.next_id;
-  watermark_ = meta.watermark_valid ? meta.watermark : kNoWatermark;
-  events_pushed_ = meta.events_pushed;
-  events_dropped_ = meta.events_dropped;
-  replans_ = static_cast<int>(meta.replans);
-  drift_replans_ = static_cast<int>(meta.drift_replans);
-  resize_count_ = meta.resize_count;
-  retired_ops_ = meta.retired_ops;
-  retired_late_ = meta.retired_late;
-  retired_reorder_peak_ = meta.retired_reorder_peak;
-  retired_closes_total_ = meta.retired_closes_total;
-  retired_finalizes_total_ = meta.retired_finalizes_total;
-  retired_watermark_ =
-      meta.retired_watermark_valid ? meta.retired_watermark : kNoWatermark;
-  planned_eta_ = meta.planned_eta;
+  counters_ = static_cast<const durability::SessionCounters&>(meta);
   if (meta.finished) finished_ = true;
   return Status::OK();
 }
@@ -1460,7 +1378,7 @@ Result<StreamSession::RecoveryInfo> StreamSession::Recover(
                       MonotonicNanos() - started_ns,
                       static_cast<int64_t>(info.replayed_records),
                       info.snapshots_skipped);
-  info.durable_events = session->events_pushed_;
+  info.durable_events = session->counters_.events_pushed;
   info.recovered_queries = session->queries_.size();
   info.session = std::move(session);
   return info;

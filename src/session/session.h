@@ -14,6 +14,7 @@
 #include "common/status.h"
 #include "cost/runtime_profile.h"
 #include "durability/options.h"
+#include "durability/snapshot.h"
 #include "exec/columns.h"
 #include "exec/event.h"
 #include "multi/multi_query.h"
@@ -26,7 +27,6 @@ namespace fw {
 
 namespace durability {
 class DurabilityManager;
-struct SnapshotContents;
 struct WalRecord;
 }  // namespace durability
 
@@ -135,10 +135,10 @@ using QueryId = uint64_t;
 /// at the target width from the start would emit — no result is dropped,
 /// duplicated, or reordered, and churn replans and bounded-lateness
 /// disorder keep working across the swap. Options::auto_resize turns on
-/// a load monitor that samples the hand-off ring occupancy every few
-/// thousand events and re-scales within [min_shards, max_shards]
-/// automatically; because resizes are exact, *when* they trigger never
-/// affects results.
+/// a load monitor that samples the hand-off ring occupancy every
+/// Options::monitor_interval events and re-scales within [min_shards,
+/// max_shards] automatically; because resizes are exact, *when* they
+/// trigger never affects results.
 ///
 /// Sessions are push-based and driven from one caller thread; with
 /// max_delay = 0 events must arrive in non-decreasing timestamp order
@@ -166,11 +166,12 @@ class StreamSession {
     kSideOutput,  // Count, then hand to Options::late_callback.
   };
 
-  /// Load-driven shard re-scaling (see the class comment). The monitor
-  /// runs on the Push thread: every check_interval accepted events it
-  /// samples the executor and asks the blended ResizePolicy
-  /// (adaptive/resize_policy.h) for a target width. Two signals blend
-  /// per sample:
+  /// Load-driven shard re-scaling (see the class comment): the options of
+  /// the blended ResizePolicy (adaptive/resize_policy.h), whose
+  /// constructor reads 0 shards or checks as 1. The monitor runs on the
+  /// Push thread: every Options::monitor_interval accepted events it
+  /// samples the executor and asks the policy for a target width. Two
+  /// signals blend per sample:
   ///
   ///  * worst-shard SPSC ring occupancy (in-flight batches / ring
   ///    capacity) — the legacy signal: scale up at scale_up_occupancy,
@@ -196,29 +197,15 @@ class StreamSession {
   /// the same guards. Because resizes are exact, *when* they trigger
   /// never affects results; every automatic resize counts in
   /// SessionStats::resize_count, exactly like an explicit Resize.
-  struct AutoResizeOptions {
-    bool enabled = false;
-    uint32_t min_shards = 1;
-    uint32_t max_shards = 8;
-    /// Accepted events between monitor samples.
-    uint64_t check_interval = 8192;
-    double scale_up_occupancy = 0.5;
-    double scale_down_occupancy = 0.02;
-    /// Consecutive low samples required before scaling down (hysteresis:
-    /// scale up fast, down slowly).
-    int scale_down_checks = 4;
-    /// Events per event-time unit one shard is expected to absorb; a
-    /// non-zero value turns on the throughput signal (0 keeps the legacy
-    /// occupancy-only monitor, which never scales below 2 shards).
-    double target_rate_per_shard = 0.0;
-  };
+  using AutoResizeOptions = ResizePolicy::Options;
 
   /// Runtime-adaptive re-optimization (DESIGN.md §15): the session
   /// estimates the observed event rate η̂ (an EWMA over event time, fed
-  /// every check_interval accepted events) and, when it drifts a factor
-  /// of reoptimize_ratio away from the η the current shared plan was
-  /// costed with, re-runs MultiQueryOptimizer::Reoptimize at η̂ — the
-  /// paper's §VI dynamic cost estimates, closed mid-stream. A replan
+  /// every Options::monitor_interval accepted events) and, when it drifts
+  /// a factor of reoptimize_ratio away from the η the current shared plan
+  /// was costed with (OptimizerOptions::eta), re-runs
+  /// MultiQueryOptimizer::Reoptimize at η̂ — the paper's §VI dynamic cost
+  /// estimates, closed mid-stream — and adopts η̂ as that η. A replan
   /// that keeps the plan structure adopts the new costing in place; one
   /// that changes it (lower rates evict factor windows, higher rates
   /// reinstate them) switches over through a bounded dual-pipeline
@@ -236,8 +223,6 @@ class StreamSession {
     /// EWMA weight of the newest rate observation, in (0, 1]. The one
     /// rate estimator is shared with the auto-resize throughput signal.
     double rate_alpha = 0.3;
-    /// Accepted events between drift checks.
-    uint64_t check_interval = 8192;
     /// Re-optimize when η̂ and the planned η differ by at least this
     /// factor, in either direction.
     double reoptimize_ratio = 2.0;
@@ -270,6 +255,10 @@ class StreamSession {
     /// Feedback-driven re-optimization; off by default (the shared plan
     /// only changes via AddQuery/RemoveQuery).
     AdaptiveOptions adaptive = {};
+    /// Accepted events between monitor samples. One cadence serves both
+    /// monitors: each sample observes the event rate at most once, then
+    /// runs the auto-resize step and then the drift check, as enabled.
+    uint64_t monitor_interval = 8192;
     /// Knobs forwarded to the cost-based optimizer on every (re)plan.
     OptimizerOptions optimizer = {};
     /// Also compute the independently-optimized per-query cost baseline on
@@ -668,11 +657,11 @@ class StreamSession {
   struct Pipeline;
 
   /// Builds a pipeline executing `shared` for `live` (whose queries are
-  /// `queries`), handing late events to `late_sink`.
+  /// `queries`), handing late events to `late_sink` (empty: muted).
   std::unique_ptr<Pipeline> NewPipeline(
       MultiQueryOptimizer::SharedPlan shared,
       const std::vector<StreamQuery>& queries,
-      const std::vector<LiveQuery*>& live, EventConsumer* late_sink)
+      const std::vector<LiveQuery*>& live, LateEventCallback late_sink)
       FW_REQUIRES(session_role_);
 
   /// Adds an outgoing executor's ops, closes and finalizes to the
@@ -688,23 +677,44 @@ class StreamSession {
   Status Rebuild(const std::vector<LiveQuery*>& live)
       FW_REQUIRES(session_role_);
 
-  /// One auto-resize policy step (see AutoResizeOptions), sampled at the
-  /// monitor cadence from Push/PushColumns while a pipeline is live.
+  /// The three admission rules every ingest entry point applies to one
+  /// event, against `newest`, the newest timestamp admitted before it:
+  /// event time starts at 0, a strict session admits no regression, and
+  /// the key lies below num_keys.
+  bool Admissible(TimeT timestamp, uint32_t key, TimeT newest) const
+      FW_REQUIRES(session_role_) {
+    return timestamp >= 0 && (options_.max_delay > 0 || timestamp >= newest) &&
+           key < options_.num_keys;
+  }
+  /// Words the first of those rules an inadmissible event breaks.
+  Status AdmissionCause(TimeT timestamp, uint32_t key, TimeT newest) const
+      FW_REQUIRES(session_role_);
+
+  /// Whether any monitor samples at Options::monitor_interval.
+  bool Monitored() const FW_REQUIRES(session_role_) {
+    return options_.auto_resize.enabled || options_.adaptive.enabled;
+  }
+  /// One monitor sample, taken from Push/PushColumns while a pipeline is
+  /// live: observes the rate once (when a monitor reads it), then runs
+  /// AutoResizeCheck and DriftCheck, as enabled, in that order.
   /// `events_at_sample`/`wm_at_sample` pin the sample to a stream
   /// position: the scalar path passes its running counters, the columnar
   /// path the mid-batch values where the cadence crossed — so both paths
-  /// feed the rate estimator identical observations.
-  void AutoResizeCheck(uint64_t events_at_sample, TimeT wm_at_sample)
+  /// make identical observations and decisions.
+  void Sample(uint64_t events_at_sample, TimeT wm_at_sample)
       FW_REQUIRES(session_role_);
+
+  /// One auto-resize policy step (see AutoResizeOptions).
+  void AutoResizeCheck() FW_REQUIRES(session_role_);
 
   /// Feeds the shared rate estimator the (events, event-time) delta
   /// since the previous observation, and publishes the rate gauges.
   void ObserveRate(uint64_t events_at_sample, TimeT wm_at_sample)
       FW_REQUIRES(session_role_);
 
-  /// One drift-detector step (see AdaptiveOptions): observe the rate,
-  /// compare η̂ against the planned η, start a drift replan past the
-  /// threshold (and cooldown). Skipped while a crossover is in flight.
+  /// One drift-detector step (see AdaptiveOptions): compare η̂ against the
+  /// planned η, start a drift replan past the threshold (and cooldown).
+  /// Skipped while a crossover is in flight.
   void DriftCheck(uint64_t events_at_sample, TimeT wm_at_sample)
       FW_REQUIRES(session_role_);
 
@@ -824,53 +834,28 @@ class StreamSession {
   telemetry::Gauge* const observed_eta_gauge_;
   telemetry::Gauge* const throughput_eps_gauge_;
 
-  QueryId next_id_ FW_GUARDED_BY(session_role_) = 1;
   /// Plan order.
   std::vector<std::unique_ptr<LiveQuery>> queries_
       FW_GUARDED_BY(session_role_);
 
-  /// Adapter handing late events to Options::late_callback; wired as the
-  /// executor's side-output sink, so it must outlive every executor.
-  std::unique_ptr<EventConsumer> late_sink_ FW_GUARDED_BY(session_role_);
-
   /// The live pipeline (null while no query is live) and the outgoing
   /// pipeline of an in-flight drift crossover (null almost always).
-  /// Declared after queries_ and late_sink_, which their routers and
-  /// executors reference.
+  /// Declared after queries_, which their routers reference.
   std::unique_ptr<Pipeline> live_ FW_GUARDED_BY(session_role_);
   std::unique_ptr<Pipeline> cross_ FW_GUARDED_BY(session_role_);
 
   bool finished_ FW_GUARDED_BY(session_role_) = false;
-  /// Newest timestamp accepted; strict (max_delay = 0) sessions reject
-  /// events behind it.
-  TimeT watermark_ FW_GUARDED_BY(session_role_) =
-      std::numeric_limits<TimeT>::min();
-  uint64_t events_pushed_ FW_GUARDED_BY(session_role_) = 0;
-  uint64_t events_dropped_ FW_GUARDED_BY(session_role_) = 0;
-  /// Ops of operators dropped by past replans (their counters left the
-  /// executor with them).
-  uint64_t retired_ops_ FW_GUARDED_BY(session_role_) = 0;
-  /// Reorder-stage accounting of pipelines retired by idle periods (live
-  /// replans carry theirs through the checkpoint instead).
-  uint64_t retired_late_ FW_GUARDED_BY(session_role_) = 0;
-  uint64_t retired_reorder_peak_ FW_GUARDED_BY(session_role_) = 0;
-  /// Window-close / finalize tallies of operators retired by replans and
-  /// idle periods (the executor banks its own across Resize); see
-  /// SessionMetrics::closed_instances_total.
-  uint64_t retired_closes_total_ FW_GUARDED_BY(session_role_) = 0;
-  uint64_t retired_finalizes_total_ FW_GUARDED_BY(session_role_) = 0;
-  TimeT retired_watermark_ FW_GUARDED_BY(session_role_) =
-      std::numeric_limits<TimeT>::min();
-  int replans_ FW_GUARDED_BY(session_role_) = 0;
+  /// The session-lifetime tallies a snapshot carries (ids, watermark,
+  /// event and replan counts, retired-pipeline totals).
+  durability::SessionCounters counters_ FW_GUARDED_BY(session_role_);
   int last_migrated_ FW_GUARDED_BY(session_role_) = 0;
   int last_cold_ FW_GUARDED_BY(session_role_) = 0;
   double last_replan_seconds_ FW_GUARDED_BY(session_role_) = 0.0;
-  uint64_t resize_count_ FW_GUARDED_BY(session_role_) = 0;
   uint64_t last_resize_ns_ FW_GUARDED_BY(session_role_) = 0;
-  /// Auto-resize monitor: accepted events since the last sample, and the
-  /// blended decision policy (which owns the scale-down hysteresis —
-  /// including the reset-on-veto backoff).
-  uint64_t events_since_resize_check_ FW_GUARDED_BY(session_role_) = 0;
+  /// Accepted events since the last monitor sample, and the blended
+  /// resize policy (which owns the scale-down hysteresis — including the
+  /// reset-on-veto backoff).
+  uint64_t events_since_sample_ FW_GUARDED_BY(session_role_) = 0;
   ResizePolicy resize_policy_ FW_GUARDED_BY(session_role_);
 
   /// Shared observed-rate estimator (η̂): one EWMA feeds both the
@@ -884,13 +869,9 @@ class StreamSession {
   /// events/sec gauge (telemetry-only; decisions use event time).
   uint64_t rate_last_ns_ FW_GUARDED_BY(session_role_) = 0;
 
-  /// Drift detector state: η the current plan is costed at, accepted
-  /// events since the last check, the stream position of the last drift
-  /// replan (cooldown), and the cumulative replan count.
-  double planned_eta_ FW_GUARDED_BY(session_role_) = 1.0;
-  uint64_t events_since_drift_check_ FW_GUARDED_BY(session_role_) = 0;
+  /// Drift detector cooldown: the stream position of the last drift
+  /// replan. The plan is costed at options_.optimizer.eta.
   uint64_t last_drift_replan_events_ FW_GUARDED_BY(session_role_) = 0;
-  int drift_replans_ FW_GUARDED_BY(session_role_) = 0;
 
   /// Durability manager (null unless Options::durability.enabled) and
   /// the sticky first durability failure: once an append or snapshot

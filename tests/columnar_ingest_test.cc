@@ -52,13 +52,6 @@ TEST(EventColumns, RoundTripAndAccessors) {
     EXPECT_EQ(e.key, events[i].key);
     EXPECT_EQ(e.value, events[i].value);
   }
-  const std::vector<Event> back = columns.ToEvents();
-  ASSERT_EQ(back.size(), events.size());
-  for (size_t i = 0; i < events.size(); ++i) {
-    EXPECT_EQ(back[i].timestamp, events[i].timestamp);
-    EXPECT_EQ(back[i].key, events[i].key);
-    EXPECT_EQ(back[i].value, events[i].value);
-  }
   columns.clear();
   EXPECT_TRUE(columns.empty());
   columns.Append(Event{.timestamp = 9, .key = 2, .value = 1.0});
@@ -384,24 +377,53 @@ TEST(ColumnarSession, ErrorWordingIdenticalAcrossEntryPoints) {
 
 // Event time starts at 0: a negative timestamp would fold into no window
 // instance and vanish. Every entry point rejects it under the shared
-// contract, strict or not, and applies nothing from it on.
+// contract, strict or not, and applies nothing from it on. The other two
+// admission rules (no regression in a strict session, key below
+// num_keys) share the contract too: every entry point gives the same
+// code, the same cause text and the same applied prefix, with index 0
+// for Push; when an event breaks two rules, the first in that order
+// names the cause.
 TEST(ColumnarSession, NegativeTimestampRejectedAcrossEntryPoints) {
-  const std::vector<Event> events = {
-      {.timestamp = 5, .key = 0, .value = 1.0},
-      {.timestamp = 7, .key = 0, .value = 2.0},
-      {.timestamp = -3, .key = 0, .value = 3.0},  // Before time 0.
-      {.timestamp = 8, .key = 0, .value = 4.0},
+  struct Case {
+    TimeT max_delay;
+    Event bad;  // Pushed third, after timestamps 5 and 7.
+    StatusCode code;
+    std::string cause;
   };
-  for (const TimeT max_delay : {TimeT{0}, TimeT{16}}) {
-    SCOPED_TRACE("max_delay " + std::to_string(max_delay));
+  const std::string negative =
+      "timestamp -3 is negative: event time starts at 0";
+  const std::string key_range = "event key 9 outside key space [0, 4)";
+  const std::vector<Case> cases = {
+      {0, {.timestamp = -3, .key = 0}, StatusCode::kOutOfRange, negative},
+      {16, {.timestamp = -3, .key = 0}, StatusCode::kOutOfRange, negative},
+      {0, {.timestamp = -3, .key = 9}, StatusCode::kOutOfRange, negative},
+      {0, {.timestamp = 6, .key = 0}, StatusCode::kInvalidArgument,
+       "out-of-order event: timestamp 6 behind watermark 7"},
+      {0, {.timestamp = 6, .key = 9}, StatusCode::kInvalidArgument,
+       "out-of-order event: timestamp 6 behind watermark 7"},
+      {0, {.timestamp = 8, .key = 9}, StatusCode::kOutOfRange, key_range},
+      {16, {.timestamp = 6, .key = 9}, StatusCode::kOutOfRange, key_range},
+  };
+  for (const Case& c : cases) {
+    const std::vector<Event> events = {
+        {.timestamp = 5, .key = 1, .value = 1.0},
+        {.timestamp = 7, .key = 3, .value = 2.0},
+        {.timestamp = c.bad.timestamp, .key = c.bad.key, .value = 3.0},
+        {.timestamp = 8, .key = 0, .value = 4.0},
+    };
+    const std::string timestamp = std::to_string(c.bad.timestamp);
+    SCOPED_TRACE("max_delay " + std::to_string(c.max_delay) + ", event (" +
+                 timestamp + ", " + std::to_string(c.bad.key) + ")");
     StreamSession::Options options;
-    options.max_delay = max_delay;
+    options.num_keys = 4;
+    options.max_delay = c.max_delay;
     std::vector<Status> statuses;
     std::vector<uint64_t> pushed;
     for (const int entry : {0, 1, 2}) {  // PushBatch, PushColumns, Push.
       StreamSession session(options);
       ASSERT_TRUE(
-          session.AddQuery(Query().Sum("v").From("t").Tumbling(10)).ok());
+          session.AddQuery(Query().Sum("v").From("t").PerKey("k").Tumbling(10))
+              .ok());
       Status status;
       if (entry == 0) {
         status = session.PushBatch(events);
@@ -415,17 +437,15 @@ TEST(ColumnarSession, NegativeTimestampRejectedAcrossEntryPoints) {
       statuses.push_back(status);
       pushed.push_back(session.Stats().events_pushed);
     }
-    EXPECT_EQ(statuses[0].code(), StatusCode::kOutOfRange);
-    EXPECT_EQ(statuses[0].message(),
-              "ingest stopped at event 2 (timestamp -3): timestamp -3 is "
-              "negative: event time starts at 0");
-    EXPECT_EQ(statuses[1].code(), statuses[0].code());
+    EXPECT_EQ(statuses[0].code(), c.code);
+    EXPECT_EQ(statuses[0].message(), "ingest stopped at event 2 (timestamp " +
+                                         timestamp + "): " + c.cause);
+    EXPECT_EQ(statuses[1].code(), c.code);
     EXPECT_EQ(statuses[1].message(), statuses[0].message());
     // Per-event Push reports index 0, with the same cause.
-    EXPECT_EQ(statuses[2].code(), StatusCode::kOutOfRange);
-    EXPECT_EQ(statuses[2].message(),
-              "ingest stopped at event 0 (timestamp -3): timestamp -3 is "
-              "negative: event time starts at 0");
+    EXPECT_EQ(statuses[2].code(), c.code);
+    EXPECT_EQ(statuses[2].message(), "ingest stopped at event 0 (timestamp " +
+                                         timestamp + "): " + c.cause);
     EXPECT_EQ(pushed, (std::vector<uint64_t>{2, 2, 2}));
   }
 

@@ -610,7 +610,6 @@ durability::SnapshotContents MakeSnapshot(uint64_t covered_seq) {
   contents.meta.events_pushed = covered_seq;
   contents.meta.next_id = 3;
   contents.meta.watermark = 123;
-  contents.meta.watermark_valid = 1;
   contents.meta.planned_eta = 0.75;
   contents.queries.push_back({1, MakeQuery("SUM", 20, 10)});
   contents.queries.push_back({2, MakeQuery("SUM", 60, 60)});
@@ -635,7 +634,6 @@ TEST(SnapshotStore, WriteLoadRoundTrip) {
   EXPECT_EQ(meta.late_policy, 1);
   EXPECT_EQ(meta.next_id, 3u);
   EXPECT_EQ(meta.watermark, 123);
-  EXPECT_EQ(meta.watermark_valid, 1);
   EXPECT_EQ(meta.planned_eta, 0.75);
   ASSERT_EQ(loaded->contents.queries.size(), 2u);
   EXPECT_EQ(loaded->contents.queries[0].id, 1u);
@@ -643,6 +641,90 @@ TEST(SnapshotStore, WriteLoadRoundTrip) {
             MakeQuery("SUM", 60, 60).ToSql());
   EXPECT_TRUE(loaded->contents.has_checkpoint);
   EXPECT_EQ(loaded->contents.checkpoint, ExecutorCheckpoint().Serialize());
+}
+
+std::string Unhex(std::string_view hex) {
+  std::string bytes;
+  for (size_t i = 0; i + 1 < hex.size(); i += 2) {
+    bytes.push_back(static_cast<char>(
+        std::stoi(std::string(hex.substr(i, 2)), nullptr, 16)));
+  }
+  return bytes;
+}
+
+TEST(SnapshotStore, MetaGoldenBytes) {
+  // Pins the meta frame byte for byte, so any change to it is deliberate:
+  // every session counter non-default, the watermark present and the
+  // retired watermark absent (a validity byte 0 and a value of 0).
+  const std::string expected =
+      Unhex("01000000"           // Format version 1,
+            "0700000000000000"   // covered_seq 7,
+            "2c01000000000000"   // covered_events 300,
+            "04000000"           // num_keys 4,
+            "1000000000000000"   // max_delay 16,
+            "01"                 // late_policy 1,
+            "01"                 // finished,
+            "2c01000000000000"   // events_pushed 300,
+            "0c00000000000000"   // events_dropped 12,
+            "0500000000000000"   // replans 5,
+            "0200000000000000"   // drift_replans 2,
+            "0300000000000000"   // resize_count 3,
+            "0600000000000000"   // next_id 6,
+            "2201000000000000"   // watermark 290,
+            "01"                 //   present;
+            "e803000000000000"   // retired_ops 1000,
+            "0900000000000000"   // retired_late 9,
+            "1100000000000000"   // retired_reorder_peak 17,
+            "2800000000000000"   // retired_closes_total 40,
+            "5000000000000000"   // retired_finalizes_total 80,
+            "0000000000000000"   // retired_watermark
+            "00"                 //   absent;
+            "000000000000e83f");  // planned_eta 0.75.
+
+  // Bytes to meta: a file of this meta frame and the terminator loads.
+  TempDir in;
+  {
+    FramedFileWriter writer;
+    ASSERT_TRUE(
+        writer.Open(in.path + "/" + durability::SnapshotFileName(7)).ok());
+    ASSERT_TRUE(writer.Append(durability::kSnapMeta, expected).ok());
+    ASSERT_TRUE(writer.Append(durability::kSnapEnd, std::string_view()).ok());
+    ASSERT_TRUE(writer.Close().ok());
+  }
+  Result<durability::LoadedSnapshot> loaded =
+      durability::LoadLatestSnapshot(in.path);
+  ASSERT_TRUE(loaded.ok()) << loaded.status().ToString();
+  ASSERT_TRUE(loaded->found);
+  const durability::SnapshotMeta& meta = loaded->contents.meta;
+  EXPECT_EQ(meta.covered_seq, 7u);
+  EXPECT_EQ(meta.covered_events, 300u);
+  EXPECT_EQ(meta.num_keys, 4u);
+  EXPECT_EQ(meta.max_delay, 16);
+  EXPECT_EQ(meta.late_policy, 1);
+  EXPECT_EQ(meta.finished, 1);
+  EXPECT_EQ(meta.events_pushed, 300u);
+  EXPECT_EQ(meta.events_dropped, 12u);
+  EXPECT_EQ(meta.replans, 5);
+  EXPECT_EQ(meta.drift_replans, 2);
+  EXPECT_EQ(meta.resize_count, 3u);
+  EXPECT_EQ(meta.next_id, 6u);
+  EXPECT_EQ(meta.watermark, 290);
+  EXPECT_EQ(meta.retired_ops, 1000u);
+  EXPECT_EQ(meta.retired_late, 9u);
+  EXPECT_EQ(meta.retired_reorder_peak, 17u);
+  EXPECT_EQ(meta.retired_closes_total, 40u);
+  EXPECT_EQ(meta.retired_finalizes_total, 80u);
+  EXPECT_EQ(meta.planned_eta, 0.75);
+
+  // Meta to bytes: writing the loaded meta back reproduces them.
+  TempDir out;
+  ASSERT_TRUE(durability::WriteSnapshotFile(out.path, loaded->contents).ok());
+  FramedBuffer frames(
+      ReadAll(out.path + "/" + durability::SnapshotFileName(7)));
+  Frame frame;
+  ASSERT_EQ(frames.Next(&frame), FramedBuffer::Outcome::kFrame);
+  EXPECT_EQ(frame.type, durability::kSnapMeta);
+  EXPECT_EQ(frame.payload, expected);
 }
 
 TEST(SnapshotStore, EmptyDirFindsNothing) {

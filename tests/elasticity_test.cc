@@ -606,7 +606,7 @@ TEST(StatsLifecycle, RingOccupancyZeroesOnIdleRetireAndFinish) {
   options.auto_resize.enabled = true;
   options.auto_resize.min_shards = 4;
   options.auto_resize.max_shards = 4;
-  options.auto_resize.check_interval = 512;
+  options.monitor_interval = 512;
   StreamSession session(options);
   Result<QueryId> only = session.AddQuery(PerDevice(20));
   ASSERT_TRUE(only.ok());
@@ -663,7 +663,7 @@ TEST(AutoResize, ScalesUpToMaxUnderForcedHighOccupancy) {
   options.num_shards = 1;
   options.auto_resize.enabled = true;
   options.auto_resize.max_shards = 4;
-  options.auto_resize.check_interval = 512;
+  options.monitor_interval = 512;
   options.auto_resize.scale_up_occupancy = 0.0;
   options.auto_resize.scale_down_occupancy = -1.0;  // Never down.
   StreamSession session(options);
@@ -698,7 +698,7 @@ TEST(AutoResize, ScalesDownWhenRingsSitEmpty) {
   options.auto_resize.enabled = true;
   options.auto_resize.min_shards = 1;
   options.auto_resize.max_shards = 4;
-  options.auto_resize.check_interval = 512;
+  options.monitor_interval = 512;
   options.auto_resize.scale_up_occupancy = 2.0;    // Never up.
   options.auto_resize.scale_down_occupancy = 1.0;  // Always "idle".
   options.auto_resize.scale_down_checks = 2;
@@ -724,7 +724,7 @@ TEST(AutoResize, ClampsASessionBelowMinShardsIntoRange) {
   options.auto_resize.enabled = true;
   options.auto_resize.min_shards = 2;
   options.auto_resize.max_shards = 4;
-  options.auto_resize.check_interval = 256;
+  options.monitor_interval = 256;
   options.auto_resize.scale_up_occupancy = 2.0;     // Never up by load.
   options.auto_resize.scale_down_occupancy = -1.0;  // Never down.
   StreamSession session(options);
@@ -745,7 +745,7 @@ TEST(AutoResize, KeylessSessionNeverChurnsExecutors) {
   options.auto_resize.enabled = true;
   options.auto_resize.min_shards = 1;
   options.auto_resize.max_shards = 8;
-  options.auto_resize.check_interval = 256;
+  options.monitor_interval = 256;
   options.auto_resize.scale_up_occupancy = 0.0;  // Begs to scale up.
   StreamSession session(options);
   ASSERT_TRUE(
@@ -810,7 +810,7 @@ TEST(AutoResize, RateSignalScalesDownToInlineAndBackOut) {
   options.auto_resize.enabled = true;
   options.auto_resize.min_shards = 1;
   options.auto_resize.max_shards = 4;
-  options.auto_resize.check_interval = 512;
+  options.monitor_interval = 512;
   options.auto_resize.scale_up_occupancy = 2.0;    // Never up by load.
   options.auto_resize.scale_down_occupancy = 1.0;  // Always cold-eligible.
   options.auto_resize.scale_down_checks = 2;
@@ -866,7 +866,7 @@ TEST(AutoResize, RateSignalScalesOutOfInlineMode) {
   options.auto_resize.enabled = true;
   options.auto_resize.min_shards = 1;
   options.auto_resize.max_shards = 4;
-  options.auto_resize.check_interval = 256;
+  options.monitor_interval = 256;
   options.auto_resize.scale_up_occupancy = 2.0;     // Occupancy can't help.
   options.auto_resize.scale_down_occupancy = -1.0;  // Never down.
   options.auto_resize.target_rate_per_shard = 1.0;
@@ -903,7 +903,7 @@ TEST(AutoResize, KeylessClampProposalsAreVetoedNotChurned) {
   options.auto_resize.enabled = true;
   options.auto_resize.min_shards = 4;
   options.auto_resize.max_shards = 8;
-  options.auto_resize.check_interval = 256;
+  options.monitor_interval = 256;
   options.auto_resize.scale_up_occupancy = 2.0;
   options.auto_resize.scale_down_occupancy = -1.0;
   StreamSession session(options);
@@ -941,7 +941,7 @@ TEST(AdaptiveSession, SparseStreamEvictsFactorWindowsBitwise) {
   StreamSession::Options options;
   options.num_keys = 1;
   options.adaptive.enabled = true;
-  options.adaptive.check_interval = 256;
+  options.monitor_interval = 256;
   options.adaptive.rate_alpha = 0.5;
   options.adaptive.reoptimize_ratio = 2.0;
   options.adaptive.min_events_between_replans = 1024;
@@ -1037,7 +1037,7 @@ ExitRun RunCrossoverExit(CrossoverExit exit, uint32_t shards, bool adaptive,
   options.num_keys = kKeys;
   options.num_shards = shards;
   options.adaptive.enabled = adaptive;
-  options.adaptive.check_interval = 256;
+  options.monitor_interval = 256;
   options.adaptive.rate_alpha = 0.5;
   options.adaptive.reoptimize_ratio = 2.0;
   options.adaptive.min_events_between_replans = 1024;
@@ -1256,7 +1256,7 @@ TEST(AdaptiveSession, RecostOnlyDriftAdoptsTheObservedRateInPlace) {
   StreamSession::Options options;
   options.num_keys = kKeys;
   options.adaptive.enabled = true;
-  options.adaptive.check_interval = 256;
+  options.monitor_interval = 256;
   options.adaptive.rate_alpha = 1.0;
   options.adaptive.reoptimize_ratio = 2.0;
   options.adaptive.min_events_between_replans = 1024;
@@ -1306,14 +1306,13 @@ TEST(AdaptiveSession, ColumnarIngestionMatchesScalarMonitorCadence) {
     options.auto_resize.enabled = true;
     options.auto_resize.min_shards = 1;
     options.auto_resize.max_shards = 4;
-    options.auto_resize.check_interval = 512;
+    options.monitor_interval = 512;
     options.auto_resize.scale_up_occupancy = 2.0;
     options.auto_resize.scale_down_occupancy = 1.0;
     options.auto_resize.scale_down_checks = 2;
     options.auto_resize.target_rate_per_shard = 1.0;
     options.adaptive.enabled = true;
     options.adaptive.rate_alpha = 0.7;
-    options.adaptive.check_interval = 512;
     options.adaptive.reoptimize_ratio = 3.0;
     options.adaptive.min_events_between_replans = 2048;
     StreamSession session(options);

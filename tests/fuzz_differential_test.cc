@@ -213,13 +213,12 @@ void RunCase(const FuzzCase& c, uint32_t shards, bool apply_resizes,
     options.auto_resize.enabled = true;
     options.auto_resize.min_shards = 1;
     options.auto_resize.max_shards = 4;
-    options.auto_resize.check_interval = 384;
+    options.monitor_interval = 384;
     options.auto_resize.scale_up_occupancy = 2.0;
     options.auto_resize.scale_down_occupancy = 1.0;
     options.auto_resize.scale_down_checks = 2;
     options.auto_resize.target_rate_per_shard = 0.5;
     options.adaptive.enabled = true;
-    options.adaptive.check_interval = 384;
     options.adaptive.rate_alpha = 0.5;
     options.adaptive.reoptimize_ratio = 1.5;
     options.adaptive.min_events_between_replans = 1024;

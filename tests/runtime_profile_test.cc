@@ -68,7 +68,7 @@ TEST(RuntimeProfile, SessionProfileReportsRateSkewAndOperators) {
   // reoptimize_ratio keeps the plan untouched so this test sees pure
   // measurement.
   options.adaptive.enabled = true;
-  options.adaptive.check_interval = 256;
+  options.monitor_interval = 256;
   options.adaptive.rate_alpha = 1.0;
   options.adaptive.reoptimize_ratio = 1e9;
   StreamSession session(options);

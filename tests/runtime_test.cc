@@ -380,13 +380,13 @@ Delivery Flatten(uint64_t position, const WindowResult& r) {
 // Records every result and late event with its delivery position; the
 // test advances `pushed` before each Push, so a drain point triggered by
 // the n-th event logs position n.
-class DeliveryLog : public ResultSink, public EventConsumer {
+class DeliveryLog : public ResultSink {
  public:
   void OnResult(const WindowResult& result) override {
     log.push_back(Flatten(pushed, result));
     results.OnResult(result);
   }
-  void Consume(const Event& event) override {
+  void Consume(const Event& event) {
     log.push_back({pushed, true, 0, event.timestamp, 0, event.key,
                    event.value});
   }
@@ -951,9 +951,9 @@ TEST(ShardedExecutor, CheckpointRestoresAcrossShardCounts) {
 
 // --- Out-of-order ingestion ------------------------------------------------
 
-class LateCollector : public EventConsumer {
+class LateCollector {
  public:
-  void Consume(const Event& event) override { events.push_back(event); }
+  void Consume(const Event& event) { events.push_back(event); }
   std::vector<Event> events;
 };
 
@@ -1009,7 +1009,7 @@ TEST(ShardedExecutorDisorder, LatePolicyIsIdenticalAcrossShardCounts) {
     options.batch_size = 32;
     options.max_delay = 16;
     LateCollector late;
-    options.late_sink = &late;
+    options.late_sink = [&late](const Event& e) { late.Consume(e); };
     CollectingSink sink;
     ShardedExecutor executor(plan, options, &sink);
     for (const Event& event : shuffled) executor.Push(event);
@@ -1048,7 +1048,9 @@ TEST(ShardedExecutorDisorder, DeliverySequenceIsIdenticalAcrossRunsAndBatches) {
     options.drain_interval = 700;
     options.max_delay = 16;
     DeliveryLog delivered;
-    options.late_sink = &delivered;
+    options.late_sink = [&delivered](const Event& e) {
+      delivered.Consume(e);
+    };
     ShardedExecutor executor(plan, options, &delivered);
     for (const Event& event : shuffled) {
       ++delivered.pushed;
@@ -1232,7 +1234,9 @@ TEST(ShardedExecutorDisorder, EveryDrainChunkIsTheSortedUnionOfItsEpoch) {
     options.drain_interval = kDrainInterval;
     options.max_delay = kMaxDelay;
     DeliveryLog delivered;
-    options.late_sink = &delivered;
+    options.late_sink = [&delivered](const Event& e) {
+      delivered.Consume(e);
+    };
     ShardedExecutor executor(plan, options, &delivered);
     for (const Event& event : events) {
       ++delivered.pushed;

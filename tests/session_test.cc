@@ -497,7 +497,7 @@ TEST(StreamSession, ResultsDeliveredStaysExactAcrossADriftCrossover) {
   StreamSession::Options options;
   options.num_keys = 1;
   options.adaptive.enabled = true;
-  options.adaptive.check_interval = 256;
+  options.monitor_interval = 256;
   options.adaptive.rate_alpha = 0.5;
   options.adaptive.reoptimize_ratio = 2.0;
   options.adaptive.min_events_between_replans = 1024;
